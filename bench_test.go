@@ -109,7 +109,7 @@ func BenchmarkFigure1_SOAPInvoke_Gateway(b *testing.B) {
 		}
 		return rec.Body.String(), nil
 	}
-	gw.Forward = &gateway.TransportForwarder{RT: srv.Transport().(soap.RawTransport)}
+	gw.Forward = &gateway.TransportForwarder{RT: srv.Transport()}
 	if err := gw.Mount("http://backend.bench"); err != nil {
 		b.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func BenchmarkS33_ArtificialContext(b *testing.B) {
 		cl := newCoupled()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cl.Call("generateScript", genArgs("gateway-user", "cfd", "session1")...); err != nil {
+			if _, err := cl.CallText("generateScript", genArgs("gateway-user", "cfd", "session1")...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -428,11 +428,11 @@ func BenchmarkS33_ArtificialContext(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			session := fmt.Sprintf("tmp-%d", i)
-			if _, err := ctx.Call("createPlaceholderContext",
+			if _, err := ctx.CallText("createPlaceholderContext",
 				soap.Str("user", "hotpage-user"), soap.Str("problem", "generic"), soap.Str("session", session)); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := gen.Call("generateScript", genArgs("hotpage-user", "generic", session)...); err != nil {
+			if _, err := gen.CallText("generateScript", genArgs("hotpage-user", "generic", session)...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1095,10 +1095,10 @@ func BenchmarkParallel_ContextReadWrite(b *testing.B) {
 			for pb.Next() {
 				var err error
 				if i%4 == 0 {
-					_, err = cl.Call("setSessionProperty",
+					_, err = cl.CallText("setSessionProperty",
 						append(pathArgs, soap.Str("name", "input"), soap.Str("value", "deck-1"))...)
 				} else {
-					_, err = cl.Call("getSessionProperty",
+					_, err = cl.CallText("getSessionProperty",
 						append(pathArgs, soap.Str("name", "input"))...)
 				}
 				if err != nil {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -171,18 +172,19 @@ func TestGCETestbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	archClient := core.NewClient(httpTr, iuServer.URL+"/SessionArchive", contextmgr.SessionArchiveContract())
-	if _, err := archClient.Call("placeholder",
+	if _, err := archClient.CallText("placeholder",
 		soap.Str("user", "cyoun"), soap.Str("problem", "gce"), soap.Str("session", "testbed-1")); err != nil {
 		t.Fatal(err)
 	}
 	storeClient := core.NewClient(httpTr, iuServer.URL+"/ContextStore", contextmgr.ContextStoreContract())
-	if _, err := storeClient.Call("setProperty",
+	if _, err := storeClient.CallText("setProperty",
 		soap.StrArray("path", []string{"cyoun", "gce", "testbed-1"}),
 		soap.Str("name", "outputLocation"), soap.Str("value", home+"/testbed.out")); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := archClient.Call("archive",
+	resp, release, err := archClient.Call(context.Background(), "archive",
 		soap.Str("user", "cyoun"), soap.Str("problem", "gce"), soap.Str("session", "testbed-1"))
+	defer release()
 	if err != nil || resp.ReturnText("archiveID") == "" {
 		t.Fatalf("archive = %v, %v", resp, err)
 	}

@@ -328,7 +328,7 @@ func TestSOAPServiceFullFlow(t *testing.T) {
 	if err != nil || len(names) != 1 {
 		t.Fatalf("apps = %v, %v", names, err)
 	}
-	desc, err := cl.CallXML("describeApplication", soap.Str("name", "Gaussian"))
+	desc, err := cl.CallXMLCopy("describeApplication", soap.Str("name", "Gaussian"))
 	if err != nil || desc.FindText("basicInformation/name") != "Gaussian" {
 		t.Fatalf("describe = %v, %v", desc, err)
 	}
@@ -349,7 +349,7 @@ func TestSOAPServiceFullFlow(t *testing.T) {
 	if err != nil || state != "COMPLETED" {
 		t.Errorf("poll = %q, %v", state, err)
 	}
-	instDoc, err := cl.CallXML("getInstance", soap.Str("instanceID", id))
+	instDoc, err := cl.CallXMLCopy("getInstance", soap.Str("instanceID", id))
 	if err != nil || instDoc.ChildText("state") != "COMPLETED" {
 		t.Errorf("instance = %v, %v", instDoc, err)
 	}

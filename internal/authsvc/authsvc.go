@@ -20,6 +20,7 @@
 package authsvc
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -291,10 +292,11 @@ func (cl *Client) EstablishSession(contextToken string) (string, error) {
 
 // Verify implements Verifier over SOAP — the forwarding step of Figure 2.
 func (cl *Client) Verify(a *saml.Assertion) (string, error) {
-	resp, err := cl.c.Call("verifyAssertion", soap.XMLDoc("assertion", a.Element()))
+	resp, release, err := cl.c.Call(context.TODO(), "verifyAssertion", soap.XMLDoc("assertion", a.Element()))
 	if err != nil {
 		return "", err
 	}
+	defer release()
 	if resp.ReturnText("valid") != "true" {
 		return "", fmt.Errorf("authsvc: verification rejected")
 	}
@@ -303,7 +305,7 @@ func (cl *Client) Verify(a *saml.Assertion) (string, error) {
 
 // CloseSession closes a session over SOAP.
 func (cl *Client) CloseSession(id string) error {
-	_, err := cl.c.Call("closeSession", soap.Str("sessionID", id))
+	_, err := cl.c.CallText("closeSession", soap.Str("sessionID", id))
 	return err
 }
 

@@ -14,6 +14,7 @@
 package batchscript
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -285,10 +286,11 @@ func (cl *Client) ListSchedulers() ([]string, error) {
 
 // SupportsScheduler asks the provider about one queuing system.
 func (cl *Client) SupportsScheduler(name string) (bool, error) {
-	resp, err := cl.c.Call("supportsScheduler", soap.Str("scheduler", name))
+	resp, release, err := cl.c.Call(context.TODO(), "supportsScheduler", soap.Str("scheduler", name))
 	if err != nil {
 		return false, err
 	}
+	defer release()
 	return resp.ReturnText("supported") == "true", nil
 }
 

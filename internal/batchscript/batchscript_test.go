@@ -1,6 +1,7 @@
 package batchscript
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/contextmgr"
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/rpc"
 	"repro/internal/soap"
 	"repro/internal/uddi"
 	"repro/internal/wsdl"
@@ -169,14 +171,11 @@ func TestCrossGroupInterop(t *testing.T) {
 	sdscBiz, _ := reg.SaveBusiness(uddi.BusinessEntity{Name: "SDSC"})
 
 	// Two SSPs, one per group.
-	iuSSP := core.NewProvider("iu-ssp", "loopback://iu")
-	iuSSP.MustRegister(NewService(NewIUGenerator()))
-	sdscSSP := core.NewProvider("sdsc-ssp", "loopback://sdsc")
-	sdscSSP.MustRegister(NewService(NewSDSCGenerator()))
-	tr := &soap.LoopbackTransport{Endpoints: map[string]soap.EnvelopeHandler{
-		"loopback://iu/BatchScriptGenerator":   iuSSP.Dispatch,
-		"loopback://sdsc/BatchScriptGenerator": sdscSSP.Dispatch,
-	}}
+	iuSSP := rpc.NewServer("iu-ssp", "loopback://iu")
+	iuSSP.Provider("").MustRegister(NewService(NewIUGenerator()))
+	sdscSSP := rpc.NewServer("sdsc-ssp", "loopback://sdsc")
+	sdscSSP.Provider("").MustRegister(NewService(NewSDSCGenerator()))
+	tr := rpc.Transport(iuSSP, sdscSSP)
 
 	if _, err := PublishUDDI(reg, iuBiz.Key, "IU Batch Script Generator",
 		"loopback://iu/BatchScriptGenerator", NewIUGenerator()); err != nil {
@@ -282,7 +281,7 @@ func TestCoupledServiceRequiresContext(t *testing.T) {
 		soap.Int("nodes", 1), soap.Int("wallTimeSeconds", 60),
 	}
 	// Without a context: rejected (the HotPage-user problem).
-	_, err := cl.Call("generateScript", args...)
+	_, err := cl.CallText("generateScript", args...)
 	pe := soap.AsPortalError(err)
 	if pe == nil || pe.Code != soap.ErrCodeNoSuchResource || !strings.Contains(pe.Message, "placeholder") {
 		t.Fatalf("err = %v", err)
@@ -292,10 +291,11 @@ func TestCoupledServiceRequiresContext(t *testing.T) {
 	if err := store.CreatePlaceholder("hotpage-user", "generic", "tmp1"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.Call("generateScript", args...)
+	resp, release, err := cl.Call(context.Background(), "generateScript", args...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	if !strings.Contains(resp.ReturnText("script"), "#PBS") {
 		t.Errorf("script = %q", resp.ReturnText("script"))
 	}

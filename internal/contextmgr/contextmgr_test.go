@@ -1,6 +1,7 @@
 package contextmgr
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -245,10 +246,11 @@ func TestMonolithServiceRoundTrip(t *testing.T) {
 	cl := monolithFixture(t)
 	call := func(op string, params ...soap.Value) *soap.Response {
 		t.Helper()
-		resp, err := cl.Call(op, params...)
+		resp, release, err := cl.Call(context.Background(), op, params...)
 		if err != nil {
 			t.Fatalf("%s: %v", op, err)
 		}
+		t.Cleanup(release)
 		return resp
 	}
 	call("createUserContext", soap.Str("user", "cyoun"))
@@ -284,11 +286,11 @@ func TestMonolithServiceRoundTrip(t *testing.T) {
 		t.Fatal("no archive ID")
 	}
 	call("restoreSession", soap.Str("archiveID", id))
-	doc, err := cl.CallXML("listArchives", soap.Str("user", "cyoun"))
+	doc, err := cl.CallXMLCopy("listArchives", soap.Str("user", "cyoun"))
 	if err != nil || len(doc.ChildrenNamed("archive")) != 1 {
 		t.Errorf("archives = %v, %v", doc, err)
 	}
-	info, err := cl.CallXML("getArchiveInfo", soap.Str("archiveID", id))
+	info, err := cl.CallXMLCopy("getArchiveInfo", soap.Str("archiveID", id))
 	if err != nil || info.ChildText("session") != "run1" {
 		t.Errorf("info = %v, %v", info, err)
 	}
@@ -303,15 +305,15 @@ func TestMonolithServiceRoundTrip(t *testing.T) {
 		t.Errorf("count after reimport = %q", resp.ReturnText("count"))
 	}
 	// Errors carry portal codes.
-	_, err = cl.Call("getUserProperty", soap.Str("user", "ghost"), soap.Str("name", "x"))
+	_, err = cl.CallText("getUserProperty", soap.Str("user", "ghost"), soap.Str("name", "x"))
 	if pe := soap.AsPortalError(err); pe == nil || pe.Code != soap.ErrCodeNoSuchResource {
 		t.Errorf("err = %v", err)
 	}
-	_, err = cl.Call("createUserContext", soap.Str("user", "cyoun"))
+	_, err = cl.CallText("createUserContext", soap.Str("user", "cyoun"))
 	if pe := soap.AsPortalError(err); pe == nil || pe.Code != soap.ErrCodeBadRequest {
 		t.Errorf("dup err = %v", err)
 	}
-	_, err = cl.Call("getArchiveInfo", soap.Str("archiveID", "arch-999"))
+	_, err = cl.CallText("getArchiveInfo", soap.Str("archiveID", "arch-999"))
 	if soap.AsPortalError(err) == nil {
 		t.Errorf("ghost archive err = %v", err)
 	}
@@ -326,32 +328,35 @@ func TestDecomposedServices(t *testing.T) {
 	store := core.NewClient(tr, "x", ContextStoreContract())
 	arch := core.NewClient(tr, "x", SessionArchiveContract())
 
-	if _, err := arch.Call("placeholder", soap.Str("user", "mock"), soap.Str("problem", "generic"), soap.Str("session", "s1")); err != nil {
+	if _, err := arch.CallText("placeholder", soap.Str("user", "mock"), soap.Str("problem", "generic"), soap.Str("session", "s1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Call("setProperty", soap.StrArray("path", []string{"mock", "generic", "s1"}),
+	if _, err := store.CallText("setProperty", soap.StrArray("path", []string{"mock", "generic", "s1"}),
 		soap.Str("name", "scheduler"), soap.Str("value", "LSF")); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := store.Call("getProperty", soap.StrArray("path", []string{"mock", "generic", "s1"}), soap.Str("name", "scheduler"))
+	resp, release, err := store.Call(context.Background(), "getProperty", soap.StrArray("path", []string{"mock", "generic", "s1"}), soap.Str("name", "scheduler"))
+	defer release()
 	if err != nil || resp.ReturnText("value") != "LSF" {
 		t.Errorf("value = %q, %v", resp.ReturnText("value"), err)
 	}
-	r2, err := arch.Call("archive", soap.Str("user", "mock"), soap.Str("problem", "generic"), soap.Str("session", "s1"))
+	r2, release2, err := arch.Call(context.Background(), "archive", soap.Str("user", "mock"), soap.Str("problem", "generic"), soap.Str("session", "s1"))
+	defer release2()
 	if err != nil || r2.ReturnText("archiveID") == "" {
 		t.Errorf("archive = %v, %v", r2, err)
 	}
-	if _, err := arch.Call("remove", soap.Str("archiveID", "arch-99")); soap.AsPortalError(err) == nil {
+	if _, err := arch.CallText("remove", soap.Str("archiveID", "arch-99")); soap.AsPortalError(err) == nil {
 		t.Errorf("ghost remove err = %v", err)
 	}
-	resp, err = store.Call("exists", soap.StrArray("path", []string{"mock", "generic", "s1"}))
+	resp, release, err = store.Call(context.Background(), "exists", soap.StrArray("path", []string{"mock", "generic", "s1"}))
+	defer release()
 	if err != nil || resp.ReturnText("exists") != "true" {
 		t.Errorf("exists = %v, %v", resp, err)
 	}
-	if _, err := store.Call("list", soap.StrArray("path", []string{"mock"})); err != nil {
+	if _, err := store.CallText("list", soap.StrArray("path", []string{"mock"})); err != nil {
 		t.Error(err)
 	}
-	if _, err := store.Call("remove", soap.StrArray("path", []string{"mock", "generic", "s1"})); err != nil {
+	if _, err := store.CallText("remove", soap.StrArray("path", []string{"mock", "generic", "s1"})); err != nil {
 		t.Error(err)
 	}
 }

@@ -759,59 +759,17 @@ func (c *Client) withResilience(ctx context.Context, operation string, attempt f
 	}
 }
 
-// Call invokes a contract operation with ordered parameters. The response
-// tree is retained and owned by the caller forever; request-scoped callers
-// that only extract strings should prefer CallPooled (or the CallText /
-// CallStrings helpers, which pool internally).
-func (c *Client) Call(operation string, params ...soap.Value) (*soap.Response, error) {
-	return c.CallCtx(context.Background(), operation, params...)
-}
-
-// CallCtx is Call scoped to a context: the deadline bounds the transport
-// round trip and the whole retry loop.
-func (c *Client) CallCtx(ctx context.Context, operation string, params ...soap.Value) (*soap.Response, error) {
-	env, err := c.prepare(operation, params)
-	if err != nil {
-		return nil, err
-	}
-	action := c.Contract.TargetNS + "#" + operation
-	var resp *soap.Response
-	err = c.withResilience(ctx, operation, func(ctx context.Context) error {
-		resp = nil
-		respEnv, rerr := soap.RoundTripContext(ctx, c.Transport, c.Endpoint, action, env)
-		if rerr != nil {
-			return rerr
-		}
-		resp, rerr = soap.ParseResponse(respEnv)
-		return rerr
-	})
-	return resp, err
-}
-
-// CallPooled invokes a contract operation and parses the response envelope
-// into a pooled element arena — the client-side counterpart of the pooled
-// request decode the server transports use. The returned release function
-// must be called exactly once when the caller is done with the response;
+// Call invokes a contract operation under ctx, whose deadline bounds the
+// transport round trip and the whole retry loop. The response envelope is
+// parsed into a pooled element arena; the returned release function must
+// be called exactly once when the caller is done with the response, and
 // afterwards no *xmlutil.Element reachable from it (XML-valued returns,
 // fault details) may be retained. Strings extracted from the response stay
 // valid forever. On error the response storage has already been reclaimed
 // (fault details are detached first, so a returned *soap.Fault is safe to
 // keep) and the release function is a no-op.
-//
-// Transports that cannot return raw bytes (non-RawTransport
-// implementations) fall back to the retained parse of Call.
-func (c *Client) CallPooled(operation string, params ...soap.Value) (*soap.Response, func(), error) {
-	return c.CallPooledCtx(context.Background(), operation, params...)
-}
-
-// CallPooledCtx is CallPooled scoped to a context; see CallCtx.
-func (c *Client) CallPooledCtx(ctx context.Context, operation string, params ...soap.Value) (*soap.Response, func(), error) {
+func (c *Client) Call(ctx context.Context, operation string, params ...soap.Value) (*soap.Response, func(), error) {
 	noop := func() {}
-	rt, ok := c.Transport.(soap.RawTransport)
-	if !ok {
-		resp, err := c.CallCtx(ctx, operation, params...)
-		return resp, noop, err
-	}
 	env, err := c.prepare(operation, params)
 	if err != nil {
 		return nil, noop, err
@@ -824,7 +782,7 @@ func (c *Client) CallPooledCtx(ctx context.Context, operation string, params ...
 	err = c.withResilience(ctx, operation, func(ctx context.Context) error {
 		buf.Reset()
 		resp, release = nil, noop
-		if rerr := soap.RoundTripRawContext(ctx, rt, c.Endpoint, action, env, buf); rerr != nil {
+		if rerr := c.Transport.RoundTripRawCtx(ctx, c.Endpoint, action, env, buf); rerr != nil {
 			return rerr
 		}
 		// Streaming fast path: scalar/array responses decode straight from
@@ -900,46 +858,23 @@ func wireType(v soap.Value) string {
 
 // CallText invokes an operation and returns the first out parameter's text;
 // the one-string-in, one-string-out convenience shape most of the paper's
-// services expose. The response is parsed into a pooled arena and released
-// before returning — the extracted string is always safe to keep.
+// services expose. The response is released before returning — the
+// extracted string is always safe to keep.
 func (c *Client) CallText(operation string, params ...soap.Value) (string, error) {
-	return c.CallTextCtx(context.Background(), operation, params...)
-}
-
-// CallTextCtx is CallText scoped to a context; see CallCtx.
-func (c *Client) CallTextCtx(ctx context.Context, operation string, params ...soap.Value) (string, error) {
-	resp, release, err := c.CallPooledCtx(ctx, operation, params...)
+	resp, release, err := c.Call(context.TODO(), operation, params...)
 	if err != nil {
 		return "", err
 	}
-	text := resp.ReturnText("")
-	release()
-	return text, nil
-}
-
-// CallXML invokes an operation and returns the first out parameter's XML
-// payload. The whole response tree is retained; prefer CallXMLCopy, which
-// parses through the pooled arena and hands back only a copy of the
-// payload itself.
-func (c *Client) CallXML(operation string, params ...soap.Value) (*xmlutil.Element, error) {
-	resp, err := c.Call(operation, params...)
-	if err != nil {
-		return nil, err
-	}
-	v, ok := resp.Return("")
-	if !ok || v.XML == nil {
-		return nil, fmt.Errorf("core: %s.%s returned no XML payload", c.Contract.Name, operation)
-	}
-	return v.XML, nil
+	defer release()
+	return resp.ReturnText(""), nil
 }
 
 // CallXMLCopy invokes an operation and returns a copy of the first out
-// parameter's XML payload. The response envelope is parsed into a pooled
-// element arena (the RoundTripRaw path) and released before returning:
-// only the payload subtree is copied out, so the caller owns a minimal
-// tree instead of retaining the whole envelope as CallXML does.
+// parameter's XML payload. Only the payload subtree is copied out of the
+// pooled response arena, so the caller owns a minimal tree instead of the
+// whole envelope.
 func (c *Client) CallXMLCopy(operation string, params ...soap.Value) (*xmlutil.Element, error) {
-	resp, release, err := c.CallPooled(operation, params...)
+	resp, release, err := c.Call(context.TODO(), operation, params...)
 	if err != nil {
 		return nil, err
 	}
@@ -952,10 +887,9 @@ func (c *Client) CallXMLCopy(operation string, params ...soap.Value) (*xmlutil.E
 }
 
 // CallStrings invokes an operation and returns the first out parameter as a
-// string slice. Like CallText it parses the response into a pooled arena
-// and releases it before returning.
+// string slice. Like CallText it releases the response before returning.
 func (c *Client) CallStrings(operation string, params ...soap.Value) ([]string, error) {
-	resp, release, err := c.CallPooled(operation, params...)
+	resp, release, err := c.Call(context.TODO(), operation, params...)
 	if err != nil {
 		return nil, err
 	}

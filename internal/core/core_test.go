@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"strings"
@@ -56,10 +57,11 @@ func TestDispatchAndCall(t *testing.T) {
 	if got != "hello" {
 		t.Errorf("echo = %q", got)
 	}
-	resp, err := c.Call("add", soap.Int("a", 20), soap.Int("b", 22))
+	resp, release, err := c.Call(context.Background(), "add", soap.Int("a", 20), soap.Int("b", 22))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	if resp.ReturnText("sum") != "42" {
 		t.Errorf("sum = %q", resp.ReturnText("sum"))
 	}
@@ -80,7 +82,7 @@ func TestContractValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := c.Call(tc.op, tc.args...)
+			_, err := c.CallText(tc.op, tc.args...)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want substring %q", err, tc.want)
 			}
@@ -107,7 +109,7 @@ func TestUnknownNamespaceFault(t *testing.T) {
 	other := &wsdl.Interface{Name: "Other", TargetNS: "urn:other",
 		Operations: []wsdl.Operation{{Name: "x"}}}
 	c := NewClient(tr, "loopback://ssp/Other", other)
-	_, err := c.Call("x")
+	_, err := c.CallText("x")
 	var f *soap.Fault
 	if !errors.As(err, &f) || f.Code != soap.FaultClient {
 		t.Errorf("err = %v, want Client fault", err)
@@ -122,7 +124,7 @@ func TestUnimplementedOperationPortalError(t *testing.T) {
 	p.byNS[svc.Contract.TargetNS] = svc
 	tr := &soap.LoopbackTransport{Handler: p.Dispatch}
 	c := NewClient(tr, "x", echoContract())
-	_, err := c.Call("add", soap.Int("a", 1), soap.Int("b", 2))
+	_, err := c.CallText("add", soap.Int("a", 1), soap.Int("b", 2))
 	pe := soap.AsPortalError(err)
 	if pe == nil || pe.Code != soap.ErrCodeNoSuchMethod {
 		t.Errorf("err = %v, want NoSuchMethod portal error", err)
@@ -320,12 +322,12 @@ func TestCallStringsAndXML(t *testing.T) {
 	if err != nil || len(names) != 2 || names[0] != "PBS" {
 		t.Errorf("names = %v, %v", names, err)
 	}
-	doc, err := c.CallXML("doc")
+	doc, err := c.CallXMLCopy("doc")
 	if err != nil || doc.Text != "1" {
 		t.Errorf("doc = %v, %v", doc, err)
 	}
-	if _, err := c.CallXML("nothing"); err == nil {
-		t.Error("CallXML on empty return should fail")
+	if _, err := c.CallXMLCopy("nothing"); err == nil {
+		t.Error("CallXMLCopy on empty return should fail")
 	}
 	if _, err := c.CallStrings("nothing"); err == nil {
 		t.Error("CallStrings on empty return should fail")

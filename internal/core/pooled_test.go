@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func xmlProviderClient() *Client {
 
 func TestCallPooled(t *testing.T) {
 	c := xmlProviderClient()
-	resp, release, err := c.CallPooled("grow", soap.Str("name", "oak"))
+	resp, release, err := c.Call(context.Background(), "grow", soap.Str("name", "oak"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestCallPooled(t *testing.T) {
 // detached before release.
 func TestCallPooledFaultDetached(t *testing.T) {
 	c := xmlProviderClient()
-	_, release, err := c.CallPooled("fail")
+	_, release, err := c.Call(context.Background(), "fail")
 	if err == nil {
 		t.Fatal("expected fault")
 	}
@@ -71,33 +72,5 @@ func TestCallPooledFaultDetached(t *testing.T) {
 	}
 	if pe.Code != soap.ErrCodeResourceFull || !strings.Contains(pe.Message, "forest full") {
 		t.Fatalf("detached portal error wrong: %+v", pe)
-	}
-}
-
-// TestCallPooledFallback verifies a transport without RoundTripRaw still
-// works through the retained path.
-type parsedOnlyTransport struct{ inner soap.Transport }
-
-func (t parsedOnlyTransport) RoundTrip(endpoint, action string, req *soap.Envelope) (*soap.Envelope, error) {
-	return t.inner.RoundTrip(endpoint, action, req)
-}
-
-func TestCallPooledFallback(t *testing.T) {
-	p := NewProvider("trees-ssp", "loopback://trees")
-	svc := NewService(xmlContract()).
-		Handle("grow", func(_ *Context, args soap.Args) ([]soap.Value, error) {
-			return []soap.Value{soap.XMLDoc("tree", xmlutil.New("tree"))}, nil
-		}).
-		Handle("fail", func(_ *Context, _ soap.Args) ([]soap.Value, error) { return nil, nil })
-	p.MustRegister(svc)
-	c := NewClient(parsedOnlyTransport{&soap.LoopbackTransport{Handler: p.Dispatch}},
-		"loopback://trees/Trees", xmlContract())
-	resp, release, err := c.CallPooled("grow", soap.Str("name", "elm"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	if v, ok := resp.Return("tree"); !ok || v.XML == nil {
-		t.Fatal("fallback path lost the XML return")
 	}
 }

@@ -73,22 +73,15 @@ func (r *routingForwarder) Forward(ctx context.Context, backend, path, action st
 // killableRT simulates a crashed backend: once dead, every round trip is
 // refused before the inner transport sees it.
 type killableRT struct {
-	inner soap.RawTransport
+	inner soap.Transport
 	dead  *atomic.Bool
 }
 
-func (k *killableRT) RoundTrip(endpoint, action string, req *soap.Envelope) (*soap.Envelope, error) {
-	if k.dead.Load() {
-		return nil, fmt.Errorf("soap: post %s: connection refused", endpoint)
-	}
-	return k.inner.RoundTrip(endpoint, action, req)
-}
-
-func (k *killableRT) RoundTripRaw(endpoint, action string, req *soap.Envelope, resp *bytes.Buffer) error {
+func (k *killableRT) RoundTripRawCtx(ctx context.Context, endpoint, action string, req *soap.Envelope, resp *bytes.Buffer) error {
 	if k.dead.Load() {
 		return fmt.Errorf("soap: post %s: connection refused", endpoint)
 	}
-	return k.inner.RoundTripRaw(endpoint, action, req, resp)
+	return k.inner.RoundTripRawCtx(ctx, endpoint, action, req, resp)
 }
 
 func waitGoroutines(t *testing.T, baseline int) {
@@ -115,7 +108,7 @@ func chaosFleet(t *testing.T, build func(srv *rpc.Server), drop float64) (*gatew
 
 	var aDead atomic.Bool
 	chaos := &soap.ChaosTransport{
-		Inner:    srvA.Transport().(soap.RawTransport),
+		Inner:    srvA.Transport(),
 		Seed:     7,
 		DropRate: drop,
 	}
@@ -130,7 +123,7 @@ func chaosFleet(t *testing.T, build func(srv *rpc.Server), drop float64) (*gatew
 	)
 	gw.Forward = &routingForwarder{m: map[string]gateway.Forwarder{
 		"http://a.test": &gateway.TransportForwarder{RT: &killableRT{inner: chaos, dead: &aDead}},
-		"http://b.test": &gateway.TransportForwarder{RT: srvB.Transport().(soap.RawTransport)},
+		"http://b.test": &gateway.TransportForwarder{RT: srvB.Transport()},
 	}}
 	if err := gw.Mount("http://a.test", "http://b.test"); err != nil {
 		t.Fatal(err)
@@ -166,8 +159,7 @@ func TestChaosGatewayFailover(t *testing.T) {
 
 		// Reference bytes from an untouched node: what a direct client sees.
 		var want bytes.Buffer
-		if err := soap.RoundTripRawContext(context.Background(),
-			srvRef.Transport().(soap.RawTransport),
+		if err := srvRef.Transport().RoundTripRawCtx(context.Background(),
 			"http://ref.test/ssp/BatchScriptGenerator", batchscript.ServiceNS+"#generateScript",
 			soap.RawEnvelope(body.Bytes()), &want); err != nil {
 			t.Fatal(err)

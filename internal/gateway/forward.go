@@ -66,7 +66,7 @@ func (f *HTTPForwarder) Forward(ctx context.Context, backend, path, action strin
 	return ForwardResult{Status: res.StatusCode, RetryAfter: res.Header.Get("Retry-After")}, nil
 }
 
-// TransportForwarder adapts any soap.RawTransport into a Forwarder: the
+// TransportForwarder adapts any soap.Transport into a Forwarder: the
 // request bytes ride through the transport verbatim (soap.RawEnvelope)
 // and the HTTP status is reconstructed from the response body per the
 // SOAP 1.1 convention (fault body ⇒ 500). Tests and benchmarks use it to
@@ -75,13 +75,13 @@ func (f *HTTPForwarder) Forward(ctx context.Context, backend, path, action strin
 // reconstructed on this path.
 type TransportForwarder struct {
 	// RT carries the forwarded envelopes.
-	RT soap.RawTransport
+	RT soap.Transport
 }
 
 // Forward implements Forwarder over the wrapped transport.
 func (f *TransportForwarder) Forward(ctx context.Context, backend, path, action string, body []byte, resp *bytes.Buffer) (ForwardResult, error) {
 	mark := resp.Len()
-	if err := soap.RoundTripRawContext(ctx, f.RT, backend+path, action, soap.RawEnvelope(body), resp); err != nil {
+	if err := f.RT.RoundTripRawCtx(ctx, backend+path, action, soap.RawEnvelope(body), resp); err != nil {
 		resp.Truncate(mark)
 		return ForwardResult{}, err
 	}

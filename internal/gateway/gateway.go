@@ -494,11 +494,11 @@ func baseOf(u string) string {
 	return parsed.Scheme + "://" + parsed.Host
 }
 
-// Loopback returns an in-process raw transport that drives requests
+// Loopback returns an in-process transport that drives requests
 // through the gateway's complete HTTP surface (mux, route handler,
 // forwarding) without TCP — the gateway-side mirror of
 // rpc.Server.Transport, for tests and benchmarks.
-func (g *Gateway) Loopback() soap.RawTransport {
+func (g *Gateway) Loopback() soap.Transport {
 	return &loopbackTransport{g: g}
 }
 
@@ -506,27 +506,14 @@ type loopbackTransport struct {
 	g *Gateway
 }
 
-func (t *loopbackTransport) RoundTrip(endpoint, action string, req *soap.Envelope) (*soap.Envelope, error) {
-	return t.RoundTripCtx(context.Background(), endpoint, action, req)
-}
-
-func (t *loopbackTransport) RoundTripCtx(ctx context.Context, endpoint, action string, req *soap.Envelope) (*soap.Envelope, error) {
-	buf := xmlutil.GetBuffer()
-	defer xmlutil.PutBuffer(buf)
-	if err := t.RoundTripRawCtx(ctx, endpoint, action, req, buf); err != nil {
-		return nil, err
-	}
-	return soap.ParseEnvelopeBytes(buf.Bytes())
-}
-
-func (t *loopbackTransport) RoundTripRaw(endpoint, action string, req *soap.Envelope, resp *bytes.Buffer) error {
-	return t.RoundTripRawCtx(context.Background(), endpoint, action, req, resp)
-}
-
 // RoundTripRawCtx serialises the request and drives it through the
 // gateway mux with an in-memory response writer, keeping the HTTP status
-// semantics of the wire path (only 200 and 500 carry envelopes).
+// semantics of the wire path (only 200 and 500 carry envelopes). A
+// context already done fails the call before dispatch, as over HTTP.
 func (t *loopbackTransport) RoundTripRawCtx(ctx context.Context, endpoint, action string, req *soap.Envelope, resp *bytes.Buffer) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	mark := resp.Len()
 	buf := xmlutil.GetBuffer()
 	defer xmlutil.PutBuffer(buf)

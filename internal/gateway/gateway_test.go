@@ -361,10 +361,10 @@ func TestWriteFlushesFleetCaches(t *testing.T) {
 	iface := widgetContract(t, urls[0])
 	for i := 0; i < 2; i++ {
 		cl := core.NewClient(&soap.HTTPTransport{}, urls[i]+"/KVStore", iface)
-		if _, err := cl.Call("getValue"); err != nil {
+		if _, err := cl.CallText("getValue"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Call("getValue"); err != nil {
+		if _, err := cl.CallText("getValue"); err != nil {
 			t.Fatal(err)
 		}
 		hits, _, entries := caches[i].Stats()
@@ -375,7 +375,7 @@ func TestWriteFlushesFleetCaches(t *testing.T) {
 
 	// One write through the gateway, to whichever replica the ring picks.
 	gwClient := core.NewClient(gw.Loopback(), "http://gw.local/KVStore", iface)
-	if _, err := gwClient.Call("setValue", soap.Str("value", "new")); err != nil {
+	if _, err := gwClient.CallText("setValue", soap.Str("value", "new")); err != nil {
 		t.Fatal(err)
 	}
 

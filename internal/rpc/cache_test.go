@@ -340,7 +340,7 @@ func TestResponseCacheConcurrency(t *testing.T) {
 				k := strconv.Itoa((g + i) % 24) // overlap keys across goroutines
 				switch i % 5 {
 				case 4: // a write: passes through and flushes
-					if _, err := cl.Call("putValue", soap.Str("k", k)); err != nil {
+					if _, err := cl.CallText("putValue", soap.Str("k", k)); err != nil {
 						errs <- err
 						return
 					}

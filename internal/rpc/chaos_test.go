@@ -14,6 +14,7 @@ package rpc_test
 //  4. retries never duplicate non-idempotent writes.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -92,7 +93,7 @@ func TestChaosEndToEnd(t *testing.T) {
 	srv.Provider("", rpc.Deadline(250*time.Millisecond), rpc.LoadShed(8, 16)).MustRegister(svc)
 
 	chaos := &soap.ChaosTransport{
-		Inner:        srv.Transport().(soap.RawTransport),
+		Inner:        srv.Transport(),
 		Seed:         11,
 		LatencyRate:  0.2,
 		MaxLatency:   2 * time.Millisecond,
@@ -126,14 +127,18 @@ func TestChaosEndToEnd(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-				var err error
+				var (
+					release func()
+					err     error
+				)
 				if i%2 == 0 {
-					_, err = cl.CallCtx(ctx, "findBusiness", soap.Str("name", "chaos"))
+					_, release, err = cl.Call(ctx, "findBusiness", soap.Str("name", "chaos"))
 				} else {
-					_, err = cl.CallCtx(ctx, "saveBusiness",
+					_, release, err = cl.Call(ctx, "saveBusiness",
 						soap.Str("name", fmt.Sprintf("chaos-%d-%d", w, i)),
 						soap.Str("description", "chaos suite entity"))
 				}
+				release()
 				cancel()
 				mu.Lock()
 				if err != nil {
@@ -199,7 +204,7 @@ func TestChaosRetriesNeverDuplicateWrites(t *testing.T) {
 	srv.Provider("").MustRegister(svc)
 
 	chaos := &soap.ChaosTransport{
-		Inner:    srv.Transport().(soap.RawTransport),
+		Inner:    srv.Transport(),
 		Seed:     3,
 		DropRate: 0.5,
 	}
@@ -214,7 +219,7 @@ func TestChaosRetriesNeverDuplicateWrites(t *testing.T) {
 	const saves = 60
 	saveFailures := 0
 	for i := 0; i < saves; i++ {
-		_, err := cl.Call("saveBusiness",
+		_, err := cl.CallText("saveBusiness",
 			soap.Str("name", fmt.Sprintf("dup-%d", i)),
 			soap.Str("description", "exactly once"))
 		if err != nil {
@@ -238,7 +243,7 @@ func TestChaosRetriesNeverDuplicateWrites(t *testing.T) {
 	const finds = 40
 	findFailures := 0
 	for i := 0; i < finds; i++ {
-		if _, err := cl.Call("findBusiness", soap.Str("name", "dup-")); err != nil {
+		if _, err := cl.CallText("findBusiness", soap.Str("name", "dup-")); err != nil {
 			findFailures++
 		}
 	}
@@ -280,7 +285,7 @@ func TestChaosDrainUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := cl.Call("saveBusiness",
+			_, err := cl.CallText("saveBusiness",
 				soap.Str("name", fmt.Sprintf("drain-%d", i)),
 				soap.Str("description", "in flight"))
 			switch {
@@ -321,7 +326,7 @@ func TestChaosDrainUnderLoad(t *testing.T) {
 	}
 
 	// New work after drain is refused with retry advice.
-	_, err := cl.Call("findBusiness", soap.Str("name", "drain-"))
+	_, err := cl.CallText("findBusiness", soap.Str("name", "drain-"))
 	pe := soap.AsPortalError(err)
 	if pe == nil || pe.Code != soap.ErrCodeUnavailable {
 		t.Errorf("post-drain call: got %v, want Unavailable fault", err)
@@ -340,11 +345,11 @@ type flakyTransport struct {
 	inner soap.Transport
 }
 
-func (f *flakyTransport) RoundTrip(endpoint, action string, req *soap.Envelope) (*soap.Envelope, error) {
+func (f *flakyTransport) RoundTripRawCtx(ctx context.Context, endpoint, action string, req *soap.Envelope, resp *bytes.Buffer) error {
 	if f.down.Load() {
-		return nil, errors.New("dial tcp: connection refused")
+		return errors.New("dial tcp: connection refused")
 	}
-	return f.inner.RoundTrip(endpoint, action, req)
+	return f.inner.RoundTripRawCtx(ctx, endpoint, action, req, resp)
 }
 
 // TestChaosBreakerRecovery walks the circuit through its whole lifecycle
@@ -363,7 +368,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	}}
 
 	find := func() error {
-		_, err := cl.Call("findBusiness", soap.Str("name", "x"))
+		_, err := cl.CallText("findBusiness", soap.Str("name", "x"))
 		return err
 	}
 

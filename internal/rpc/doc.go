@@ -32,8 +32,9 @@
 // Cross-cutting behaviour composes as core.Middleware — func(next
 // core.HandlerFunc) core.HandlerFunc — chained provider-wide or
 // per-service via Use. The kernel ships RequireAssertion (GSS/SAML auth
-// enforcement), Logging, Recover (panic to SOAP fault), ConcurrencyLimit,
-// and Stats (request counts and latency, served at /healthz).
+// enforcement), Logging, Recover (panic to SOAP fault), LoadShed (bounded
+// concurrency with a bounded queue; see Resilience), and Stats (request
+// counts and latency, served at /healthz).
 //
 // # Hosting layer
 //
@@ -85,8 +86,9 @@
 // under failure. Server side, two middlewares bound every request:
 // Deadline(d) runs the inner chain on a pooled watchdog goroutine and
 // answers with the portal-standard Timeout fault when the budget (or a
-// tighter caller deadline — contexts propagate through both transports)
-// expires, abandoning the runaway handler safely; LoadShed(limit, queue)
+// tighter caller deadline — the context passed to core.Client.Call rides
+// soap.Transport.RoundTripRawCtx over HTTP and in-process alike) expires,
+// abandoning the runaway handler safely; LoadShed(limit, queue)
 // admits limit concurrent requests, queues a bounded overflow, and
 // rejects the rest immediately with a ServerBusy fault carrying
 // Retry-After advice. Client side, core.Client gains a RetryPolicy

@@ -42,7 +42,7 @@ func TestShutdownSignalsDrain(t *testing.T) {
 
 	callDone := make(chan error, 1)
 	go func() {
-		_, err := cl.Call("wait")
+		_, err := cl.CallText("wait")
 		callDone <- err
 	}()
 	<-entered // the request is inside the handler: in-flight gauge is 1
@@ -97,7 +97,7 @@ func TestWaitIdleContextExpiry(t *testing.T) {
 
 	callDone := make(chan struct{})
 	go func() {
-		_, _ = cl.Call("wait")
+		_, _ = cl.CallText("wait")
 		close(callDone)
 	}()
 	<-entered
@@ -148,7 +148,7 @@ func TestFlushControlOp(t *testing.T) {
 	warm := func(prefix string) {
 		t.Helper()
 		cl := core.NewClient(srv.Transport(), "http://flush.local"+prefix+"/CacheProbe", cacheProbeDef().Interface())
-		if _, err := cl.Call("getValue", soap.Str("key", "k")); err != nil {
+		if _, err := cl.CallText("getValue", soap.Str("key", "k")); err != nil {
 			t.Fatalf("warm %s: %v", prefix, err)
 		}
 	}

@@ -16,6 +16,7 @@ package rpc_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -267,7 +268,7 @@ func TestGoldenWireFormat(t *testing.T) {
 			// Loopback transport, fixture #1.
 			lb := &soap.LoopbackTransport{Handler: goldenProvider(t, tc).Dispatch}
 			var loopResp bytes.Buffer
-			if err := lb.RoundTripRaw("http://golden.example/svc", action, tc.call.WireEnvelope(), &loopResp); err != nil {
+			if err := lb.RoundTripRawCtx(context.Background(), "http://golden.example/svc", action, tc.call.WireEnvelope(), &loopResp); err != nil {
 				t.Fatalf("loopback round trip: %v", err)
 			}
 

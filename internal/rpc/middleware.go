@@ -113,23 +113,6 @@ func Logging(l *log.Logger) core.Middleware {
 	}
 }
 
-// ConcurrencyLimit bounds how many requests execute at once in the chain
-// below it; excess requests wait. Apply per service for per-service
-// limits, or provider-wide for a global one.
-func ConcurrencyLimit(n int) core.Middleware {
-	if n <= 0 {
-		n = 1
-	}
-	sem := make(chan struct{}, n)
-	return func(next core.HandlerFunc) core.HandlerFunc {
-		return func(ctx *core.Context, args soap.Args) ([]soap.Value, error) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			return next(ctx, args)
-		}
-	}
-}
-
 // OpStats is the accumulated view of one operation.
 type OpStats struct {
 	// Count is the number of completed requests.

@@ -146,8 +146,8 @@ func ServerBusyError(service string, limit, queue int, retryAfter time.Duration)
 	return f
 }
 
-// LoadShedder bounds concurrent execution like ConcurrencyLimit, but with
-// a bounded wait queue: when limit requests are executing and queue more
+// LoadShedder bounds concurrent execution to limit requests with a
+// bounded wait queue: when limit requests are executing and queue more
 // are waiting, further requests are rejected immediately with a ServerBusy
 // fault instead of queueing unboundedly — under overload it is better to
 // tell callers to back off than to let latency grow without bound.

@@ -62,14 +62,15 @@ func TestDeadlineMiddleware(t *testing.T) {
 	cl := core.NewClient(srv.Transport(), "loopback://deadline/ResilienceProbe", resilienceDef(nil).Interface())
 
 	// Fast requests pass untouched.
-	resp, err := cl.Call("echo", soap.Str("s", "hi"))
+	resp, release, err := cl.Call(context.Background(), "echo", soap.Str("s", "hi"))
 	if err != nil || resp.ReturnText("s") != "hi" {
 		t.Fatalf("echo under deadline: %v %v", resp, err)
 	}
+	release()
 
 	// A hung handler is answered with the deterministic Timeout fault.
 	start := time.Now()
-	_, err = cl.Call("hang")
+	_, err = cl.CallText("hang")
 	pe := soap.AsPortalError(err)
 	if pe == nil || pe.Code != soap.ErrCodeTimeout {
 		t.Fatalf("hang: got %v, want Timeout portal error", err)
@@ -98,7 +99,8 @@ func TestDeadlineTighterCallerContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := cl.CallCtx(ctx, "hang")
+	_, release, err := cl.Call(ctx, "hang")
+	release()
 	if err == nil {
 		t.Fatal("hang returned without error under 10ms caller deadline")
 	}
@@ -196,7 +198,7 @@ func TestLoadShedQueueWait(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := cl.Call("block"); err != nil {
+		if _, err := cl.CallText("block"); err != nil {
 			t.Errorf("blocked call: %v", err)
 		}
 	}()
@@ -210,7 +212,8 @@ func TestLoadShedQueueWait(t *testing.T) {
 	// Queued caller with a short deadline gets the queued-timeout fault.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err := cl.CallCtx(ctx, "echo", soap.Str("s", "queued"))
+	_, release, err := cl.Call(ctx, "echo", soap.Str("s", "queued"))
+	release()
 	pe := soap.AsPortalError(err)
 	if pe == nil || pe.Code != soap.ErrCodeTimeout {
 		t.Fatalf("queued call under deadline: got %v, want Timeout portal error", err)
@@ -219,7 +222,7 @@ func TestLoadShedQueueWait(t *testing.T) {
 	// Free the slot; a queued caller with headroom completes.
 	done := make(chan error, 1)
 	go func() {
-		_, err := cl.Call("echo", soap.Str("s", "after"))
+		_, err := cl.CallText("echo", soap.Str("s", "after"))
 		done <- err
 	}()
 	time.Sleep(2 * time.Millisecond)
@@ -263,7 +266,7 @@ func TestHealthzResilienceSection(t *testing.T) {
 	srv.SetBaseURL(hs.URL)
 
 	cl := core.NewClient(srv.Transport(), hs.URL+"/ResilienceProbe", resilienceDef(nil).Interface())
-	if _, err := cl.Call("hang"); err == nil {
+	if _, err := cl.CallText("hang"); err == nil {
 		t.Fatal("hang should time out")
 	}
 

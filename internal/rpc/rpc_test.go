@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,13 +60,14 @@ func typedDef() *Def {
 
 func typedCall(t *testing.T, cl *core.Client) {
 	t.Helper()
-	resp, err := cl.Call("describe",
+	resp, release, err := cl.Call(context.Background(), "describe",
 		soap.Str("s", "hi"), soap.Int("n", 21), soap.Bool("b", false),
 		soap.StrArray("list", []string{"a", "b"}),
 		soap.XMLDoc("doc", xmlutil.NewText("inner", "payload")))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	if got := resp.ReturnText("summary"); got != "hi/21/false" {
 		t.Errorf("summary = %q", got)
 	}
@@ -154,7 +156,7 @@ func TestMalformedParamRejected(t *testing.T) {
 	srv.Provider("").MustRegister(typedDef().MustBuild())
 	cl := core.NewClient(srv.Transport(), "loopback://test/TypedEcho", typedDef().Interface())
 	cl.Strict = false // let the malformed value reach the server
-	_, err := cl.Call("describe",
+	_, err := cl.CallText("describe",
 		soap.Str("s", "hi"), soap.Value{Name: "n", Type: "int", Text: "not-a-number"},
 		soap.Bool("b", false), soap.StrArray("list", nil),
 		soap.XMLDoc("doc", xmlutil.New("inner")))
@@ -172,7 +174,7 @@ func TestPanicBecomesServerFault(t *testing.T) {
 	srv.Provider("").MustRegister(typedDef().MustBuild())
 	cl := core.NewClient(srv.Transport(), "loopback://test/TypedEcho", typedDef().Interface())
 
-	_, err := cl.Call("boom")
+	_, err := cl.CallText("boom")
 	var f *soap.Fault
 	if !errors.As(err, &f) || f.Code != soap.FaultServer || !strings.Contains(f.String, "boom") {
 		t.Fatalf("err = %v, want Server fault naming the operation", err)
@@ -196,7 +198,7 @@ func TestAuthDeniedIsClientFault(t *testing.T) {
 	srv.Provider("", RequireAssertion(deniedVerifier{})).MustRegister(typedDef().MustBuild())
 	cl := core.NewClient(srv.Transport(), "loopback://test/TypedEcho", typedDef().Interface())
 
-	_, err := cl.Call("boom")
+	_, err := cl.CallText("boom")
 	var f *soap.Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want fault", err)
@@ -216,7 +218,7 @@ func TestAuthDeniedIsClientFault(t *testing.T) {
 		saml.Attach(env, a)
 		return nil
 	})
-	_, err = cl.Call("boom")
+	_, err = cl.CallText("boom")
 	if !errors.As(err, &f) || f.Code != soap.FaultClient {
 		t.Errorf("rejected assertion: err = %v, want Client fault", err)
 	}
@@ -232,7 +234,7 @@ func TestStatsAndHealthz(t *testing.T) {
 
 	cl := core.NewClient(srv.Transport(), hs.URL+"/TypedEcho", typedDef().Interface())
 	typedCall(t, cl)
-	if _, err := cl.Call("boom"); err == nil {
+	if _, err := cl.CallText("boom"); err == nil {
 		t.Fatal("boom should fault")
 	}
 
@@ -314,7 +316,35 @@ func TestWSILPublication(t *testing.T) {
 	}
 }
 
-// TestConcurrencyLimit verifies the limiter admits callers one at a time.
+// TestTransportEndpointRouting verifies Transport(servers...) routes each
+// call to the server mounting its endpoint and rejects unmounted ones.
+func TestTransportEndpointRouting(t *testing.T) {
+	a := NewServer("a", "loopback://a")
+	a.Provider("").MustRegister(typedDef().MustBuild())
+	b := NewServer("b", "loopback://b")
+	b.Provider("").MustRegister(typedDef().MustBuild())
+	tr := Transport(a, b)
+	call := &soap.Call{ServiceNS: typedDef().NS, Method: "describe", Params: []soap.Value{
+		soap.Str("s", "m"), soap.Int("n", 1), soap.Bool("b", true),
+		soap.StrArray("list", nil), soap.XMLDoc("doc", xmlutil.New("d"))}}
+	if _, err := soap.Invoke(context.Background(), tr, "loopback://c/TypedEcho", call); err == nil ||
+		!strings.Contains(err.Error(), "no mounted provider") {
+		t.Errorf("unmounted endpoint: err = %v", err)
+	}
+	resp, err := soap.Invoke(context.Background(), tr, "loopback://b/TypedEcho", call)
+	if err != nil {
+		t.Fatalf("routed endpoint failed: %v", err)
+	}
+	if got := resp.ReturnText("summary"); got != "m/1/true" {
+		t.Errorf("summary = %q", got)
+	}
+	if na, nb := len(a.Stats().Snapshot()), len(b.Stats().Snapshot()); na != 0 || nb != 1 {
+		t.Errorf("operations recorded: a=%d b=%d, want 0 and 1", na, nb)
+	}
+}
+
+// TestConcurrencyLimit verifies LoadShed(1, q) admits callers one at a
+// time when its queue holds every other caller, so none is shed.
 func TestConcurrencyLimit(t *testing.T) {
 	inFlight, peak := 0, 0
 	probe := func(next core.HandlerFunc) core.HandlerFunc {
@@ -329,13 +359,13 @@ func TestConcurrencyLimit(t *testing.T) {
 		}
 	}
 	srv := NewServer("test", "loopback://test")
-	srv.Provider("", ConcurrencyLimit(1), probe).MustRegister(typedDef().MustBuild())
+	srv.Provider("", LoadShed(1, 8), probe).MustRegister(typedDef().MustBuild())
 	cl := core.NewClient(srv.Transport(), "loopback://test/TypedEcho", typedDef().Interface())
 
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
-			_, err := cl.Call("describe",
+			_, err := cl.CallText("describe",
 				soap.Str("s", "x"), soap.Int("n", 1), soap.Bool("b", true),
 				soap.StrArray("list", nil), soap.XMLDoc("doc", xmlutil.New("d")))
 			done <- err

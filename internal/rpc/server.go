@@ -411,29 +411,15 @@ func (t *serverTransport) route(endpoint string) (*core.Provider, error) {
 	return best, nil
 }
 
-func (t *serverTransport) RoundTrip(endpoint, action string, req *soap.Envelope) (*soap.Envelope, error) {
-	return t.RoundTripCtx(context.Background(), endpoint, action, req)
-}
-
-// RoundTripCtx implements soap.ContextTransport: the caller's context
-// reaches the dispatched handler, so client deadlines and cancellation
-// propagate through the in-process transport exactly as they do over HTTP.
+// RoundTripCtx returns the parsed response tree. It exists for the
+// benchmark harness (portalbench); see soap.ContextTransport.
 func (t *serverTransport) RoundTripCtx(ctx context.Context, endpoint, action string, req *soap.Envelope) (*soap.Envelope, error) {
-	best, err := t.route(endpoint)
-	if err != nil {
-		return nil, err
-	}
-	return best.Loopback().RoundTripCtx(ctx, endpoint, action, req)
+	return soap.RoundTripEnvelope(ctx, t, endpoint, action, req)
 }
 
-// RoundTripRaw implements soap.RawTransport, so clients over a server
-// transport can use the pooled response-parse path (core.Client.CallPooled
-// and the CallText/CallStrings helpers).
-func (t *serverTransport) RoundTripRaw(endpoint, action string, req *soap.Envelope, resp *bytes.Buffer) error {
-	return t.RoundTripRawCtx(context.Background(), endpoint, action, req, resp)
-}
-
-// RoundTripRawCtx implements soap.ContextRawTransport; see RoundTripCtx.
+// RoundTripRawCtx implements soap.Transport: the caller's context reaches
+// the dispatched handler, so client deadlines and cancellation propagate
+// through the in-process transport exactly as they do over HTTP.
 func (t *serverTransport) RoundTripRawCtx(ctx context.Context, endpoint, action string, req *soap.Envelope, resp *bytes.Buffer) error {
 	best, err := t.route(endpoint)
 	if err != nil {

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/xmlutil"
 )
 
 // ErrInjected marks transport failures manufactured by a ChaosTransport,
@@ -26,7 +24,7 @@ var ErrInjected = errors.New("soap: injected transport fault")
 // are never blindly retried for non-idempotent operations.
 type ChaosTransport struct {
 	// Inner is the transport actually carrying surviving requests.
-	Inner RawTransport
+	Inner Transport
 	// Seed makes the fault schedule reproducible; 0 seeds from the clock.
 	Seed int64
 	// LatencyRate is the probability of injecting a delay, uniform in
@@ -94,27 +92,7 @@ func (c *ChaosTransport) Injected() (delays, errors, drops, truncations uint64) 
 	return c.injectedDelays.Load(), c.injectedErrors.Load(), c.injectedDrops.Load(), c.injectedTruncations.Load()
 }
 
-// RoundTrip implements Transport.
-func (c *ChaosTransport) RoundTrip(endpoint, action string, req *Envelope) (*Envelope, error) {
-	return c.RoundTripCtx(context.Background(), endpoint, action, req)
-}
-
-// RoundTripCtx implements ContextTransport.
-func (c *ChaosTransport) RoundTripCtx(ctx context.Context, endpoint, action string, req *Envelope) (*Envelope, error) {
-	buf := xmlutil.GetBuffer()
-	defer xmlutil.PutBuffer(buf)
-	if err := c.RoundTripRawCtx(ctx, endpoint, action, req, buf); err != nil {
-		return nil, err
-	}
-	return ParseEnvelopeBytes(buf.Bytes())
-}
-
-// RoundTripRaw implements RawTransport.
-func (c *ChaosTransport) RoundTripRaw(endpoint, action string, req *Envelope, resp *bytes.Buffer) error {
-	return c.RoundTripRawCtx(context.Background(), endpoint, action, req, resp)
-}
-
-// RoundTripRawCtx implements ContextRawTransport, injecting this call's
+// RoundTripRawCtx implements Transport, injecting this call's
 // pre-drawn faults around the inner transport. On any injected failure
 // resp is restored to its pre-call length, matching the HTTP transport's
 // error contract.
@@ -135,7 +113,7 @@ func (c *ChaosTransport) RoundTripRawCtx(ctx context.Context, endpoint, action s
 		c.injectedErrors.Add(1)
 		return fmt.Errorf("soap: post %s: connection refused: %w", endpoint, ErrInjected)
 	}
-	if err := RoundTripRawContext(ctx, c.Inner, endpoint, action, req, resp); err != nil {
+	if err := c.Inner.RoundTripRawCtx(ctx, endpoint, action, req, resp); err != nil {
 		return err
 	}
 	if p.drop {

@@ -36,8 +36,8 @@ func TestChaosTransportDeterminism(t *testing.T) {
 	call := &Call{ServiceNS: "urn:test:chaos", Method: "echo", Params: []Value{Str("s", "x")}}
 	for i := 0; i < 300; i++ {
 		var ra, rb bytes.Buffer
-		ea := a.RoundTripRaw("loop://a", "urn:test:chaos#echo", call.WireEnvelope(), &ra)
-		eb := b.RoundTripRaw("loop://b", "urn:test:chaos#echo", call.WireEnvelope(), &rb)
+		ea := a.RoundTripRawCtx(context.Background(), "loop://a", "urn:test:chaos#echo", call.WireEnvelope(), &ra)
+		eb := b.RoundTripRawCtx(context.Background(), "loop://b", "urn:test:chaos#echo", call.WireEnvelope(), &rb)
 		if (ea == nil) != (eb == nil) || !bytes.Equal(ra.Bytes(), rb.Bytes()) {
 			t.Fatalf("call %d diverged: err %v vs %v, %d vs %d bytes", i, ea, eb, ra.Len(), rb.Len())
 		}
@@ -62,7 +62,7 @@ func TestChaosTransportErrorShapes(t *testing.T) {
 	pre := &ChaosTransport{Inner: chaosEcho(), Seed: 1, ErrorRate: 1}
 	var buf bytes.Buffer
 	buf.WriteString("sentinel")
-	err := pre.RoundTripRaw("loop://x", "a#b", call.WireEnvelope(), &buf)
+	err := pre.RoundTripRawCtx(context.Background(), "loop://x", "a#b", call.WireEnvelope(), &buf)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("pre-send error = %v, want ErrInjected", err)
 	}
@@ -73,7 +73,7 @@ func TestChaosTransportErrorShapes(t *testing.T) {
 	drop := &ChaosTransport{Inner: chaosEcho(), Seed: 1, DropRate: 1}
 	buf.Reset()
 	buf.WriteString("sentinel")
-	err = drop.RoundTripRaw("loop://x", "a#b", call.WireEnvelope(), &buf)
+	err = drop.RoundTripRawCtx(context.Background(), "loop://x", "a#b", call.WireEnvelope(), &buf)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("drop error = %v, want ErrInjected", err)
 	}
@@ -83,10 +83,10 @@ func TestChaosTransportErrorShapes(t *testing.T) {
 
 	trunc := &ChaosTransport{Inner: chaosEcho(), Seed: 1, TruncateRate: 1}
 	var whole, torn bytes.Buffer
-	if err := chaosEcho().RoundTripRaw("loop://x", "a#b", call.WireEnvelope(), &whole); err != nil {
+	if err := chaosEcho().RoundTripRawCtx(context.Background(), "loop://x", "a#b", call.WireEnvelope(), &whole); err != nil {
 		t.Fatal(err)
 	}
-	if err := trunc.RoundTripRaw("loop://x", "a#b", call.WireEnvelope(), &torn); err != nil {
+	if err := trunc.RoundTripRawCtx(context.Background(), "loop://x", "a#b", call.WireEnvelope(), &torn); err != nil {
 		t.Fatalf("truncation must not itself error: %v", err)
 	}
 	if torn.Len() >= whole.Len() {

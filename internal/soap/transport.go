@@ -55,156 +55,71 @@ func OversizeFault() *Fault {
 	return &Fault{Code: FaultClient, String: pe.Message, Detail: []*xmlutil.Element{pe.Element()}}
 }
 
-// Transport posts a request envelope to an endpoint and returns the
-// response envelope. Implementations include the HTTP transport below and
-// the in-process loopback used by tests and benchmarks to isolate encoding
-// cost from network cost.
+// Transport carries one SOAP round trip: it posts req to endpoint under
+// ctx and appends the raw response envelope bytes to resp without parsing
+// them, leaving the parse mode to the caller (core.Client decodes into a
+// pooled arena; RoundTripEnvelope builds a retained tree). Cancelling ctx
+// abandons the call. On error resp is restored to its pre-call length, so
+// callers may reuse one buffer across attempts. Implementations include
+// the HTTP transport below and the in-process loopback used by tests and
+// benchmarks to isolate encoding cost from network cost.
 type Transport interface {
-	RoundTrip(endpoint string, action string, req *Envelope) (*Envelope, error)
-}
-
-// RawTransport is implemented by transports that can hand back the raw
-// response envelope bytes, letting the caller choose the parse mode. The
-// pooled client path (core.Client.CallPooled) uses it to parse responses
-// into a recyclable element arena instead of a retained tree; resp is
-// appended to and owned by the caller.
-type RawTransport interface {
-	Transport
-	RoundTripRaw(endpoint string, action string, req *Envelope, resp *bytes.Buffer) error
-}
-
-// ContextTransport is implemented by transports that can scope one round
-// trip to a context: cancelling it abandons the call. RoundTrip is
-// equivalent to RoundTripCtx with context.Background().
-type ContextTransport interface {
-	Transport
-	RoundTripCtx(ctx context.Context, endpoint, action string, req *Envelope) (*Envelope, error)
-}
-
-// ContextRawTransport is the raw-bytes variant of ContextTransport.
-type ContextRawTransport interface {
-	RawTransport
 	RoundTripRawCtx(ctx context.Context, endpoint, action string, req *Envelope, resp *bytes.Buffer) error
 }
 
-// RoundTripContext performs one round trip under ctx when the transport
-// supports it, falling back to the plain method (which ignores ctx beyond
-// an up-front cancellation check) otherwise.
-func RoundTripContext(ctx context.Context, t Transport, endpoint, action string, req *Envelope) (*Envelope, error) {
-	if ct, ok := t.(ContextTransport); ok {
-		return ct.RoundTripCtx(ctx, endpoint, action, req)
-	}
-	if err := ctx.Err(); err != nil {
+// ContextRawTransport is an alias of Transport. It exists for the
+// benchmark harness (portalbench), which compiles against this name.
+type ContextRawTransport = Transport
+
+// ContextTransport is a round trip returning a parsed response tree. It
+// exists for the benchmark harness (portalbench), whose timing wrapper
+// forwards it; HTTPTransport and the rpc server transport implement it
+// with RoundTripEnvelope.
+type ContextTransport interface {
+	RoundTripCtx(ctx context.Context, endpoint, action string, req *Envelope) (*Envelope, error)
+}
+
+// RoundTripEnvelope performs one round trip through t and parses the
+// response into a tree owned by the caller.
+func RoundTripEnvelope(ctx context.Context, t Transport, endpoint, action string, req *Envelope) (*Envelope, error) {
+	buf := xmlutil.GetBuffer()
+	defer xmlutil.PutBuffer(buf)
+	if err := t.RoundTripRawCtx(ctx, endpoint, action, req, buf); err != nil {
 		return nil, err
 	}
-	return t.RoundTrip(endpoint, action, req)
+	return ParseEnvelopeBytes(buf.Bytes())
 }
 
-// RoundTripRawContext is RoundTripContext for the raw-bytes path.
-func RoundTripRawContext(ctx context.Context, t RawTransport, endpoint, action string, req *Envelope, resp *bytes.Buffer) error {
-	if ct, ok := t.(ContextRawTransport); ok {
-		return ct.RoundTripRawCtx(ctx, endpoint, action, req, resp)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return t.RoundTripRaw(endpoint, action, req, resp)
-}
-
-var (
-	defaultClientMu      sync.Mutex
-	defaultClient        *http.Client
-	defaultClientTimeout = 30 * time.Second
-)
+// defaultClient is shared by every HTTPTransport with no Client set, so
+// TCP connections are pooled and reused across calls instead of being
+// re-dialled per request.
+var defaultClient = &http.Client{Timeout: 30 * time.Second}
 
 // DefaultClient returns the shared HTTP client used when an HTTPTransport
-// has none configured. It is constructed once (per timeout setting) so TCP
-// connections are pooled and reused across calls instead of being
-// re-dialled per request.
-func DefaultClient() *http.Client {
-	defaultClientMu.Lock()
-	defer defaultClientMu.Unlock()
-	if defaultClient == nil {
-		defaultClient = &http.Client{Timeout: defaultClientTimeout}
-	}
-	return defaultClient
-}
-
-// SetDefaultClientTimeout changes the whole-call timeout of the shared
-// default HTTP client (30s initially; 0 disables it, leaving deadlines to
-// request contexts). Transports that need a different budget per call
-// should set HTTPTransport.Timeout or pass a request context instead.
-func SetDefaultClientTimeout(d time.Duration) {
-	defaultClientMu.Lock()
-	defer defaultClientMu.Unlock()
-	if d == defaultClientTimeout && defaultClient != nil {
-		return
-	}
-	defaultClientTimeout = d
-	defaultClient = &http.Client{Timeout: d}
-}
+// has none configured.
+func DefaultClient() *http.Client { return defaultClient }
 
 // HTTPTransport sends SOAP messages over HTTP POST with a SOAPAction
 // header, as the paper's Apache SOAP and Python SOAP services did.
 type HTTPTransport struct {
 	// Client is the underlying HTTP client; DefaultClient() when nil.
 	Client *http.Client
-	// Timeout, when positive and Client is nil, gives this transport its
-	// own pooled client with that whole-call timeout instead of the shared
-	// default's. Request contexts still apply: whichever expires first
-	// cancels the call.
-	Timeout time.Duration
-
-	mu       sync.Mutex
-	owned    *http.Client
-	ownedFor time.Duration
 }
 
-// client resolves the HTTP client for one call.
-func (t *HTTPTransport) client() *http.Client {
-	if t.Client != nil {
-		return t.Client
-	}
-	if t.Timeout > 0 {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if t.owned == nil || t.ownedFor != t.Timeout {
-			t.owned = &http.Client{Timeout: t.Timeout}
-			t.ownedFor = t.Timeout
-		}
-		return t.owned
-	}
-	return DefaultClient()
-}
-
-// RoundTrip implements Transport over HTTP.
-func (t *HTTPTransport) RoundTrip(endpoint, action string, req *Envelope) (*Envelope, error) {
-	return t.RoundTripCtx(context.Background(), endpoint, action, req)
-}
-
-// RoundTripCtx implements ContextTransport over HTTP.
+// RoundTripCtx returns the parsed response tree. It exists for the
+// benchmark harness (portalbench); see ContextTransport.
 func (t *HTTPTransport) RoundTripCtx(ctx context.Context, endpoint, action string, req *Envelope) (*Envelope, error) {
-	respBuf := xmlutil.GetBuffer()
-	defer xmlutil.PutBuffer(respBuf)
-	if err := t.RoundTripRawCtx(ctx, endpoint, action, req, respBuf); err != nil {
-		return nil, err
-	}
-	return ParseEnvelopeBytes(respBuf.Bytes())
+	return RoundTripEnvelope(ctx, t, endpoint, action, req)
 }
 
-// RoundTripRaw implements RawTransport over HTTP: the raw response
-// envelope bytes are appended to respBuf without being parsed. On error
-// respBuf is restored to its pre-call length, so callers may reuse one
-// buffer across attempts.
-func (t *HTTPTransport) RoundTripRaw(endpoint, action string, req *Envelope, respBuf *bytes.Buffer) error {
-	return t.RoundTripRawCtx(context.Background(), endpoint, action, req, respBuf)
-}
-
-// RoundTripRawCtx implements ContextRawTransport over HTTP: the request is
-// scoped to ctx, so a caller deadline cancels the post mid-flight.
+// RoundTripRawCtx implements Transport over HTTP: the request is scoped
+// to ctx, so a caller deadline cancels the post mid-flight.
 func (t *HTTPTransport) RoundTripRawCtx(ctx context.Context, endpoint, action string, req *Envelope, respBuf *bytes.Buffer) error {
 	mark := respBuf.Len()
-	hc := t.client()
+	hc := t.Client
+	if hc == nil {
+		hc = defaultClient
+	}
 	reqBuf := xmlutil.GetBuffer()
 	req.AppendTo(reqBuf)
 	// Detach the bytes before handing them to net/http: Do can return
@@ -411,41 +326,14 @@ type LoopbackTransport struct {
 	// Handler, mirroring the HTTP handler's streaming fast path; requests
 	// it does not handle fall through to the tree-parsing Handler.
 	Raw RawEnvelopeHandler
-	// Endpoints optionally routes per-endpoint when Handler is nil.
-	Endpoints map[string]EnvelopeHandler
 }
 
-// RoundTrip implements Transport in-process.
-func (t *LoopbackTransport) RoundTrip(endpoint, action string, req *Envelope) (*Envelope, error) {
-	return t.RoundTripCtx(context.Background(), endpoint, action, req)
-}
-
-// RoundTripCtx implements ContextTransport in-process.
-func (t *LoopbackTransport) RoundTripCtx(ctx context.Context, endpoint, action string, req *Envelope) (*Envelope, error) {
-	buf := xmlutil.GetBuffer()
-	defer xmlutil.PutBuffer(buf)
-	if err := t.RoundTripRawCtx(ctx, endpoint, action, req, buf); err != nil {
-		return nil, err
-	}
-	return ParseEnvelopeBytes(buf.Bytes())
-}
-
-// RoundTripRaw implements RawTransport in-process: the serialised response
-// envelope is appended to respBuf without being parsed.
-func (t *LoopbackTransport) RoundTripRaw(endpoint, action string, req *Envelope, respBuf *bytes.Buffer) error {
-	return t.RoundTripRawCtx(context.Background(), endpoint, action, req, respBuf)
-}
-
-// RoundTripRawCtx implements ContextRawTransport in-process, handing ctx
-// straight to the handler chain (there is no wire to cancel).
+// RoundTripRawCtx implements Transport in-process, handing ctx straight
+// to the handler chain (there is no wire to cancel). A context already
+// done fails the call before dispatch, as the HTTP transport does.
 func (t *LoopbackTransport) RoundTripRawCtx(ctx context.Context, endpoint, action string, req *Envelope, respBuf *bytes.Buffer) error {
-	h := t.Handler
-	if h == nil {
-		var ok bool
-		h, ok = t.Endpoints[endpoint]
-		if !ok {
-			return fmt.Errorf("soap: loopback: no handler for endpoint %q", endpoint)
-		}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	buf := xmlutil.GetBuffer()
 	defer xmlutil.PutBuffer(buf)
@@ -456,7 +344,7 @@ func (t *LoopbackTransport) RoundTripRawCtx(ctx context.Context, endpoint, actio
 	// is documented as HTTP-only, and synthesising one per call (URL parse,
 	// header map) would dominate the loopback overhead the benchmarks are
 	// built to isolate.
-	if t.Raw != nil && t.Handler != nil {
+	if t.Raw != nil {
 		if out, handled, herr := t.Raw(ctx, buf.Bytes(), nil); handled {
 			if herr != nil {
 				out = faultEnvelope(herr, FaultServer)
@@ -469,7 +357,7 @@ func (t *LoopbackTransport) RoundTripRawCtx(ctx context.Context, endpoint, actio
 	if err != nil {
 		return err
 	}
-	out, herr := h(ctx, wire, nil)
+	out, herr := t.Handler(ctx, wire, nil)
 	if herr != nil {
 		out = faultEnvelope(herr, FaultServer)
 	}
@@ -527,17 +415,11 @@ func (p *ClientPool) CloseIdle() {
 	}
 }
 
-// Invoke performs a full RPC round trip: encode the call, send it through
-// the transport, decode the response. A fault response is returned as the
-// error (of type *Fault).
-func Invoke(t Transport, endpoint string, call *Call) (*Response, error) {
-	return InvokeCtx(context.Background(), t, endpoint, call)
-}
-
-// InvokeCtx is Invoke scoped to a context.
-func InvokeCtx(ctx context.Context, t Transport, endpoint string, call *Call) (*Response, error) {
-	env := call.WireEnvelope()
-	respEnv, err := RoundTripContext(ctx, t, endpoint, call.ServiceNS+"#"+call.Method, env)
+// Invoke performs a full RPC round trip under ctx: encode the call, send
+// it through the transport, decode the response. A fault response is
+// returned as the error (of type *Fault).
+func Invoke(ctx context.Context, t Transport, endpoint string, call *Call) (*Response, error) {
+	respEnv, err := RoundTripEnvelope(ctx, t, endpoint, call.ServiceNS+"#"+call.Method, call.WireEnvelope())
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@
 package srbws
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -449,7 +450,7 @@ func (cl *Client) Get(path string) (string, error) {
 
 // Put transfers a file as one string (the non-scaling PoC transfer).
 func (cl *Client) Put(path, data, resource string) error {
-	_, err := cl.c.Call("put",
+	_, err := cl.c.CallText("put",
 		soap.Str("path", path), soap.Str("data", data), soap.Str("resource", resource))
 	return err
 }
@@ -465,10 +466,11 @@ func (cl *Client) XMLCall(cmds []Command) ([]CommandResult, error) {
 
 // Stat returns a file's size.
 func (cl *Client) Stat(path string) (int, error) {
-	resp, err := cl.c.Call("stat", soap.Str("path", path))
+	resp, release, err := cl.c.Call(context.TODO(), "stat", soap.Str("path", path))
 	if err != nil {
 		return 0, err
 	}
+	defer release()
 	return strconv.Atoi(resp.ReturnText("size"))
 }
 
@@ -483,12 +485,13 @@ func (cl *Client) GetChunked(path string, chunkSize int) (string, error) {
 	}
 	var out []byte
 	for off := 0; off < size; off += chunkSize {
-		resp, err := cl.c.Call("getChunk",
+		resp, release, err := cl.c.Call(context.TODO(), "getChunk",
 			soap.Str("path", path), soap.Int("offset", off), soap.Int("size", chunkSize))
 		if err != nil {
 			return "", err
 		}
 		out = append(out, resp.ReturnText("data")...)
+		release()
 	}
 	return string(out), nil
 }
@@ -506,7 +509,7 @@ func (cl *Client) PutChunked(path, data, resource string, chunkSize int) error {
 		if end > len(data) {
 			end = len(data)
 		}
-		_, err := cl.c.Call("putChunk",
+		_, err := cl.c.CallText("putChunk",
 			soap.Str("path", path), soap.Int("offset", off),
 			soap.Str("data", data[off:end]), soap.Str("resource", resource))
 		if err != nil {

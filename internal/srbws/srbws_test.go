@@ -174,12 +174,12 @@ func TestChunkedEdgeCases(t *testing.T) {
 	}
 	// Out-of-range chunk read.
 	_ = cl.Put(home+"/f", "12345", "")
-	_, err = cl.c.Call("getChunk", soap.Str("path", home+"/f"), soap.Int("offset", 99), soap.Int("size", 10))
+	_, err = cl.c.CallText("getChunk", soap.Str("path", home+"/f"), soap.Int("offset", 99), soap.Int("size", 10))
 	if soap.AsPortalError(err) == nil {
 		t.Errorf("bad range err = %v", err)
 	}
 	// putChunk with mismatched offset.
-	_, err = cl.c.Call("putChunk", soap.Str("path", home+"/f"), soap.Int("offset", 3),
+	_, err = cl.c.CallText("putChunk", soap.Str("path", home+"/f"), soap.Int("offset", 3),
 		soap.Str("data", "xx"), soap.Str("resource", ""))
 	if soap.AsPortalError(err) == nil {
 		t.Errorf("offset mismatch err = %v", err)

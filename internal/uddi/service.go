@@ -268,7 +268,7 @@ func (cl *Client) SaveService(businessKey, name, description, accessPoint string
 
 // DeleteService removes a published service.
 func (cl *Client) DeleteService(serviceKey string) error {
-	_, err := cl.c.Call("deleteService", soap.Str("serviceKey", serviceKey))
+	_, err := cl.c.CallText("deleteService", soap.Str("serviceKey", serviceKey))
 	return err
 }
 

@@ -647,7 +647,7 @@ func NewClient(t soap.Transport, endpoint string) *Client {
 
 // Put creates or updates a container.
 func (cl *Client) Put(path, typ string, props []Property) error {
-	_, err := cl.c.Call("put",
+	_, err := cl.c.CallText("put",
 		soap.Str("path", path), soap.Str("type", typ), soap.XMLDoc("properties", propsElement(props)))
 	return err
 }
@@ -663,7 +663,7 @@ func (cl *Client) Get(path string) (*Container, error) {
 
 // Delete removes a container subtree.
 func (cl *Client) Delete(path string) error {
-	_, err := cl.c.Call("delete", soap.Str("path", path))
+	_, err := cl.c.CallText("delete", soap.Str("path", path))
 	return err
 }
 

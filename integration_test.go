@@ -265,7 +265,7 @@ func TestWizardToGridFlow(t *testing.T) {
 	ssp := core.NewProvider("ssp", "loopback://ssp")
 	ssp.MustRegister(jobsub.NewGlobusrunService(testbed, "wiz@GRID"))
 	manager := appws.NewManager(jobsub.NewGlobusrunClient(
-		&soap.LoopbackTransport{Handler: ssp.Dispatch}, "loopback://ssp/Globusrun"))
+		ssp.Loopback(), "loopback://ssp/Globusrun"))
 	if err := manager.Register(&appws.Descriptor{
 		Name: "MatMul", Version: "1",
 		Hosts: []appws.HostBinding{{
@@ -321,7 +321,7 @@ func TestPortletFrontsProtectedPortal(t *testing.T) {
 	spp := core.NewProvider("spp", "loopback://spp")
 	spp.Use(authsvc.RequireAssertion(&authsvc.LocalVerifier{Service: svc}))
 	spp.MustRegister(srbws.NewService(broker, ""))
-	srbClient := srbws.NewClient(&soap.LoopbackTransport{Handler: spp.Dispatch}, "loopback://spp/SRBService")
+	srbClient := srbws.NewClient(spp.Loopback(), "loopback://spp/SRBService")
 	srbClient.Use(session.Interceptor())
 
 	// The remote UI: a tiny web front end that lists the user's home

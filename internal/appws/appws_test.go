@@ -190,7 +190,7 @@ func testManager(t *testing.T) (*Manager, *grid.Grid) {
 	g.Authorize("mock@SDSC.EDU")
 	p := core.NewProvider("ssp", "loopback://grid")
 	p.MustRegister(jobsub.NewGlobusrunService(g, "mock@SDSC.EDU"))
-	gc := jobsub.NewGlobusrunClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "loopback://grid/Globusrun")
+	gc := jobsub.NewGlobusrunClient(p.Loopback(), "loopback://grid/Globusrun")
 	m := NewManager(gc)
 	if err := m.Register(gaussianDescriptor()); err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestArchiveThroughSRB(t *testing.T) {
 	_ = broker.Mkdir("mock", home+"/archives")
 	sp := core.NewProvider("srb-ssp", "loopback://srb")
 	sp.MustRegister(srbws.NewService(broker, "mock"))
-	m.SRB = srbws.NewClient(&soap.LoopbackTransport{Handler: sp.Dispatch}, "loopback://srb/SRBService")
+	m.SRB = srbws.NewClient(sp.Loopback(), "loopback://srb/SRBService")
 	m.ArchiveCollection = home + "/archives"
 
 	inst, _ := m.Prepare("Gaussian", "bluehorizon.sdsc.edu", 1, time.Hour, nil, "# HF\nbasis=3\n\nx\n")
@@ -322,7 +322,7 @@ func TestSOAPServiceFullFlow(t *testing.T) {
 	m, g := testManager(t)
 	p := core.NewProvider("app-ssp", "loopback://app")
 	p.MustRegister(NewService(m))
-	cl := core.NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "loopback://app/ApplicationService", Contract())
+	cl := core.NewClient(p.Loopback(), "loopback://app/ApplicationService", Contract())
 
 	names, err := cl.CallStrings("listApplications")
 	if err != nil || len(names) != 1 {

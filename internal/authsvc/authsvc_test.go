@@ -152,7 +152,7 @@ func TestAtomicStepLocalVerifier(t *testing.T) {
 	f := newFixture(t)
 	cs := f.login(t, "cyoun", "hunter2")
 	spp := protectedSPP(&LocalVerifier{Service: f.service})
-	client := core.NewClient(&soap.LoopbackTransport{Handler: spp.Dispatch}, "x", echoContract())
+	client := core.NewClient(spp.Loopback(), "x", echoContract())
 	client.Use(cs.Interceptor())
 	got, err := client.CallText("whoami")
 	if err != nil {
@@ -173,10 +173,10 @@ func TestAtomicStepSOAPVerifier(t *testing.T) {
 	// Authentication Service SSP.
 	authSSP := core.NewProvider("auth-ssp", "loopback://auth")
 	authSSP.MustRegister(NewSOAPService(f.service))
-	authClient := NewClient(&soap.LoopbackTransport{Handler: authSSP.Dispatch}, "loopback://auth/AuthenticationService")
+	authClient := NewClient(authSSP.Loopback(), "loopback://auth/AuthenticationService")
 	// Protected SPP using the SOAP verifier.
 	spp := protectedSPP(authClient)
-	client := core.NewClient(&soap.LoopbackTransport{Handler: spp.Dispatch}, "x", echoContract())
+	client := core.NewClient(spp.Loopback(), "x", echoContract())
 	client.Use(cs.Interceptor())
 	got, err := client.CallText("whoami")
 	if err != nil {
@@ -190,7 +190,7 @@ func TestAtomicStepSOAPVerifier(t *testing.T) {
 func TestSPPRejectsMissingAndBadAssertions(t *testing.T) {
 	f := newFixture(t)
 	spp := protectedSPP(&LocalVerifier{Service: f.service})
-	client := core.NewClient(&soap.LoopbackTransport{Handler: spp.Dispatch}, "x", echoContract())
+	client := core.NewClient(spp.Loopback(), "x", echoContract())
 	// No assertion at all.
 	_, err := client.CallText("whoami")
 	pe := soap.AsPortalError(err)
@@ -198,7 +198,7 @@ func TestSPPRejectsMissingAndBadAssertions(t *testing.T) {
 		t.Errorf("missing assertion err = %v", err)
 	}
 	// Unsigned assertion.
-	client2 := core.NewClient(&soap.LoopbackTransport{Handler: spp.Dispatch}, "x", echoContract())
+	client2 := core.NewClient(spp.Loopback(), "x", echoContract())
 	client2.Use(func(_ *soap.Call, env *soap.Envelope) error {
 		a := saml.New("rogue", "cyoun", saml.MethodKerberos, "authsess-1", f.now, time.Minute)
 		saml.Attach(env, a)
@@ -214,7 +214,7 @@ func TestSOAPServiceSessionLifecycle(t *testing.T) {
 	f := newFixture(t)
 	authSSP := core.NewProvider("auth-ssp", "loopback://auth")
 	authSSP.MustRegister(NewSOAPService(f.service))
-	cl := NewClient(&soap.LoopbackTransport{Handler: authSSP.Dispatch}, "loopback://auth/AuthenticationService")
+	cl := NewClient(authSSP.Loopback(), "loopback://auth/AuthenticationService")
 
 	cs, err := Login(f.kdc, "cyoun", "hunter2", "authsvc/grids.iu.edu",
 		cl.EstablishSession, func() time.Time { return f.now })

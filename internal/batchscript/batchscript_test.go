@@ -235,7 +235,7 @@ func TestCrossGroupInterop(t *testing.T) {
 func TestServiceListAndSupports(t *testing.T) {
 	p := core.NewProvider("ssp", "loopback://x")
 	p.MustRegister(NewService(NewSDSCGenerator()))
-	cl := NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "x")
+	cl := NewClient(p.Loopback(), "x")
 	scheds, err := cl.ListSchedulers()
 	if err != nil || len(scheds) != 2 || scheds[0] != "LSF" || scheds[1] != "NQS" {
 		t.Errorf("schedulers = %v, %v", scheds, err)
@@ -272,7 +272,7 @@ func TestCoupledServiceRequiresContext(t *testing.T) {
 	store := contextmgr.NewStore()
 	p := core.NewProvider("ssp", "loopback://x")
 	p.MustRegister(NewCoupledService(NewIUGenerator(), store))
-	cl := core.NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "x", CoupledContract())
+	cl := core.NewClient(p.Loopback(), "x", CoupledContract())
 
 	args := []soap.Value{
 		soap.Str("user", "hotpage-user"), soap.Str("problem", "generic"), soap.Str("session", "tmp1"),

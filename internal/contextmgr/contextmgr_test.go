@@ -239,7 +239,7 @@ func monolithFixture(t *testing.T) *core.Client {
 	s := NewStore()
 	p := core.NewProvider("ctx-ssp", "loopback://ctx")
 	p.MustRegister(NewMonolithService(s))
-	return core.NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "x", MonolithContract())
+	return core.NewClient(p.Loopback(), "x", MonolithContract())
 }
 
 func TestMonolithServiceRoundTrip(t *testing.T) {
@@ -324,7 +324,7 @@ func TestDecomposedServices(t *testing.T) {
 	p := core.NewProvider("ctx-ssp", "loopback://ctx")
 	p.MustRegister(NewContextStoreService(s))
 	p.MustRegister(NewSessionArchiveService(s))
-	tr := &soap.LoopbackTransport{Handler: p.Dispatch}
+	tr := p.Loopback()
 	store := core.NewClient(tr, "x", ContextStoreContract())
 	arch := core.NewClient(tr, "x", SessionArchiveContract())
 

@@ -23,6 +23,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -50,17 +51,17 @@ type Context struct {
 	// header entries such as SAML assertions.
 	Envelope *soap.Envelope
 	// HTTPRequest is the underlying HTTP request when served over HTTP;
-	// may be synthetic for loopback transports.
+	// nil in-process (Provider.Loopback).
 	HTTPRequest *http.Request
 	// Principal is the authenticated identity, set by a verification
 	// interceptor; empty for unauthenticated calls.
 	Principal string
-	// Decoded carries the kernel-typed arguments when the request came in
-	// through the streaming decode fast path (DispatchRaw): the service's
-	// StreamDecoder produced it straight from the wire tokens, and the
-	// kernel handler consumes it instead of re-decoding the raw args. Nil
-	// on the tree path. Middleware may read it as a fast-path marker but
-	// should treat its dynamic type as the kernel's business.
+	// Decoded carries the kernel-typed arguments when Provider.Serve took
+	// the streaming decode fast path: the service's StreamDecoder produced
+	// it straight from the wire tokens, and the kernel handler consumes it
+	// instead of re-decoding the raw args. Nil on the tree path. Middleware
+	// may read it as a fast-path marker but should treat its dynamic type
+	// as the kernel's business.
 	Decoded interface{}
 	// Ctx is the request's lifetime: cancelled when the client goes away,
 	// the deadline middleware's budget expires, or the server drains.
@@ -380,30 +381,62 @@ func (p *Provider) wsdlBytesFor(s *Service) []byte {
 	return doc
 }
 
-// Dispatch processes one request envelope addressed to any hosted service.
-// It is the EnvelopeHandler for the whole provider: routing is by the call
-// element's namespace, so one SSP port can front every service, exactly as
-// the paper's Apache SOAP rpcrouter did. ctx scopes the request (HTTP
-// request context on the wire path, caller's context in-process) and is
-// surfaced to handlers as Context.Ctx. When the handler chain was
-// abandoned mid-flight (deadline middleware), the returned error is marked
-// with soap.Hold so transports leak the pooled request tree instead of
-// recycling it under the runaway goroutine.
-func (p *Provider) Dispatch(ctx context.Context, env *soap.Envelope, httpReq *http.Request) (*soap.Envelope, error) {
+// Serve answers one serialised request addressed to any hosted service;
+// it is the soap.ServeFunc both the HTTP binding (ServeHTTP) and the
+// in-process transport (Loopback) run, so a request gets the same bytes
+// however it arrives. Routing is by the call element's namespace, so one
+// SSP port can front every service, exactly as the paper's Apache SOAP
+// rpcrouter did. ctx scopes the request (HTTP request context on the wire
+// path, caller's context in-process) and is surfaced to handlers as
+// Context.Ctx.
+//
+// The streaming decode path is tried first; a request outside its subset
+// is parsed into a pooled element arena and dispatched through the tree
+// path, which is the semantic authority. The response or fault envelope
+// is appended to out, and the returned error is non-nil exactly when out
+// holds a fault. The arena is recycled once the response is rendered,
+// unless the handler chain was abandoned mid-flight (deadline middleware):
+// a runaway goroutine may still read the request tree, so it is left to
+// the garbage collector.
+func (p *Provider) Serve(ctx context.Context, body []byte, httpReq *http.Request, out *bytes.Buffer) error {
+	resp, handled, err := p.dispatchStream(ctx, body, httpReq)
+	if !handled {
+		env, doc, perr := soap.ParseEnvelopeBytesPooled(body)
+		if perr != nil {
+			soap.FaultEnvelope(perr, soap.FaultClient).AppendTo(out)
+			return perr
+		}
+		var abandoned bool
+		resp, abandoned, err = p.dispatch(ctx, env, httpReq)
+		if !abandoned {
+			defer doc.Release()
+		}
+	}
+	if err != nil {
+		resp = soap.FaultEnvelope(err, soap.FaultServer)
+	}
+	resp.AppendTo(out)
+	return err
+}
+
+// dispatch runs one parsed request envelope through the tree path.
+// abandoned reports that the handler chain was given up on mid-flight, so
+// the caller must not recycle the request tree.
+func (p *Provider) dispatch(ctx context.Context, env *soap.Envelope, httpReq *http.Request) (resp *soap.Envelope, abandoned bool, err error) {
 	call, err := soap.ParseCall(env)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	p.mu.RLock()
 	svc := p.byNS[call.ServiceNS]
 	p.mu.RUnlock()
 	if svc == nil {
-		return nil, &soap.Fault{Code: soap.FaultClient, Actor: p.Name,
+		return nil, false, &soap.Fault{Code: soap.FaultClient, Actor: p.Name,
 			String: fmt.Sprintf("no service for namespace %q", call.ServiceNS)}
 	}
 	h := p.handlerFor(svc, call.Method)
 	if h == nil {
-		return nil, soap.NewPortalError(svc.Contract.Name, soap.ErrCodeNoSuchMethod,
+		return nil, false, soap.NewPortalError(svc.Contract.Name, soap.ErrCodeNoSuchMethod,
 			"operation %q not implemented", call.Method)
 	}
 	c := &Context{
@@ -415,16 +448,13 @@ func (p *Provider) Dispatch(ctx context.Context, env *soap.Envelope, httpReq *ht
 	}
 	returns, err := h(c, soap.Args(call.Params))
 	if err != nil {
-		if c.Abandoned() {
-			err = soap.Hold(err)
-		}
-		return nil, err
+		return nil, c.Abandoned(), err
 	}
-	resp := &soap.Response{ServiceNS: call.ServiceNS, Method: call.Method, Returns: returns}
-	// The response envelope is streamed: when the transport serialises it,
-	// the operation element and typed return values are written directly to
+	r := &soap.Response{ServiceNS: call.ServiceNS, Method: call.Method, Returns: returns}
+	// The response envelope is streamed: when Serve serialises it, the
+	// operation element and typed return values are written directly to
 	// the output buffer, with no element tree in between.
-	return resp.WireEnvelope(), nil
+	return r.WireEnvelope(), false, nil
 }
 
 // handlerFor returns the fully composed middleware chain for one
@@ -452,17 +482,17 @@ func (p *Provider) handlerFor(svc *Service, method string) HandlerFunc {
 	return h
 }
 
-// DispatchRaw is the streaming decode fast path: it dispatches a request
-// straight from its serialised bytes, walking envelope tokens into typed
-// arguments through the target service's StreamDecoder without building
-// an element tree. handled=false means the request is outside the
-// streaming subset (headers present, xml-typed or malformed parameters,
-// unknown service or operation, foreign envelope shapes ...) and the
-// caller must re-dispatch through Dispatch, whose tree path is the
-// semantic authority for every such case. The decision is made before the
-// handler runs: once handled is true the operation has executed and the
-// result is final, errors converting to faults exactly as for Dispatch.
-func (p *Provider) DispatchRaw(ctx context.Context, body []byte, httpReq *http.Request) (resp *soap.Envelope, handled bool, err error) {
+// dispatchStream is the streaming decode fast path: it dispatches a
+// request straight from its serialised bytes, walking envelope tokens into
+// typed arguments through the target service's StreamDecoder without
+// building an element tree. handled=false means the request is outside
+// the streaming subset (headers present, xml-typed or malformed
+// parameters, unknown service or operation, foreign envelope shapes ...)
+// and Serve re-dispatches it through the tree path, the semantic
+// authority for every such case. The decision is made before the handler
+// runs: once handled is true the operation has executed and the result is
+// final.
+func (p *Provider) dispatchStream(ctx context.Context, body []byte, httpReq *http.Request) (resp *soap.Envelope, handled bool, err error) {
 	r := soap.AcquireBodyReader(body)
 	cursorHeld := true
 	defer func() {
@@ -540,11 +570,10 @@ func (p *Provider) DispatchRaw(ctx context.Context, body []byte, httpReq *http.R
 	return &cx.outEnv, true, nil
 }
 
-// Loopback returns the in-process transport for this provider with both
-// dispatch paths wired: the streaming fast path first, the pooled tree
-// path as fallback — the exact wiring ServeHTTP uses.
+// Loopback returns the in-process transport for this provider, answering
+// through Serve exactly as ServeHTTP does.
 func (p *Provider) Loopback() *soap.LoopbackTransport {
-	return &soap.LoopbackTransport{Handler: p.Dispatch, Raw: p.DispatchRaw}
+	return &soap.LoopbackTransport{Serve: p.Serve}
 }
 
 // Chain composes middleware groups around a handler. Groups are applied in
@@ -583,7 +612,7 @@ func (p *Provider) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "soap service provider: POST SOAP or GET ?wsdl", http.StatusBadRequest)
 		return
 	}
-	soap.HandlerWithRaw(p.Dispatch, p.DispatchRaw).ServeHTTP(w, r)
+	soap.Handler(p.Serve).ServeHTTP(w, r)
 }
 
 // Client is a proxy bound to a service endpoint and contract. It validates
@@ -597,9 +626,6 @@ type Client struct {
 	Endpoint string
 	// Contract is the agreed interface.
 	Contract *wsdl.Interface
-	// Strict disables contract validation when false-positive flexibility
-	// is needed (defaults to strict).
-	Strict bool
 	// Retry, when non-nil, retries failed calls with backoff. Only
 	// failures that cannot have executed server-side (ServerBusy and
 	// ServiceUnavailable rejections) are retried unconditionally;
@@ -625,7 +651,7 @@ func Bind(t soap.Transport, wsdlDoc string) (*Client, error) {
 	if svc.Endpoint == "" {
 		return nil, fmt.Errorf("core: WSDL for %s has no endpoint address", svc.Name)
 	}
-	return &Client{Transport: t, Endpoint: svc.Endpoint, Contract: svc.Interface, Strict: true}, nil
+	return &Client{Transport: t, Endpoint: svc.Endpoint, Contract: svc.Interface}, nil
 }
 
 // BindURL fetches a WSDL document from url (conventionally endpoint+"?wsdl")
@@ -652,7 +678,7 @@ func BindURL(t soap.Transport, hc *http.Client, url string) (*Client, error) {
 // NewClient constructs a client directly from a known contract and
 // endpoint (static binding).
 func NewClient(t soap.Transport, endpoint string, contract *wsdl.Interface) *Client {
-	return &Client{Transport: t, Endpoint: endpoint, Contract: contract, Strict: true}
+	return &Client{Transport: t, Endpoint: endpoint, Contract: contract}
 }
 
 // Use appends a client interceptor.
@@ -664,10 +690,8 @@ func (c *Client) Use(i ClientInterceptor) *Client {
 // prepare validates a call against the contract, builds the streamed
 // request envelope, and runs the client interceptors.
 func (c *Client) prepare(operation string, params []soap.Value) (*soap.Envelope, error) {
-	if c.Strict {
-		if err := c.validate(operation, params); err != nil {
-			return nil, err
-		}
+	if err := c.validate(operation, params); err != nil {
+		return nil, err
 	}
 	// Call and envelope share one request-scoped allocation; the envelope
 	// reads the call at serialisation time, so interceptor amendments to

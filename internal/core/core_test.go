@@ -43,7 +43,7 @@ func newTestProvider(t *testing.T) (*Provider, *Client) {
 	t.Helper()
 	p := NewProvider("test-ssp", "loopback://ssp")
 	p.MustRegister(echoService())
-	tr := &soap.LoopbackTransport{Handler: p.Dispatch}
+	tr := p.Loopback()
 	c := NewClient(tr, "loopback://ssp/Echo", echoContract())
 	return p, c
 }
@@ -90,22 +90,9 @@ func TestContractValidation(t *testing.T) {
 	}
 }
 
-func TestNonStrictClientSkipsValidation(t *testing.T) {
-	_, c := newTestProvider(t)
-	c.Strict = false
-	// Wrong parameter name reaches the server, which just sees no "msg".
-	got, err := c.CallText("say", soap.Str("message", "x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "" {
-		t.Errorf("echo = %q, want empty", got)
-	}
-}
-
 func TestUnknownNamespaceFault(t *testing.T) {
 	p, _ := newTestProvider(t)
-	tr := &soap.LoopbackTransport{Handler: p.Dispatch}
+	tr := p.Loopback()
 	other := &wsdl.Interface{Name: "Other", TargetNS: "urn:other",
 		Operations: []wsdl.Operation{{Name: "x"}}}
 	c := NewClient(tr, "loopback://ssp/Other", other)
@@ -122,7 +109,7 @@ func TestUnimplementedOperationPortalError(t *testing.T) {
 	// Register bypassing Validate to simulate a drifted deployment.
 	svc.handlers["say"] = func(_ *Context, _ soap.Args) ([]soap.Value, error) { return nil, nil }
 	p.byNS[svc.Contract.TargetNS] = svc
-	tr := &soap.LoopbackTransport{Handler: p.Dispatch}
+	tr := p.Loopback()
 	c := NewClient(tr, "x", echoContract())
 	_, err := c.CallText("add", soap.Int("a", 1), soap.Int("b", 2))
 	pe := soap.AsPortalError(err)
@@ -183,7 +170,7 @@ func TestMiddlewareOrderAndRejection(t *testing.T) {
 		}
 	})
 	p.MustRegister(svc)
-	tr := &soap.LoopbackTransport{Handler: p.Dispatch}
+	tr := p.Loopback()
 	c := NewClient(tr, "x", echoContract())
 	got, err := c.CallText("whoami")
 	if err != nil {
@@ -213,7 +200,7 @@ func TestMiddlewareRejects(t *testing.T) {
 		}
 	})
 	p.MustRegister(echoService())
-	tr := &soap.LoopbackTransport{Handler: p.Dispatch}
+	tr := p.Loopback()
 	c := NewClient(tr, "x", echoContract())
 	_, err := c.CallText("say", soap.Str("msg", "x"))
 	pe := soap.AsPortalError(err)
@@ -235,7 +222,7 @@ func TestClientInterceptorAddsHeader(t *testing.T) {
 	svc.Handle("add", func(*Context, soap.Args) ([]soap.Value, error) { return nil, nil })
 	svc.Handle("whoami", func(*Context, soap.Args) ([]soap.Value, error) { return nil, nil })
 	p.MustRegister(svc)
-	tr := &soap.LoopbackTransport{Handler: p.Dispatch}
+	tr := p.Loopback()
 	c := NewClient(tr, "x", echoContract())
 	c.Use(func(_ *soap.Call, env *soap.Envelope) error {
 		env.AddHeader(xmlutil.NewNS("urn:saml", "Assertion").SetAttr("subject", "mock@sdsc"))
@@ -316,7 +303,7 @@ func TestCallStringsAndXML(t *testing.T) {
 		Handle("nothing", func(*Context, soap.Args) ([]soap.Value, error) { return nil, nil })
 	p := NewProvider("ssp", "loopback://x")
 	p.MustRegister(svc)
-	c := NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "x", contract)
+	c := NewClient(p.Loopback(), "x", contract)
 
 	names, err := c.CallStrings("names")
 	if err != nil || len(names) != 2 || names[0] != "PBS" {

@@ -34,7 +34,7 @@ func xmlProviderClient() *Client {
 			return nil, soap.NewPortalError("Trees", soap.ErrCodeResourceFull, "forest full")
 		})
 	p.MustRegister(svc)
-	return NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "loopback://trees/Trees", xmlContract())
+	return NewClient(p.Loopback(), "loopback://trees/Trees", xmlContract())
 }
 
 func TestCallPooled(t *testing.T) {

@@ -19,7 +19,7 @@ func newFixture(t *testing.T) (*grid.Grid, *GlobusrunClient) {
 	g.Authorize(testUser)
 	p := core.NewProvider("sdsc-ssp", "loopback://sdsc")
 	p.MustRegister(NewGlobusrunService(g, testUser))
-	cl := NewGlobusrunClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "loopback://sdsc/Globusrun")
+	cl := NewGlobusrunClient(p.Loopback(), "loopback://sdsc/Globusrun")
 	return g, cl
 }
 
@@ -159,7 +159,7 @@ func TestNoPrincipalRejected(t *testing.T) {
 	g := grid.NewTestbed()
 	p := core.NewProvider("ssp", "loopback://x")
 	p.MustRegister(NewGlobusrunService(g, "")) // no default principal
-	cl := NewGlobusrunClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "loopback://x/Globusrun")
+	cl := NewGlobusrunClient(p.Loopback(), "loopback://x/Globusrun")
 	_, err := cl.Run("modi4.ncsa.uiuc.edu", "&(executable=/bin/date)")
 	pe := soap.AsPortalError(err)
 	if pe == nil || pe.Code != soap.ErrCodeAuthFailed {
@@ -198,7 +198,7 @@ func TestServiceComposition(t *testing.T) {
 	_, globusrunClient := newFixture(t)
 	batchProvider := core.NewProvider("batch-ssp", "loopback://batch")
 	batchProvider.MustRegister(NewBatchJobService(globusrunClient))
-	batchClient := NewBatchJobClient(&soap.LoopbackTransport{Handler: batchProvider.Dispatch}, "loopback://batch/BatchJobSubmission")
+	batchClient := NewBatchJobClient(batchProvider.Loopback(), "loopback://batch/BatchJobSubmission")
 
 	out, err := batchClient.SubmitBatch("modi4.ncsa.uiuc.edu", "-q debug -w 5 /bin/echo composed services")
 	if err != nil {
@@ -241,7 +241,7 @@ func TestWebFlowBridge(t *testing.T) {
 	}
 	p := core.NewProvider("iu-ssp", "loopback://iu")
 	p.MustRegister(svc)
-	cl := core.NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "loopback://iu/WebFlowJobSubmission", WebFlowBridgeContract())
+	cl := core.NewClient(p.Loopback(), "loopback://iu/WebFlowJobSubmission", WebFlowBridgeContract())
 
 	out, err := cl.CallText("runJob",
 		soap.Str("host", "hpc-sge.iu.edu"),

@@ -88,19 +88,36 @@ func (b *Binding) Log(op string, v interface{}) error {
 // maybeCompact schedules a background compaction when the active log has
 // outgrown the threshold and none is already running.
 func (b *Binding) maybeCompact() {
-	if b.store.Size() < b.CompactAfter || !b.compacting.CompareAndSwap(false, true) {
+	if !b.claimCompaction() {
 		return
 	}
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
-		defer b.compacting.Store(false)
-		if err := b.store.Compact(b.dump); err != nil {
-			// The old generation is intact and the log keeps growing;
-			// the next threshold crossing retries.
-			log.Printf("persist: compaction failed: %v", err)
+		for {
+			err := b.store.Compact(b.dump)
+			b.compacting.Store(false)
+			if err != nil {
+				// The old generation is intact and the log keeps growing;
+				// the next threshold crossing retries.
+				log.Printf("persist: compaction failed: %v", err)
+				return
+			}
+			// A Log that crossed the threshold while this compaction ran
+			// found it in flight and scheduled nothing: re-check now, so
+			// that growth does not wait for the next Log call.
+			if !b.claimCompaction() {
+				return
+			}
 		}
 	}()
+}
+
+// claimCompaction reports whether the active log has outgrown the
+// threshold and, if so, marks a compaction as running (false when one
+// already is).
+func (b *Binding) claimCompaction() bool {
+	return b.store.Size() >= b.CompactAfter && b.compacting.CompareAndSwap(false, true)
 }
 
 // Compact runs one compaction synchronously (tests, shutdown hooks).

@@ -3,6 +3,7 @@ package persist_test
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -52,8 +53,13 @@ func TestAutoCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := map[string]string{} // written only under Log call order (single goroutine)
+	// state is written by the test goroutine and ranged over by the
+	// background compaction's dump, so both hold mu.
+	var mu sync.Mutex
+	state := map[string]string{}
 	b := persist.Bind(l, func(add func(string, []byte) error) error {
+		mu.Lock()
+		defer mu.Unlock()
 		for k, v := range state {
 			if err := persist.AddJSON(add, "kv", map[string]string{"k": k, "v": v}); err != nil {
 				return err
@@ -64,7 +70,9 @@ func TestAutoCompaction(t *testing.T) {
 	b.CompactAfter = 256
 	for i := 0; i < 64; i++ {
 		k := fmt.Sprintf("key-%02d", i)
+		mu.Lock()
 		state[k] = "value"
+		mu.Unlock()
 		if err := b.Log("kv", map[string]string{"k": k, "v": "value"}); err != nil {
 			t.Fatal(err)
 		}
@@ -103,5 +111,106 @@ func TestAutoCompaction(t *testing.T) {
 		if got[k] != v {
 			t.Fatalf("key %s = %q after recovery, want %q", k, got[k], v)
 		}
+	}
+}
+
+// gatedStore is an in-memory Store whose first Compact blocks until
+// release is closed. Compact rotates the active log at its start, as the
+// WAL does, so Size counts only the bytes appended since.
+type gatedStore struct {
+	mu        sync.Mutex
+	size      int64
+	compacts  int
+	started   chan struct{} // closed when the first Compact begins
+	release   chan struct{} // the first Compact returns once this closes
+	compacted chan int      // receives the running count after each Compact
+}
+
+func newGatedStore() *gatedStore {
+	return &gatedStore{
+		started:   make(chan struct{}),
+		release:   make(chan struct{}),
+		compacted: make(chan int, 16),
+	}
+}
+
+func (s *gatedStore) Append(_ string, data []byte) error {
+	s.mu.Lock()
+	s.size += int64(len(data))
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *gatedStore) Replay(func(string, []byte) error) error { return nil }
+
+func (s *gatedStore) Compact(dump func(add func(string, []byte) error) error) error {
+	s.mu.Lock()
+	s.size = 0
+	s.compacts++
+	n := s.compacts
+	s.mu.Unlock()
+	if n == 1 {
+		close(s.started)
+		<-s.release
+	}
+	err := dump(func(string, []byte) error { return nil })
+	s.compacted <- n
+	return err
+}
+
+func (s *gatedStore) Size() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.size
+}
+
+func (s *gatedStore) Close() error { return nil }
+
+// TestCompactionRechecksAfterRun pins compaction liveness: writes that
+// push the log past the threshold while a compaction is running must get
+// their own compaction once it ends, with no further Log call to prompt
+// it.
+func TestCompactionRechecksAfterRun(t *testing.T) {
+	s := newGatedStore()
+	b := persist.Bind(s, func(func(string, []byte) error) error { return nil })
+	b.CompactAfter = 32
+	record := map[string]string{"k": "0123456789abcdef0123456789abcdef"}
+
+	if err := b.Log("kv", record); err != nil { // crosses the threshold
+		t.Fatal(err)
+	}
+	select {
+	case <-s.started:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("first compaction never started; log size %d", s.Size())
+	}
+	// The first compaction is in flight: these writes cross the threshold
+	// again and find it running.
+	for i := 0; i < 4; i++ {
+		if err := b.Log("kv", record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Size(); got < b.CompactAfter {
+		t.Fatalf("mid-compaction log size %d, want >= %d", got, b.CompactAfter)
+	}
+	close(s.release)
+
+	timeout := time.After(5 * time.Second)
+	for want := 1; want <= 2; want++ {
+		select {
+		case n := <-s.compacted:
+			if n != want {
+				t.Fatalf("compaction %d finished, want %d", n, want)
+			}
+		case <-timeout:
+			t.Fatalf("compaction %d never ran; log size %d", want, s.Size())
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Size(); got != 0 {
+		t.Fatalf("log size %d after the re-check compaction, want 0", got)
 	}
 }

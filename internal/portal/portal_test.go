@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/jobsub"
-	"repro/internal/soap"
 	"repro/internal/srb"
 	"repro/internal/srbws"
 )
@@ -29,7 +28,7 @@ func fullShell(t *testing.T) (*Shell, *contextmgr.Store) {
 	ssp.MustRegister(jobsub.NewGlobusrunService(g, "cyoun@IU.EDU"))
 	ssp.MustRegister(srbws.NewService(broker, "cyoun"))
 	ssp.MustRegister(batchscript.NewService(batchscript.NewIUGenerator()))
-	tr := &soap.LoopbackTransport{Handler: ssp.Dispatch}
+	tr := ssp.Loopback()
 
 	sh := NewStandardShell(Services{
 		Script:    batchscript.NewClient(tr, "loopback://ssp/BatchScriptGenerator"),

@@ -207,7 +207,7 @@ func TestResponseCacheEndToEnd(t *testing.T) {
 	svc.Use(cache.Middleware(OpPrefixes("get")))
 	p := core.NewProvider("ssp", "loopback://x")
 	p.MustRegister(svc)
-	cl := core.NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "x", def.Interface())
+	cl := core.NewClient(p.Loopback(), "x", def.Interface())
 	for i := 0; i < 3; i++ {
 		got, err := cl.CallText("getAnswer", soap.Str("q", "42"))
 		if err != nil {
@@ -325,7 +325,7 @@ func TestResponseCacheConcurrency(t *testing.T) {
 	svc.Use(cache.Middleware(OpPrefixes("get")))
 	p := core.NewProvider("ssp", "loopback://conc")
 	p.MustRegister(svc)
-	tr := &soap.LoopbackTransport{Handler: p.Dispatch}
+	tr := p.Loopback()
 
 	const workers = 8
 	const iters = 200

@@ -60,11 +60,11 @@
 // for every operation whose In table is within the streaming subset
 // (string, int, boolean, and strings parameters; an xml-typed parameter
 // makes the operation tree-only). The compiled codecs implement
-// core.StreamDecoder and are installed as Service.Stream, so the
-// provider's raw dispatch path offers every request body to them first:
-// a soap.BodyReader walks the envelope tokens and the codec decodes each
-// parameter straight into its typed Args slot — no element tree, no
-// arena.
+// core.StreamDecoder and are installed as Service.Stream, so
+// core.Provider.Serve — the one entry point HTTP and in-process requests
+// share — offers every request body to them first: a soap.BodyReader
+// walks the envelope tokens and the codec decodes each parameter straight
+// into its typed Args slot — no element tree, no arena.
 //
 // The fallback contract: the streaming path may reject a request at any
 // depth — a Header entry, a literal-XML parameter, a soapenc:Array
@@ -76,9 +76,9 @@
 // core.Context shape (the fast path sets Context.Decoded), and encode
 // responses identically. Equivalence is enforced differentially by
 // FuzzStreamVsTreeDispatch, which requires byte-identical HTTP responses
-// from a fast-path server and a tree-only server for arbitrary bodies;
-// the fast-path/tree-path split is observable at /healthz under
-// "decode".
+// from a fast-path server and a tree-only server (Service.Stream = nil)
+// for arbitrary bodies; the fast-path/tree-path split is observable at
+// /healthz under "decode".
 //
 // # Resilience
 //

@@ -1,9 +1,10 @@
 package rpc_test
 
 // Golden wire-format conformance suite: one representative request and
-// response per portal service, round-tripped over BOTH the HTTP and the
-// loopback transports, with the exact wire bytes diffed against checked-in
-// golden files under testdata/golden/. Together with FuzzWriterVsRender
+// response per portal service, round-tripped over HTTP, over the
+// production loopback (Provider.Loopback), and over a loopback whose
+// service has no StreamDecoder (tree path only), with the exact wire bytes
+// diffed against checked-in golden files under testdata/golden/. Together with FuzzWriterVsRender
 // (which pins the streaming Writer to the tree renderer) this guarantees
 // that future encoder work can never silently change what the eight
 // interoperable services put on the wire — the paper's whole premise is
@@ -47,7 +48,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden wire-format files")
 
 // goldenCase is one service's conformance probe. build must return a
-// fresh, deterministic fixture: the same call against two independent
+// fresh, deterministic fixture: the same call against three independent
 // fixtures (one per transport) must produce identical wire bytes.
 type goldenCase struct {
 	name  string
@@ -215,11 +216,17 @@ func resilienceGoldenDef() *rpc.Def {
 }
 
 // goldenProvider hosts one fresh service fixture on a provider with fixed
-// identity, so faults and WSDL addresses are reproducible.
-func goldenProvider(t *testing.T, tc goldenCase) *core.Provider {
+// identity, so faults and WSDL addresses are reproducible. With stream
+// false the service's StreamDecoder is cleared, so every request takes
+// the tree path — the reference the streaming fast path must match.
+func goldenProvider(t *testing.T, tc goldenCase, stream bool) *core.Provider {
 	t.Helper()
 	p := core.NewProvider("golden-ssp", "http://golden.example")
-	p.MustRegister(tc.build(t))
+	svc := tc.build(t)
+	if !stream {
+		svc.Stream = nil
+	}
+	p.MustRegister(svc)
 	return p
 }
 
@@ -265,16 +272,21 @@ func TestGoldenWireFormat(t *testing.T) {
 
 			action := tc.call.ServiceNS + "#" + tc.call.Method
 
-			// Loopback transport, fixture #1.
-			lb := &soap.LoopbackTransport{Handler: goldenProvider(t, tc).Dispatch}
-			var loopResp bytes.Buffer
-			if err := lb.RoundTripRawCtx(context.Background(), "http://golden.example/svc", action, tc.call.WireEnvelope(), &loopResp); err != nil {
-				t.Fatalf("loopback round trip: %v", err)
+			// In-process transports, fixtures #1 (production wiring, fast
+			// path first) and #2 (tree path only).
+			loop := func(p *core.Provider) []byte {
+				var out bytes.Buffer
+				if err := p.Loopback().RoundTripRawCtx(context.Background(), "http://golden.example/svc", action, tc.call.WireEnvelope(), &out); err != nil {
+					t.Fatalf("loopback round trip: %v", err)
+				}
+				return out.Bytes()
 			}
+			fastResp := loop(goldenProvider(t, tc, true))
+			treeResp := loop(goldenProvider(t, tc, false))
 
-			// HTTP transport, fixture #2 (a fresh, independent instance:
+			// HTTP transport, fixture #3 (a fresh, independent instance:
 			// matching bytes also prove the fixture is deterministic).
-			srv := httptest.NewServer(goldenProvider(t, tc))
+			srv := httptest.NewServer(goldenProvider(t, tc, true))
 			defer srv.Close()
 			httpReq, err := http.NewRequest(http.MethodPost, srv.URL+"/svc", bytes.NewReader(reqStream.Bytes()))
 			if err != nil {
@@ -292,9 +304,13 @@ func TestGoldenWireFormat(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if !bytes.Equal(loopResp.Bytes(), httpBody) {
+			if !bytes.Equal(fastResp, httpBody) {
 				t.Fatalf("HTTP and loopback transports disagree on the wire\nloopback: %s\nhttp:     %s",
-					loopResp.Bytes(), httpBody)
+					fastResp, httpBody)
+			}
+			if !bytes.Equal(treeResp, httpBody) {
+				t.Fatalf("tree path and fast path disagree on the wire\ntree: %s\nhttp: %s",
+					treeResp, httpBody)
 			}
 			checkGolden(t, goldenPath(tc.name, "resp"), httpBody)
 

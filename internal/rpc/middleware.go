@@ -311,7 +311,7 @@ func (s *Stats) Middleware() core.Middleware {
 			vals, err := next(ctx, args)
 			s.exit()
 			// ctx.Decoded is only ever set by the streaming fast path
-			// (Provider.DispatchRaw), so its presence identifies the
+			// of Provider.Serve, so its presence identifies the
 			// decode path that produced this request.
 			s.record(ctx.ServiceNS+"#"+ctx.Operation, time.Since(start), err, ctx.Decoded != nil)
 			return vals, err

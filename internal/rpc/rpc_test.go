@@ -154,12 +154,16 @@ func TestWSDLSemanticEquivalence(t *testing.T) {
 func TestMalformedParamRejected(t *testing.T) {
 	srv := NewServer("test", "loopback://test")
 	srv.Provider("").MustRegister(typedDef().MustBuild())
-	cl := core.NewClient(srv.Transport(), "loopback://test/TypedEcho", typedDef().Interface())
-	cl.Strict = false // let the malformed value reach the server
-	_, err := cl.CallText("describe",
-		soap.Str("s", "hi"), soap.Value{Name: "n", Type: "int", Text: "not-a-number"},
-		soap.Bool("b", false), soap.StrArray("list", nil),
-		soap.XMLDoc("doc", xmlutil.New("inner")))
+	// soap.Invoke does no contract validation, so the malformed value
+	// reaches the server.
+	_, err := soap.Invoke(context.Background(), srv.Transport(), "loopback://test/TypedEcho", &soap.Call{
+		ServiceNS: "urn:test:typedecho", Method: "describe",
+		Params: []soap.Value{
+			soap.Str("s", "hi"), soap.Value{Name: "n", Type: "int", Text: "not-a-number"},
+			soap.Bool("b", false), soap.StrArray("list", nil),
+			soap.XMLDoc("doc", xmlutil.New("inner")),
+		},
+	})
 	pe := soap.AsPortalError(err)
 	if pe == nil || pe.Code != soap.ErrCodeBadRequest {
 		t.Errorf("err = %v, want BadRequest portal error", err)

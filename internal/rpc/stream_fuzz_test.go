@@ -24,17 +24,21 @@ import (
 // reader is supposed to reject (headers, faults, literal XML, entities,
 // nested arrays, junk).
 func FuzzStreamVsTreeDispatch(f *testing.F) {
-	build := func() *core.Provider {
+	build := func(stream bool) *core.Provider {
 		p := core.NewProvider("fuzz-ssp", "http://fuzz.example")
-		p.MustRegister(typedDef().MustBuild())
+		svc := typedDef().MustBuild()
+		if !stream {
+			svc.Stream = nil // every request takes the tree path
+		}
+		p.MustRegister(svc)
 		return p
 	}
 	// Two independent providers so per-request state (stats, caches) on
 	// one path can never leak into the other's responses.
-	tree := build()
-	fast := build()
-	treeSrv := httptest.NewServer(soap.Handler(tree.Dispatch))
-	fastSrv := httptest.NewServer(soap.HandlerWithRaw(fast.Dispatch, fast.DispatchRaw))
+	tree := build(false)
+	fast := build(true)
+	treeSrv := httptest.NewServer(soap.Handler(tree.Serve))
+	fastSrv := httptest.NewServer(soap.Handler(fast.Serve))
 	f.Cleanup(treeSrv.Close)
 	f.Cleanup(fastSrv.Close)
 

@@ -12,10 +12,11 @@ import (
 // chaosEcho is a loopback inner transport answering every request with a
 // fixed, parseable envelope.
 func chaosEcho() *LoopbackTransport {
-	return &LoopbackTransport{Handler: func(_ context.Context, req *Envelope, _ *http.Request) (*Envelope, error) {
+	return &LoopbackTransport{Serve: func(_ context.Context, _ []byte, _ *http.Request, out *bytes.Buffer) error {
 		resp := &Response{Method: "echo", ServiceNS: "urn:test:chaos",
 			Returns: []Value{Str("s", "ok")}}
-		return resp.WireEnvelope(), nil
+		resp.WireEnvelope().AppendTo(out)
+		return nil
 	}}
 }
 

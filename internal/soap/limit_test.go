@@ -82,8 +82,9 @@ func TestOversizeResponseClientPath(t *testing.T) {
 // Content-Length fast path and the chunked read path.
 func TestOversizeRequestServerPath(t *testing.T) {
 	withMessageLimit(t, 4096)
-	h := Handler(func(ctx context.Context, req *Envelope, r *http.Request) (*Envelope, error) {
-		return (&Response{ServiceNS: "urn:x", Method: "ping"}).WireEnvelope(), nil
+	h := Handler(func(_ context.Context, _ []byte, _ *http.Request, out *bytes.Buffer) error {
+		(&Response{ServiceNS: "urn:x", Method: "ping"}).WireEnvelope().AppendTo(out)
+		return nil
 	})
 
 	// Build a valid request envelope padded to exactly the limit.

@@ -78,9 +78,6 @@ type Envelope struct {
 	// does for wire fidelity. An interface rather than a closure so
 	// assigning the Call/Response itself costs nothing.
 	stream bodyStreamer
-	// streamFault marks a streamed envelope whose body is a Fault, since
-	// the usual Body[0] inspection is unavailable.
-	streamFault bool
 
 	// raw, when non-nil, is an already-serialised envelope relayed
 	// verbatim by AppendTo (no XML declaration is prepended — the bytes
@@ -282,40 +279,13 @@ func (f *Fault) Error() string {
 
 // AsFault unwraps err into a *Fault if it is one or wraps one; otherwise
 // nil. Dispatch layers use it instead of a direct type assertion so
-// wrapped faults (e.g. ones held against pooled-storage reuse) still
-// render as proper fault envelopes.
+// wrapped faults still render as proper fault envelopes.
 func AsFault(err error) *Fault {
 	var f *Fault
 	if errors.As(err, &f) {
 		return f
 	}
 	return nil
-}
-
-// heldError marks a handler error whose request storage must NOT be
-// recycled: the handler was abandoned (deadline expired) and a detached
-// goroutine may still be reading the pooled request tree. See Hold.
-type heldError struct{ err error }
-
-func (h *heldError) Error() string { return h.err.Error() }
-func (h *heldError) Unwrap() error { return h.err }
-
-// Hold wraps err to signal that pooled request-side storage (the arena
-// document behind the request envelope) is still referenced by an
-// abandoned handler goroutine and must leak to the garbage collector
-// instead of being released back to its pool. Release sites check Held
-// before recycling. Idempotent; nil-safe.
-func Hold(err error) error {
-	if err == nil || Held(err) {
-		return err
-	}
-	return &heldError{err: err}
-}
-
-// Held reports whether err (or anything it wraps) was marked by Hold.
-func Held(err error) bool {
-	var h *heldError
-	return errors.As(err, &h)
 }
 
 // PortalError extracts the portal-standard implementation error from the
@@ -662,7 +632,7 @@ func (r *Response) WireEnvelope() *Envelope {
 // Envelope in place — the allocation-free form for dispatch paths that
 // embed the response and its envelope in one request-scoped allocation.
 func (r *Response) WireEnvelopeInto(env *Envelope) {
-	*env = Envelope{stream: r, streamFault: r.Fault != nil}
+	*env = Envelope{stream: r}
 }
 
 // streamBody emits the response wrapper and return values (or the fault),

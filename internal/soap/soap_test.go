@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -176,7 +177,27 @@ func TestHeaderEntries(t *testing.T) {
 	}
 }
 
-func echoHandler(_ context.Context, req *Envelope, _ *http.Request) (*Envelope, error) {
+// serveEnvelope adapts a tree-level test handler into a ServeFunc that
+// answers the way core.Provider.Serve does: parse errors become Client
+// faults, handler errors Server faults, and the error is returned exactly
+// when a fault was written.
+func serveEnvelope(h func(req *Envelope) (*Envelope, error)) ServeFunc {
+	return func(_ context.Context, body []byte, _ *http.Request, out *bytes.Buffer) error {
+		req, err := ParseEnvelopeBytes(body)
+		if err != nil {
+			FaultEnvelope(err, FaultClient).AppendTo(out)
+			return err
+		}
+		resp, err := h(req)
+		if err != nil {
+			resp = FaultEnvelope(err, FaultServer)
+		}
+		resp.AppendTo(out)
+		return err
+	}
+}
+
+func echoHandler(req *Envelope) (*Envelope, error) {
 	call, err := ParseCall(req)
 	if err != nil {
 		return nil, err
@@ -190,7 +211,7 @@ func echoHandler(_ context.Context, req *Envelope, _ *http.Request) (*Envelope, 
 }
 
 func TestHTTPTransport(t *testing.T) {
-	srv := httptest.NewServer(Handler(echoHandler))
+	srv := httptest.NewServer(Handler(serveEnvelope(echoHandler)))
 	defer srv.Close()
 	tr := &HTTPTransport{Client: srv.Client()}
 	resp, err := Invoke(context.Background(), tr, srv.URL, &Call{ServiceNS: "urn:echo", Method: "say", Params: []Value{Str("msg", "hello grid")}})
@@ -203,7 +224,7 @@ func TestHTTPTransport(t *testing.T) {
 }
 
 func TestHTTPTransportFault(t *testing.T) {
-	srv := httptest.NewServer(Handler(echoHandler))
+	srv := httptest.NewServer(Handler(serveEnvelope(echoHandler)))
 	defer srv.Close()
 	tr := &HTTPTransport{Client: srv.Client()}
 	_, err := Invoke(context.Background(), tr, srv.URL, &Call{ServiceNS: "urn:echo", Method: "fail"})
@@ -214,7 +235,7 @@ func TestHTTPTransportFault(t *testing.T) {
 }
 
 func TestHTTPMethodNotAllowed(t *testing.T) {
-	srv := httptest.NewServer(Handler(echoHandler))
+	srv := httptest.NewServer(Handler(serveEnvelope(echoHandler)))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -227,7 +248,7 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 }
 
 func TestLoopbackTransport(t *testing.T) {
-	tr := &LoopbackTransport{Handler: echoHandler}
+	tr := &LoopbackTransport{Serve: serveEnvelope(echoHandler)}
 	resp, err := Invoke(context.Background(), tr, "loopback://echo", &Call{ServiceNS: "urn:echo", Method: "say", Params: []Value{Str("msg", "x")}})
 	if err != nil {
 		t.Fatal(err)

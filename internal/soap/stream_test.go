@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net/http"
 	"strings"
 	"testing"
 
@@ -78,16 +77,23 @@ func TestWireEnvelopeMatchesTreePath(t *testing.T) {
 }
 
 func TestStreamedFaultDetection(t *testing.T) {
-	f := (&Response{Fault: &Fault{Code: FaultClient, String: "bad"}}).WireEnvelope()
-	if !isFaultEnvelope(f) {
+	// isFault reports whether env, once rendered, parses back as a fault.
+	isFault := func(env *Envelope) bool {
+		parsed, err := ParseEnvelopeBytes([]byte(env.Render()))
+		if err != nil {
+			t.Fatalf("streamed envelope does not re-parse: %v", err)
+		}
+		_, rerr := ParseResponse(parsed)
+		return AsFault(rerr) != nil
+	}
+	if !isFault((&Response{Fault: &Fault{Code: FaultClient, String: "bad"}}).WireEnvelope()) {
 		t.Fatal("streamed fault envelope not detected as fault")
 	}
-	ok := (&Response{ServiceNS: "urn:x", Method: "m"}).WireEnvelope()
-	if isFaultEnvelope(ok) {
+	if isFault((&Response{ServiceNS: "urn:x", Method: "m"}).WireEnvelope()) {
 		t.Fatal("streamed success envelope misdetected as fault")
 	}
-	if !isFaultEnvelope(faultEnvelope(errors.New("kaput"), FaultServer)) {
-		t.Fatal("faultEnvelope result not detected as fault")
+	if !isFault(FaultEnvelope(errors.New("kaput"), FaultServer)) {
+		t.Fatal("FaultEnvelope result not detected as fault")
 	}
 }
 
@@ -95,7 +101,7 @@ func TestStreamedFaultDetection(t *testing.T) {
 // three historic behaviours: direct *Fault passthrough, portal-error
 // relay in the detail, and generic wrapping.
 func TestFaultEnvelopeRelay(t *testing.T) {
-	direct := faultEnvelope(&Fault{Code: FaultClient, String: "direct"}, FaultServer)
+	direct := FaultEnvelope(&Fault{Code: FaultClient, String: "direct"}, FaultServer)
 	var b bytes.Buffer
 	direct.AppendTo(&b)
 	if !strings.Contains(b.String(), "soap:Client") {
@@ -103,7 +109,7 @@ func TestFaultEnvelopeRelay(t *testing.T) {
 	}
 
 	pe := NewPortalError("Globusrun", ErrCodeJobFailed, "job died")
-	relayed := faultEnvelope(error(pe), FaultServer)
+	relayed := FaultEnvelope(error(pe), FaultServer)
 	b.Reset()
 	relayed.AppendTo(&b)
 	env, err := ParseEnvelopeBytes(b.Bytes())
@@ -120,7 +126,7 @@ func TestFaultEnvelopeRelay(t *testing.T) {
 		t.Fatalf("portal error not relayed: %+v", got)
 	}
 
-	generic := faultEnvelope(errors.New("kaput"), FaultServer)
+	generic := FaultEnvelope(errors.New("kaput"), FaultServer)
 	b.Reset()
 	generic.AppendTo(&b)
 	if !strings.Contains(b.String(), "soap:Server") || !strings.Contains(b.String(), "kaput") {
@@ -129,14 +135,14 @@ func TestFaultEnvelopeRelay(t *testing.T) {
 }
 
 func TestRawTransportLoopback(t *testing.T) {
-	lb := &LoopbackTransport{Handler: func(_ context.Context, req *Envelope, _ *http.Request) (*Envelope, error) {
+	lb := &LoopbackTransport{Serve: serveEnvelope(func(req *Envelope) (*Envelope, error) {
 		call, err := ParseCall(req)
 		if err != nil {
 			return nil, err
 		}
 		return (&Response{ServiceNS: call.ServiceNS, Method: call.Method,
 			Returns: []Value{Str("echo", Args(call.Params).String("msg"))}}).WireEnvelope(), nil
-	}}
+	})}
 	call := &Call{ServiceNS: "urn:raw", Method: "say", Params: []Value{Str("msg", "hi")}}
 
 	// Raw and parsed round trips must agree on the wire bytes.

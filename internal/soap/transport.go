@@ -154,33 +154,19 @@ func (t *HTTPTransport) RoundTripRawCtx(ctx context.Context, endpoint, action st
 	return nil
 }
 
-// EnvelopeHandler processes one request envelope and produces a response
-// envelope. ctx is the request's lifetime (the HTTP request context on the
-// wire path, the caller's context in-process); handlers should stop work
-// when it is cancelled. Returning an error that is (or wraps) a *Fault
-// sends that fault; any other error becomes a generic Server fault.
-type EnvelopeHandler func(ctx context.Context, req *Envelope, httpReq *http.Request) (*Envelope, error)
+// ServeFunc answers one serialised request envelope: it appends the
+// response envelope to out and returns nil, or appends a fault envelope
+// and returns the error the fault was made from. ctx is the request's
+// lifetime (the HTTP request context on the wire path, the caller's
+// context in-process); httpReq is nil in-process. The function must not
+// retain body past the call. core.Provider.Serve is the implementation
+// both bindings below are wired with.
+type ServeFunc func(ctx context.Context, body []byte, httpReq *http.Request, out *bytes.Buffer) error
 
-// RawEnvelopeHandler processes a request straight from its serialised
-// bytes — the streaming decode fast path (core.Provider.DispatchRaw).
-// handled=false means the request is outside the streaming subset and the
-// caller must re-dispatch through the tree-parsing EnvelopeHandler; once
-// handled is true the request has been executed (side effects included)
-// and the envelope/error pair is final, with errors converted to fault
-// envelopes exactly as for an EnvelopeHandler. The handler must not
-// retain body past the call.
-type RawEnvelopeHandler func(ctx context.Context, body []byte, httpReq *http.Request) (resp *Envelope, handled bool, err error)
-
-// Handler adapts an EnvelopeHandler into an http.Handler implementing the
-// SOAP 1.1 HTTP binding (faults are sent with status 500).
-func Handler(h EnvelopeHandler) http.Handler {
-	return HandlerWithRaw(h, nil)
-}
-
-// HandlerWithRaw is Handler with an optional streaming fast path: when raw
-// is non-nil every request body is offered to it first, and only requests
-// it does not handle are parsed into the pooled element tree for h.
-func HandlerWithRaw(h EnvelopeHandler, raw RawEnvelopeHandler) http.Handler {
+// Handler adapts a ServeFunc into an http.Handler implementing the SOAP
+// 1.1 HTTP binding: POST only, bodies bounded by the message limit, and
+// faults sent with status 500 plus any Retry-After advice they carry.
+func Handler(serve ServeFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "soap endpoint: POST required", http.StatusMethodNotAllowed)
@@ -200,47 +186,12 @@ func HandlerWithRaw(h EnvelopeHandler, raw RawEnvelopeHandler) http.Handler {
 			http.Error(w, "soap endpoint: read error", http.StatusBadRequest)
 			return
 		}
-		if raw != nil {
-			if respEnv, handled, herr := raw(r.Context(), body.Bytes(), r); handled {
-				if herr != nil {
-					setRetryAfter(w, herr)
-					respEnv = faultEnvelope(herr, FaultServer)
-				}
-				writeEnvelope(w, respEnv)
-				return
-			}
-		}
-		// The request envelope lives in a pooled element arena: it is only
-		// needed until the response has been rendered, after which the whole
-		// tree is recycled. Handlers must not retain request elements.
-		env, doc, err := ParseEnvelopeBytesPooled(body.Bytes())
-		var respEnv *Envelope
-		var herr error
-		if err != nil {
-			respEnv = faultEnvelope(err, FaultClient)
-		} else {
-			var out *Envelope
-			out, herr = h(r.Context(), env, r)
-			if herr != nil {
-				setRetryAfter(w, herr)
-				respEnv = faultEnvelope(herr, FaultServer)
-			} else {
-				respEnv = out
-			}
-		}
-		status := http.StatusOK
-		if isFaultEnvelope(respEnv) {
-			status = http.StatusInternalServerError
-		}
 		out := xmlutil.GetBuffer()
 		defer xmlutil.PutBuffer(out)
-		respEnv.AppendTo(out)
-		// Response rendered: the request tree is no longer needed — unless
-		// the handler was abandoned on deadline (Held), in which case a
-		// detached goroutine may still read it and the arena must leak to
-		// the garbage collector instead of being recycled underneath it.
-		if doc != nil && !Held(herr) {
-			doc.Release()
+		status := http.StatusOK
+		if err := serve(r.Context(), body.Bytes(), r, out); err != nil {
+			setRetryAfter(w, err)
+			status = http.StatusInternalServerError
 		}
 		w.Header().Set("Content-Type", ContentType)
 		w.WriteHeader(status)
@@ -255,21 +206,6 @@ func setRetryAfter(w http.ResponseWriter, err error) {
 		secs := int((f.RetryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-}
-
-// writeEnvelope serialises one response envelope with the SOAP 1.1 HTTP
-// status convention.
-func writeEnvelope(w http.ResponseWriter, respEnv *Envelope) {
-	status := http.StatusOK
-	if isFaultEnvelope(respEnv) {
-		status = http.StatusInternalServerError
-	}
-	out := xmlutil.GetBuffer()
-	defer xmlutil.PutBuffer(out)
-	respEnv.AppendTo(out)
-	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(status)
-	_, _ = w.Write(out.Bytes())
 }
 
 // WriteFault serialises f as a fault envelope onto w with the given HTTP
@@ -291,10 +227,11 @@ func WriteFault(w http.ResponseWriter, f *Fault, status int) {
 	_, _ = w.Write(out.Bytes())
 }
 
-// faultEnvelope converts any error into a fault response envelope with a
+// FaultEnvelope converts any error into a fault response envelope with a
 // streamed (tree-free) body. Portal errors are relayed in the detail entry
-// so clients can decode them.
-func faultEnvelope(err error, defaultCode string) *Envelope {
+// so clients can decode them; any other error that is not a *Fault gets
+// defaultCode.
+func FaultEnvelope(err error, defaultCode string) *Envelope {
 	f := AsFault(err)
 	if f == nil {
 		if pe := AsPortalError(err); pe != nil {
@@ -306,67 +243,31 @@ func faultEnvelope(err error, defaultCode string) *Envelope {
 	return (&Response{Fault: f}).WireEnvelope()
 }
 
-func isFaultEnvelope(env *Envelope) bool {
-	if env == nil {
-		return false
-	}
-	if env.streamFault {
-		return true
-	}
-	return len(env.Body) > 0 && env.Body[0].Name == "Fault" && env.Body[0].Space == EnvelopeNS
-}
-
-// LoopbackTransport invokes an EnvelopeHandler in-process, serialising and
-// reparsing the envelopes so the encoding path is identical to the wire
-// path. Benchmarks use it to separate XML processing cost from TCP cost.
+// LoopbackTransport answers requests in-process through a ServeFunc,
+// serialising the request so the bytes served are the bytes HTTP would
+// carry. Benchmarks use it to separate XML processing cost from TCP cost.
 type LoopbackTransport struct {
-	// Handler receives every request regardless of endpoint.
-	Handler EnvelopeHandler
-	// Raw, when non-nil, is offered the serialised request bytes before
-	// Handler, mirroring the HTTP handler's streaming fast path; requests
-	// it does not handle fall through to the tree-parsing Handler.
-	Raw RawEnvelopeHandler
+	// Serve answers every request regardless of endpoint.
+	Serve ServeFunc
 }
 
 // RoundTripRawCtx implements Transport in-process, handing ctx straight
-// to the handler chain (there is no wire to cancel). A context already
-// done fails the call before dispatch, as the HTTP transport does.
+// to Serve (there is no wire to cancel). A context already done fails the
+// call before dispatch, as the HTTP transport does. A fault is a response,
+// not a transport failure: its envelope lands in respBuf and the call
+// returns nil, exactly as over HTTP.
 func (t *LoopbackTransport) RoundTripRawCtx(ctx context.Context, endpoint, action string, req *Envelope, respBuf *bytes.Buffer) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	buf := xmlutil.GetBuffer()
 	defer xmlutil.PutBuffer(buf)
-	// Serialise and reparse to keep byte-level fidelity with HTTP. The
-	// request-side tree is arena-pooled exactly as in the HTTP handler.
 	req.AppendTo(buf)
-	// Handlers receive a nil *http.Request in-process: Context.HTTPRequest
+	// Serve receives a nil *http.Request in-process: Context.HTTPRequest
 	// is documented as HTTP-only, and synthesising one per call (URL parse,
 	// header map) would dominate the loopback overhead the benchmarks are
 	// built to isolate.
-	if t.Raw != nil {
-		if out, handled, herr := t.Raw(ctx, buf.Bytes(), nil); handled {
-			if herr != nil {
-				out = faultEnvelope(herr, FaultServer)
-			}
-			out.AppendTo(respBuf)
-			return nil
-		}
-	}
-	wire, doc, err := ParseEnvelopeBytesPooled(buf.Bytes())
-	if err != nil {
-		return err
-	}
-	out, herr := t.Handler(ctx, wire, nil)
-	if herr != nil {
-		out = faultEnvelope(herr, FaultServer)
-	}
-	out.AppendTo(respBuf)
-	// As on the HTTP path: an abandoned handler (Held error) may still be
-	// reading the pooled request tree, so it must not be recycled.
-	if !Held(herr) {
-		doc.Release()
-	}
+	_ = t.Serve(ctx, buf.Bytes(), nil, respBuf)
 	return nil
 }
 

@@ -15,7 +15,7 @@ func newFixture(t *testing.T) (*srb.Broker, *Client, string) {
 	home := b.CreateUser("mock")
 	p := core.NewProvider("srb-ssp", "loopback://srb")
 	p.MustRegister(NewService(b, "mock"))
-	cl := NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "loopback://srb/SRBService")
+	cl := NewClient(p.Loopback(), "loopback://srb/SRBService")
 	return b, cl, home
 }
 
@@ -78,7 +78,7 @@ func TestAuthRequired(t *testing.T) {
 	b.CreateUser("mock")
 	p := core.NewProvider("srb-ssp", "loopback://srb")
 	p.MustRegister(NewService(b, "")) // authentication required
-	cl := NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "loopback://srb/SRBService")
+	cl := NewClient(p.Loopback(), "loopback://srb/SRBService")
 	_, err := cl.Ls("/sdsc/home/mock")
 	pe := soap.AsPortalError(err)
 	if pe == nil || pe.Code != soap.ErrCodeAuthFailed {
@@ -201,7 +201,7 @@ func TestAuthenticatedPrincipalUsed(t *testing.T) {
 		}
 	})
 	p.MustRegister(NewService(b, "mock"))
-	cl := NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "loopback://srb/SRBService")
+	cl := NewClient(p.Loopback(), "loopback://srb/SRBService")
 	got, err := cl.Get("/sdsc/home/kurt/own.txt")
 	if err != nil || got != "kurt data" {
 		t.Errorf("as kurt = %q, %v", got, err)

@@ -223,7 +223,7 @@ func TestSOAPServiceRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	p := core.NewProvider("registry-ssp", "loopback://uddi")
 	p.MustRegister(NewService(r))
-	tr := &soap.LoopbackTransport{Handler: p.Dispatch}
+	tr := p.Loopback()
 	cl := NewClient(tr, "loopback://uddi/UDDIRegistry")
 
 	bk, err := cl.SaveBusiness("SDSC", "HotPage group")
@@ -286,7 +286,7 @@ func TestSOAPServiceErrors(t *testing.T) {
 	r := NewRegistry()
 	p := core.NewProvider("registry-ssp", "loopback://uddi")
 	p.MustRegister(NewService(r))
-	cl := NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "loopback://uddi/UDDIRegistry")
+	cl := NewClient(p.Loopback(), "loopback://uddi/UDDIRegistry")
 	_, err := cl.SaveService("uuid:ghost", "x", "", "http://x", nil)
 	pe := soap.AsPortalError(err)
 	if pe == nil || pe.Code != soap.ErrCodeBadRequest {

@@ -236,7 +236,7 @@ func TestSOAPServiceRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	p := core.NewProvider("reg-ssp", "loopback://reg")
 	p.MustRegister(NewService(r))
-	cl := NewClient(&soap.LoopbackTransport{Handler: p.Dispatch}, "loopback://reg/XMLRegistry")
+	cl := NewClient(p.Loopback(), "loopback://reg/XMLRegistry")
 
 	err := cl.Put("portals/iu/bsg", "service", []Property{
 		{Name: "supportedScheduler", Value: "PBS"},

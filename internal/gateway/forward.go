@@ -59,7 +59,7 @@ func (f *HTTPForwarder) Forward(ctx context.Context, backend, path, action strin
 	}
 	defer res.Body.Close()
 	mark := resp.Len()
-	if err := soap.ReadMessage(resp, res.Body); err != nil {
+	if err := soap.ReadMessage(resp, res.Body, res.ContentLength); err != nil {
 		resp.Truncate(mark)
 		return ForwardResult{}, fmt.Errorf("gateway: read response from %s%s: %w", backend, path, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -214,13 +215,9 @@ func (g *Gateway) serveRoute(rt *route, w http.ResponseWriter, r *http.Request) 
 		http.Error(w, "soap endpoint: POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	if r.ContentLength > soap.MaxMessageBytes() {
-		soap.WriteFault(w, soap.OversizeFault(), http.StatusRequestEntityTooLarge)
-		return
-	}
 	body := xmlutil.GetBuffer()
 	defer xmlutil.PutBuffer(body)
-	if err := soap.ReadMessage(body, r.Body); err != nil {
+	if err := soap.ReadMessage(body, r.Body, r.ContentLength); err != nil {
 		if errors.Is(err, soap.ErrMessageTooLarge) {
 			soap.WriteFault(w, soap.OversizeFault(), http.StatusRequestEntityTooLarge)
 			return
@@ -295,13 +292,16 @@ func (g *Gateway) forward(rt *route, w http.ResponseWriter, r *http.Request, bod
 	soap.WriteFault(w, f, 0)
 }
 
-// relay writes one backend response through unchanged. A failed or short
-// write means the client disconnected mid-relay: the backend answered
-// fine, so the failure is recorded in the relay.write_errors counter
-// (visible at /healthz) and deliberately NOT fed to the backend's breaker
-// — opening a circuit over a flaky client would punish a healthy backend.
+// relay writes one backend response through unchanged, declaring its
+// Content-Length so the caller can size its read buffer once. A failed or
+// short write means the client disconnected mid-relay: the backend
+// answered fine, so the failure is recorded in the relay.write_errors
+// counter (visible at /healthz) and deliberately NOT fed to the backend's
+// breaker — opening a circuit over a flaky client would punish a healthy
+// backend.
 func (g *Gateway) relay(w http.ResponseWriter, res ForwardResult, body []byte) {
 	w.Header().Set("Content-Type", soap.ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if res.RetryAfter != "" {
 		w.Header().Set("Retry-After", res.RetryAfter)
 	}
@@ -458,7 +458,7 @@ func (g *Gateway) fetchHTTP(u string) (string, error) {
 		return "", fmt.Errorf("GET %s: HTTP %d", u, resp.StatusCode)
 	}
 	buf := &bytes.Buffer{}
-	if err := soap.ReadMessage(buf, resp.Body); err != nil {
+	if err := soap.ReadMessage(buf, resp.Body, resp.ContentLength); err != nil {
 		return "", err
 	}
 	return buf.String(), nil

@@ -187,7 +187,7 @@ func TestFaultRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := soap.ReadMessage(&want, direct.Body); err != nil {
+	if err := soap.ReadMessage(&want, direct.Body, direct.ContentLength); err != nil {
 		t.Fatal(err)
 	}
 	direct.Body.Close()
@@ -235,6 +235,51 @@ func TestRetryAfterRelay(t *testing.T) {
 	}
 	if got := rec.Header().Get("Retry-After"); got != "7" {
 		t.Errorf("Retry-After = %q", got)
+	}
+}
+
+// TestRelayContentLength: relayed envelopes — responses and faults alike
+// — carry a Content-Length equal to the body, so the caller can size its
+// read buffer once instead of receiving chunks.
+func TestRelayContentLength(t *testing.T) {
+	_, a := batchBackend(t, "a")
+	gw := newGateway(t, a.URL)
+	big := strings.Repeat("<&", 16<<10) // far past net/http's own buffering
+	for _, c := range []struct {
+		name   string
+		resp   *soap.Response
+		status int
+	}{
+		{"response", &soap.Response{ServiceNS: batchscript.ServiceNS, Method: "listSchedulers",
+			Returns: []soap.Value{soap.Str("r", big)}}, http.StatusOK},
+		{"fault", &soap.Response{Fault: &soap.Fault{Code: soap.FaultServer, String: big}},
+			http.StatusInternalServerError},
+	} {
+		gw.Forward = forwardFunc(func(resp *bytes.Buffer) (gateway.ForwardResult, error) {
+			c.resp.WireEnvelope().AppendTo(resp)
+			return gateway.ForwardResult{Status: c.status}, nil
+		})
+		front := httptest.NewServer(gw.Handler())
+		var req bytes.Buffer
+		(&soap.Call{ServiceNS: batchscript.ServiceNS, Method: "listSchedulers"}).WireEnvelope().AppendTo(&req)
+		resp, err := http.Post(front.URL+"/ssp/BatchScriptGenerator", soap.ContentType, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		_, err = body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		front.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s: HTTP %d, want %d", c.name, resp.StatusCode, c.status)
+		}
+		if resp.ContentLength != int64(body.Len()) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, transfer encoding %v for a %d-byte body",
+				c.name, resp.ContentLength, resp.TransferEncoding, body.Len())
+		}
 	}
 }
 
@@ -401,7 +446,7 @@ func widgetContract(t *testing.T, base string) *wsdl.Interface {
 	}
 	defer resp.Body.Close()
 	var buf bytes.Buffer
-	if err := soap.ReadMessage(&buf, resp.Body); err != nil {
+	if err := soap.ReadMessage(&buf, resp.Body, resp.ContentLength); err != nil {
 		t.Fatal(err)
 	}
 	svc, err := wsdl.Parse(buf.String())

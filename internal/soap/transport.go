@@ -18,9 +18,10 @@ import (
 const ContentType = "text/xml; charset=utf-8"
 
 // maxMessageBytes bounds how much of a request or response body is read.
-// A variable only so boundary tests can exercise the limit without
-// allocating 64 MiB bodies; production code treats it as a constant.
-var maxMessageBytes int64 = 64 << 20
+// It is xmlutil.MessageLimit, in a variable only so boundary tests can
+// exercise the limit without allocating 64 MiB bodies; production code
+// treats it as a constant.
+var maxMessageBytes int64 = xmlutil.MessageLimit
 
 // MaxMessageBytes reports the message size limit both transport directions
 // enforce.
@@ -32,10 +33,30 @@ func MaxMessageBytes() int64 { return maxMessageBytes }
 // error deep in the decoder.
 var ErrMessageTooLarge = errors.New("soap: message too large")
 
-// ReadMessage appends r's bytes to dst, enforcing the message limit by
-// reading limit+1 bytes and reporting ErrMessageTooLarge when the extra
-// byte arrives. A body of exactly the limit is accepted.
-func ReadMessage(dst *bytes.Buffer, r io.Reader) error {
+// maxPresize caps how much of a declared length ReadMessage reserves
+// before the body arrives. A declaration is unverified: trusting it in
+// full would let a peer pin up to the message limit per connection with a
+// header alone. Past the cap the buffer grows only as bytes arrive, which
+// costs the sender the bandwidth to send them.
+const maxPresize = 1 << 20
+
+// ReadMessage appends r's bytes to dst, enforcing the message limit.
+// declared is the length the sender announced (an HTTP Content-Length), or
+// -1 when unknown. A declared length over the limit is rejected with
+// ErrMessageTooLarge before anything is read. Otherwise a known length
+// presizes dst, up to maxPresize, with bytes.MinRead to spare: ReadFrom
+// needs that much free space to observe EOF, and without it a buffer
+// holding exactly the body would double just to read nothing. The limit
+// is enforced on the bytes that actually arrive, by reading limit+1 and
+// reporting ErrMessageTooLarge when the extra byte does. A body of exactly
+// the limit is accepted.
+func ReadMessage(dst *bytes.Buffer, r io.Reader, declared int64) error {
+	if declared > maxMessageBytes {
+		return ErrMessageTooLarge
+	}
+	if declared > 0 {
+		dst.Grow(int(min(declared, maxPresize)) + bytes.MinRead)
+	}
 	n, err := io.Copy(dst, io.LimitReader(r, maxMessageBytes+1))
 	if err != nil {
 		return err
@@ -138,7 +159,7 @@ func (t *HTTPTransport) RoundTripRawCtx(ctx context.Context, endpoint, action st
 		return fmt.Errorf("soap: post %s: %w", endpoint, err)
 	}
 	defer resp.Body.Close()
-	if err := ReadMessage(respBuf, resp.Body); err != nil {
+	if err := ReadMessage(respBuf, resp.Body, resp.ContentLength); err != nil {
 		respBuf.Truncate(mark)
 		if errors.Is(err, ErrMessageTooLarge) {
 			return fmt.Errorf("soap: response from %s exceeds %d-byte message limit: %w",
@@ -166,19 +187,17 @@ type ServeFunc func(ctx context.Context, body []byte, httpReq *http.Request, out
 // Handler adapts a ServeFunc into an http.Handler implementing the SOAP
 // 1.1 HTTP binding: POST only, bodies bounded by the message limit, and
 // faults sent with status 500 plus any Retry-After advice they carry.
+// Every envelope goes out with a Content-Length, so clients can size their
+// read buffer once.
 func Handler(serve ServeFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "soap endpoint: POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		if r.ContentLength > maxMessageBytes {
-			WriteFault(w, OversizeFault(), http.StatusRequestEntityTooLarge)
-			return
-		}
 		body := xmlutil.GetBuffer()
 		defer xmlutil.PutBuffer(body)
-		if err := ReadMessage(body, r.Body); err != nil {
+		if err := ReadMessage(body, r.Body, r.ContentLength); err != nil {
 			if errors.Is(err, ErrMessageTooLarge) {
 				WriteFault(w, OversizeFault(), http.StatusRequestEntityTooLarge)
 				return
@@ -193,10 +212,17 @@ func Handler(serve ServeFunc) http.Handler {
 			setRetryAfter(w, err)
 			status = http.StatusInternalServerError
 		}
-		w.Header().Set("Content-Type", ContentType)
-		w.WriteHeader(status)
-		_, _ = w.Write(out.Bytes())
+		writeEnvelope(w, status, out.Bytes())
 	})
+}
+
+// writeEnvelope sends one serialised envelope with its Content-Type and
+// Content-Length.
+func writeEnvelope(w http.ResponseWriter, status int, env []byte) {
+	w.Header().Set("Content-Type", ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(env)))
+	w.WriteHeader(status)
+	_, _ = w.Write(env)
 }
 
 // setRetryAfter relays a fault's retry advice (load shedding, drain) as
@@ -222,9 +248,7 @@ func WriteFault(w http.ResponseWriter, f *Fault, status int) {
 	out := xmlutil.GetBuffer()
 	defer xmlutil.PutBuffer(out)
 	(&Response{Fault: f}).WireEnvelope().AppendTo(out)
-	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(status)
-	_, _ = w.Write(out.Bytes())
+	writeEnvelope(w, status, out.Bytes())
 }
 
 // FaultEnvelope converts any error into a fault response envelope with a

@@ -1,6 +1,8 @@
 package srbws
 
 import (
+	"fmt"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -209,5 +211,34 @@ func TestAuthenticatedPrincipalUsed(t *testing.T) {
 	// And mock's home is now off-limits.
 	if _, err := cl.Ls("/sdsc/home/mock"); soap.AsPortalError(err) == nil {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestPutInvalidUTF8Rejected pins the invalid-UTF-8 contract end to end:
+// the client's escaper copies non-ASCII bytes verbatim, so a payload that
+// is not UTF-8 reaches the server's validator and earns a Client fault
+// whether or not it also holds bytes that need escaping. Nothing may be
+// stored, neither over the in-process binding nor over HTTP.
+func TestPutInvalidUTF8Rejected(t *testing.T) {
+	b, loop, home := newFixture(t)
+	p := core.NewProvider("srb-ssp", "")
+	p.MustRegister(NewService(b, "mock"))
+	ts := httptest.NewServer(p)
+	defer ts.Close()
+	clients := map[string]*Client{
+		"loopback": loop,
+		"http":     NewClient(&soap.HTTPTransport{}, ts.URL+"/SRBService"),
+	}
+	for name, cl := range clients {
+		for i, data := range []string{"a\xffb", "a\xffb<c"} {
+			path := fmt.Sprintf("%s/%s-%d", home, name, i)
+			err := cl.Put(path, data, "")
+			if f := soap.AsFault(err); f == nil || f.Code != soap.FaultClient {
+				t.Errorf("%s: Put(%q) = %v, want a Client fault", name, data, err)
+			}
+			if got, err := b.Sget("mock", path); err == nil {
+				t.Errorf("%s: Put(%q) stored %q", name, data, got)
+			}
+		}
 	}
 }

@@ -77,8 +77,6 @@ type Cursor struct {
 	textSpan  []byte
 	textClean bool
 
-	scratch []byte
-
 	// memo is a small direct-mapped cache over recently seen clean byte
 	// spans (names, attribute values, short leaf text), surviving pool
 	// cycles. RPC traffic re-sends the same vocabulary every request —
@@ -155,20 +153,15 @@ func (c *Cursor) memoHit(span []byte) (string, bool) {
 	return "", false
 }
 
-// plainTextByte and plainAttrByte classify bytes that character-data and
-// attribute-value scanning can accept without further checks: printable
-// ASCII plus tab and newline, minus the structurally significant bytes
-// each scanner inspects ('<', '&', '\r' and the CDATA-end ']' for text;
-// '<', '&', '\r' for attribute values, whose closing quote is compared
-// before the table). One table load replaces the per-byte switch on the
-// hot scanning loops.
-var plainTextByte, plainAttrByte = func() (text, attr [256]bool) {
+// plainAttrByte classifies the bytes attribute-value scanning can accept
+// without further checks: printable ASCII plus tab and newline, minus '<',
+// '&' and '\r' (the closing quote is compared before the table). One table
+// load replaces the per-byte switch on the hot scanning loop.
+var plainAttrByte = func() (attr [256]bool) {
 	for i := 0x20; i < 0x80; i++ {
-		text[i], attr[i] = true, true
+		attr[i] = true
 	}
-	text['\t'], text['\n'] = true, true
 	attr['\t'], attr['\n'] = true, true
-	text['<'], text['&'], text[']'] = false, false, false
 	attr['<'], attr['&'] = false, false
 	return
 }()
@@ -207,9 +200,6 @@ func (c *Cursor) Release() {
 	}
 	c.ns = c.ns[:0]
 	c.space, c.name = "", ""
-	if cap(c.scratch) > maxPooledScratch {
-		c.scratch = nil
-	}
 	cursorPool.Put(c)
 }
 
@@ -302,17 +292,14 @@ func (c *Cursor) TextIsSpace() bool {
 }
 
 // Text materialises the current TokText token: entities expanded and line
-// endings normalised, identical to the tree parser's text handling.
+// endings normalised, identical to the tree parser's text handling. The
+// result is exactly sized: decoding a dirty span allocates only the
+// returned string.
 func (c *Cursor) Text() (string, error) {
 	if c.textClean {
 		return c.memoLocal(c.textSpan), nil
 	}
-	buf, err := cursorUnescape(c.scratch[:0], c.textSpan)
-	if err != nil {
-		return "", err
-	}
-	c.scratch = buf
-	return string(buf), nil
+	return unescapeCursor(c.textSpan)
 }
 
 // Next advances to the next token. Any error — malformed XML or a
@@ -386,43 +373,15 @@ func (c *Cursor) popElem() (Tok, error) {
 }
 
 // scanText scans one run of character data up to the next '<', with the
-// same validation as parser.text.
+// same validation as parser.text (both run scanCharData).
 func (c *Cursor) scanText() (Tok, error) {
-	data := c.data
-	start := c.pos
-	i := c.pos
-	clean := true
-	for i < len(data) {
-		ch := data[i]
-		if plainTextByte[ch] {
-			i++
-			continue
-		}
-		if ch == '<' {
-			break
-		}
-		switch {
-		case ch == '&' || ch == '\r':
-			clean = false
-			i++
-		case ch == ']':
-			if i+2 < len(data) && data[i+1] == ']' && data[i+2] == '>' {
-				return TokEOF, errCursorMalformed
-			}
-			i++
-		case ch < 0x80: // a control character outside tab/newline
-			return TokEOF, errCursorMalformed
-		default:
-			r, size := utf8.DecodeRune(data[i:])
-			if (r == utf8.RuneError && size == 1) || !validXMLChar(r) {
-				return TokEOF, errCursorMalformed
-			}
-			i += size
-		}
+	end, clean, msg := scanCharData(c.data, c.pos)
+	if msg != "" {
+		return TokEOF, errCursorMalformed
 	}
-	c.textSpan = data[start:i]
+	c.textSpan = c.data[c.pos:end]
 	c.textClean = clean
-	c.pos = i
+	c.pos = end
 	return TokText, nil
 }
 
@@ -639,12 +598,7 @@ func (c *Cursor) attrValue() (string, error) {
 	if clean {
 		return c.memoLocal(span), nil
 	}
-	buf, err := cursorUnescape(c.scratch[:0], span)
-	if err != nil {
-		return "", err
-	}
-	c.scratch = buf
-	return string(buf), nil
+	return unescapeCursor(span)
 }
 
 func (c *Cursor) endTag() (Tok, error) {
@@ -668,103 +622,12 @@ func (c *Cursor) endTag() (Tok, error) {
 	return c.popElem()
 }
 
-// cursorUnescape expands entities and normalises line endings into buf,
-// mirroring parser.unescape byte for byte.
-func cursorUnescape(buf, span []byte) ([]byte, error) {
-	i := 0
-	for i < len(span) {
-		ch := span[i]
-		switch {
-		case ch == '\r':
-			buf = append(buf, '\n')
-			i++
-			if i < len(span) && span[i] == '\n' {
-				i++
-			}
-		case ch == '&':
-			var n int
-			var err error
-			buf, n, err = cursorEntity(buf, span[i:])
-			if err != nil {
-				return buf, err
-			}
-			i += n
-		default:
-			buf = append(buf, ch)
-			i++
-		}
+// unescapeCursor decodes a dirty span with the tree parser's kernel; the
+// cursor only needs to know that decoding failed, not why.
+func unescapeCursor(span []byte) (string, error) {
+	s, msg := unescapeString(span, true)
+	if msg != "" {
+		return "", errCursorMalformed
 	}
-	return buf, nil
-}
-
-// cursorEntity decodes one entity reference at the start of b, mirroring
-// parser.entity: the five predefined names plus character references.
-func cursorEntity(buf, b []byte) ([]byte, int, error) {
-	limit := maxEntityLen + 2
-	if limit > len(b) {
-		limit = len(b)
-	}
-	semi := -1
-	for j := 1; j < limit; j++ {
-		if b[j] == ';' {
-			semi = j
-			break
-		}
-	}
-	if semi < 1 {
-		return buf, 0, errCursorMalformed
-	}
-	name := b[1:semi]
-	if len(name) == 0 {
-		return buf, 0, errCursorMalformed
-	}
-	if name[0] == '#' {
-		digits := name[1:]
-		base := 10
-		if len(digits) > 0 && digits[0] == 'x' {
-			base = 16
-			digits = digits[1:]
-		}
-		if len(digits) == 0 {
-			return buf, 0, errCursorMalformed
-		}
-		var r rune
-		for _, d := range digits {
-			var v rune
-			switch {
-			case '0' <= d && d <= '9':
-				v = rune(d - '0')
-			case base == 16 && 'a' <= d && d <= 'f':
-				v = rune(d-'a') + 10
-			case base == 16 && 'A' <= d && d <= 'F':
-				v = rune(d-'A') + 10
-			default:
-				return buf, 0, errCursorMalformed
-			}
-			r = r*rune(base) + v
-			if r > 0x10FFFF {
-				return buf, 0, errCursorMalformed
-			}
-		}
-		if !utf8.ValidRune(r) || !validXMLChar(r) {
-			return buf, 0, errCursorMalformed
-		}
-		return utf8.AppendRune(buf, r), semi + 1, nil
-	}
-	var exp byte
-	switch string(name) {
-	case "amp":
-		exp = '&'
-	case "lt":
-		exp = '<'
-	case "gt":
-		exp = '>'
-	case "apos":
-		exp = '\''
-	case "quot":
-		exp = '"'
-	default:
-		return buf, 0, errCursorMalformed
-	}
-	return append(buf, exp), semi + 1, nil
+	return s, nil
 }

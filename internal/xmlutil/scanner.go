@@ -57,9 +57,8 @@ const (
 // Pool trim thresholds: a pooled parser that handled one huge document must
 // not pin that memory forever.
 const (
-	maxPooledElems   = 8192
-	maxPooledAttrs   = 2048
-	maxPooledScratch = 64 << 10
+	maxPooledElems = 8192
+	maxPooledAttrs = 2048
 )
 
 // --- name/value interning --------------------------------------------------
@@ -179,9 +178,6 @@ type parser struct {
 	// attrs is the carving slab for Attr slices: each element's attributes
 	// are contiguous, so one backing array serves the whole document.
 	attrs []Attr
-
-	// scratch backs entity unescaping and line-ending normalisation.
-	scratch []byte
 }
 
 var (
@@ -329,49 +325,13 @@ func (p *parser) run() (*Element, error) {
 // validating characters as it goes. The span is recorded zero-copy when it
 // needs no unescaping.
 func (p *parser) text() error {
-	data := p.data
 	start := p.pos
-	i := p.pos
-	clean := true
-	for i < len(data) {
-		c := data[i]
-		if c == '<' {
-			break
-		}
-		switch {
-		case c == '&' || c == '\r':
-			clean = false
-			i++
-		case c == ']':
-			if i+2 < len(data) && data[i+1] == ']' && data[i+2] == '>' {
-				p.pos = i
-				return p.errf("unescaped ]]> not in CDATA section")
-			}
-			i++
-		case c < 0x20:
-			if c != '\t' && c != '\n' {
-				p.pos = i
-				return p.errf("illegal character code %U", rune(c))
-			}
-			i++
-		case c < 0x80:
-			i++
-		default:
-			r, size := utf8.DecodeRune(data[i:])
-			if r == utf8.RuneError && size == 1 {
-				p.pos = i
-				return p.errf("invalid UTF-8")
-			}
-			if !validXMLChar(r) {
-				p.pos = i
-				return p.errf("illegal character code %U", r)
-			}
-			i += size
-		}
+	end, clean, msg := scanCharData(p.data, start)
+	p.pos = end
+	if msg != "" {
+		return p.errf("%s", msg)
 	}
-	span := data[start:i]
-	p.pos = i
-	return p.addText(span, clean, true)
+	return p.addText(p.data[start:end], clean, true)
 }
 
 // addText accumulates one text span onto the open element. Clean spans stay
@@ -414,40 +374,157 @@ func (p *parser) addText(span []byte, clean, entities bool) error {
 }
 
 // unescape expands entity references (when entities is true) and normalises
-// "\r\n" and "\r" to "\n", returning a freshly copied string.
+// "\r\n" and "\r" to "\n", returning an exactly sized fresh string.
 func (p *parser) unescape(span []byte, entities bool) (string, error) {
-	buf := p.scratch[:0]
-	i := 0
-	for i < len(span) {
-		c := span[i]
-		switch {
-		case c == '\r':
-			buf = append(buf, '\n')
-			i++
-			if i < len(span) && span[i] == '\n' {
-				i++
-			}
-		case c == '&' && entities:
-			var n int
-			var err error
-			buf, n, err = p.entity(buf, span[i:])
-			if err != nil {
-				return "", err
-			}
-			i += n
-		default:
-			buf = append(buf, c)
-			i++
-		}
+	s, msg := unescapeString(span, entities)
+	if msg != "" {
+		return "", p.errf("%s", msg)
 	}
-	p.scratch = buf
-	return string(buf), nil
+	return s, nil
 }
 
-// entity decodes one entity reference at the start of b, appending the
-// expansion to buf. It accepts the five predefined names plus decimal and
-// hexadecimal character references, matching encoding/xml.
-func (p *parser) entity(buf []byte, b []byte) ([]byte, int, error) {
+// textStop marks the bytes character-data scanning must stop on to make a
+// decision: '<' ends the run, ']' may open a forbidden "]]>", control
+// bytes other than tab, newline and carriage return are illegal, and
+// bytes from 0x80 start a multi-byte sequence to validate. '&' and '\r'
+// need no decision while scanning, only a note that the run must be
+// unescaped; two IndexByte passes over the finished run find them far
+// more cheaply than a stop for each.
+var textStop = func() (t [256]bool) {
+	for c := 0; c < 0x20; c++ {
+		t[c] = true
+	}
+	t['\t'], t['\n'], t['\r'] = false, false, false
+	t['<'], t[']'] = true, true
+	for c := 0x80; c < 0x100; c++ {
+		t[c] = true
+	}
+	return
+}()
+
+// scanCharData is the character-data scanner both the tree parser and the
+// cursor run: it scans from i up to the next '<' (or the end of data) with
+// encoding/xml's validation, and reports whether the run is clean (holds
+// no '&' or '\r', so it needs no unescaping). On malformed input end is the
+// offset of the offending byte and msg says what is wrong.
+func scanCharData(data []byte, i int) (end int, clean bool, msg string) {
+	start := i
+	for {
+		for i < len(data) && !textStop[data[i]] {
+			i++
+		}
+		if i == len(data) || data[i] == '<' {
+			span := data[start:i]
+			return i, bytes.IndexByte(span, '&') < 0 && bytes.IndexByte(span, '\r') < 0, ""
+		}
+		switch c := data[i]; {
+		case c == ']':
+			if i+2 < len(data) && data[i+1] == ']' && data[i+2] == '>' {
+				return i, false, "unescaped ]]> not in CDATA section"
+			}
+			i++
+		case c < 0x80:
+			return i, false, fmt.Sprintf("illegal character code %U", rune(c))
+		default:
+			r, size := utf8.DecodeRune(data[i:])
+			if r == utf8.RuneError && size == 1 {
+				return i, false, "invalid UTF-8"
+			}
+			if !validXMLChar(r) {
+				return i, false, fmt.Sprintf("illegal character code %U", r)
+			}
+			i += size
+		}
+	}
+}
+
+// unescapeString decodes span with unescapeTo into an exactly sized
+// string. The work buffer comes from the shared pool, presized to
+// len(span) because decoding never lengthens its input, so once the pool
+// is warm the one allocation is the returned string itself. msg is
+// unescapeTo's.
+func unescapeString(span []byte, entities bool) (s, msg string) {
+	b := GetBuffer()
+	b.Grow(len(span))
+	dst, msg := unescapeTo(b.AvailableBuffer(), span, entities)
+	if msg == "" {
+		s = string(dst)
+	}
+	PutBuffer(b)
+	return s, msg
+}
+
+// unescapeTo is the unescape kernel behind both the tree parser and the
+// cursor. It appends span to dst with entity references expanded (when
+// entities is set; CDATA passes false) and "\r\n" and "\r" normalised to
+// "\n". It hops from '&' to '&' with IndexByte, copying the runs between
+// them in bulk; &lt; &gt; and &amp; are decoded inline and every other
+// reference by decodeEntity, whose message it returns on a malformed one.
+// The output is never longer than span.
+func unescapeTo(dst, span []byte, entities bool) ([]byte, string) {
+	cr := bytes.IndexByte(span, '\r') >= 0
+	for {
+		j := -1
+		if entities {
+			j = bytes.IndexByte(span, '&')
+		}
+		run := span
+		if j >= 0 {
+			run = span[:j]
+		}
+		if cr {
+			dst = appendNormalized(dst, run)
+		} else {
+			dst = append(dst, run...)
+		}
+		if j < 0 {
+			return dst, ""
+		}
+		span = span[j:]
+		switch {
+		case len(span) >= 4 && string(span[:4]) == "&lt;":
+			dst = append(dst, '<')
+			span = span[4:]
+		case len(span) >= 4 && string(span[:4]) == "&gt;":
+			dst = append(dst, '>')
+			span = span[4:]
+		case len(span) >= 5 && string(span[:5]) == "&amp;":
+			dst = append(dst, '&')
+			span = span[5:]
+		default:
+			var n int
+			var msg string
+			if dst, n, msg = decodeEntity(dst, span); msg != "" {
+				return dst, msg
+			}
+			span = span[n:]
+		}
+	}
+}
+
+// appendNormalized appends run to dst with "\r\n" and a lone "\r" turned
+// into "\n". Runs end at '&', so a "\r\n" pair never straddles two runs.
+func appendNormalized(dst, run []byte) []byte {
+	for {
+		k := bytes.IndexByte(run, '\r')
+		if k < 0 {
+			return append(dst, run...)
+		}
+		dst = append(dst, run[:k]...)
+		dst = append(dst, '\n')
+		run = run[k+1:]
+		if len(run) > 0 && run[0] == '\n' {
+			run = run[1:]
+		}
+	}
+}
+
+// decodeEntity is the one entity decoder: it decodes the reference at the
+// start of b (b[0] == '&'), appending its expansion to dst, and returns the
+// reference's length. It accepts the five predefined names plus decimal
+// and hexadecimal character references, matching encoding/xml; anything
+// else yields a message the tree parser wraps into its error.
+func decodeEntity(dst, b []byte) ([]byte, int, string) {
 	limit := maxEntityLen + 2
 	if limit > len(b) {
 		limit = len(b)
@@ -460,11 +537,11 @@ func (p *parser) entity(buf []byte, b []byte) ([]byte, int, error) {
 		}
 	}
 	if semi < 1 {
-		return nil, 0, p.errf("invalid character entity (no semicolon)")
+		return dst, 0, "invalid character entity (no semicolon)"
 	}
 	name := b[1:semi]
 	if len(name) == 0 {
-		return nil, 0, p.errf("invalid character entity &;")
+		return dst, 0, "invalid character entity &;"
 	}
 	if name[0] == '#' {
 		digits := name[1:]
@@ -474,7 +551,7 @@ func (p *parser) entity(buf []byte, b []byte) ([]byte, int, error) {
 			digits = digits[1:]
 		}
 		if len(digits) == 0 {
-			return nil, 0, p.errf("invalid character entity &%s;", name)
+			return dst, 0, fmt.Sprintf("invalid character entity &%s;", name)
 		}
 		var r rune
 		for _, d := range digits {
@@ -487,17 +564,17 @@ func (p *parser) entity(buf []byte, b []byte) ([]byte, int, error) {
 			case base == 16 && 'A' <= d && d <= 'F':
 				v = rune(d-'A') + 10
 			default:
-				return nil, 0, p.errf("invalid character entity &%s;", name)
+				return dst, 0, fmt.Sprintf("invalid character entity &%s;", name)
 			}
 			r = r*rune(base) + v
 			if r > 0x10FFFF {
-				return nil, 0, p.errf("illegal character code in entity &%s;", name)
+				return dst, 0, fmt.Sprintf("illegal character code in entity &%s;", name)
 			}
 		}
 		if !utf8.ValidRune(r) || !validXMLChar(r) {
-			return nil, 0, p.errf("illegal character code %U", r)
+			return dst, 0, fmt.Sprintf("illegal character code %U", r)
 		}
-		return utf8.AppendRune(buf, r), semi + 1, nil
+		return utf8.AppendRune(dst, r), semi + 1, ""
 	}
 	var exp byte
 	switch string(name) {
@@ -512,9 +589,9 @@ func (p *parser) entity(buf []byte, b []byte) ([]byte, int, error) {
 	case "quot":
 		exp = '"'
 	default:
-		return nil, 0, p.errf("invalid character entity &%s;", name)
+		return dst, 0, fmt.Sprintf("invalid character entity &%s;", name)
 	}
-	return append(buf, exp), semi + 1, nil
+	return append(dst, exp), semi + 1, ""
 }
 
 // --- comments, CDATA, PIs, directives --------------------------------------
@@ -908,9 +985,6 @@ func parseRetained(data []byte) (*Element, error) {
 	p.slabs = nil // owned by the returned tree now
 	p.nextSlab = 0
 	p.attrs = nil
-	if cap(p.scratch) > maxPooledScratch {
-		p.scratch = nil
-	}
 	retainedPool.Put(p)
 	return root, err
 }
@@ -970,9 +1044,6 @@ func (d *Doc) Release() {
 	}
 	if cap(p.attrs) > maxPooledAttrs {
 		p.attrs = nil
-	}
-	if cap(p.scratch) > maxPooledScratch {
-		p.scratch = nil
 	}
 	arenaPool.Put(p)
 }

@@ -8,10 +8,11 @@ package xmlutil
 // prefixes are assigned in first-use order (ns0, ns1, ...), every
 // declaration is emitted on the element where the namespace first appears
 // and forgotten when that element closes, attribute order is preserved,
-// and escaping matches EscapeText/EscapeAttr exactly. The equivalence is
+// and escaping runs the same kernel as the renderer. The equivalence is
 // enforced differentially by FuzzWriterVsRender against the tree renderer
 // as oracle, and at the wire level by the golden conformance suite in
-// internal/rpc.
+// internal/rpc; FuzzEscape checks the shared kernel itself against an
+// independent reference.
 //
 // Event discipline (mirroring the tree shape Render assumes): attributes
 // must be written before any content of their element, and text before
@@ -155,7 +156,7 @@ func (w *Writer) flushPending() {
 		w.buf.WriteString(` xmlns:`)
 		w.buf.WriteString(b.prefix)
 		w.buf.WriteString(`="`)
-		escapeAttrTo(w.buf, b.space)
+		escapeTo(w.buf, b.space, &escAttr)
 		w.buf.WriteByte('"')
 	}
 	w.pendingMark = len(w.scope)
@@ -199,7 +200,7 @@ func (w *Writer) Attr(space, name, value string) {
 	}
 	w.buf.WriteString(name)
 	w.buf.WriteString(`="`)
-	escapeAttrTo(w.buf, value)
+	escapeTo(w.buf, value, &escAttr)
 	w.buf.WriteByte('"')
 }
 
@@ -214,7 +215,7 @@ func (w *Writer) Text(s string) {
 		panic("xmlutil: Writer.Text outside an element")
 	}
 	w.closeOpenTag()
-	escapeTextTo(w.buf, s)
+	escapeTo(w.buf, s, &escText)
 }
 
 // End closes the current element: "/>" when it had no content, a full end
@@ -264,68 +265,56 @@ func (w *Writer) Element(el *Element) {
 // Depth returns the number of currently open elements.
 func (w *Writer) Depth() int { return len(w.frames) }
 
-// escTextByte and escAttrByte mark the bytes whose presence forces the
-// slow escaping path in element content and attribute values respectively.
-var escTextByte, escAttrByte = func() (text, attr [256]bool) {
-	text['&'], text['<'], text['>'] = true, true, true
-	attr['&'], attr['<'], attr['"'] = true, true, true
-	attr['\n'], attr['\t'], attr['\r'] = true, true, true
+// escEntities are the replacements the escape kernel writes. escText and
+// escAttr map each byte, for element content and for double-quoted
+// attribute values, to the index in escEntities of its replacement, or to
+// 0 for a byte copied verbatim. Every replaced byte is ASCII, so escaping
+// never decodes a rune.
+var escEntities = [...]string{"", "&amp;", "&lt;", "&gt;", "&quot;", "&#10;", "&#9;", "&#13;"}
+
+// escGrowth is how many bytes each entity adds over the byte it replaces,
+// so the kernel can size its output without a branch per byte.
+var escGrowth = func() (g [len(escEntities)]int) {
+	for i := 1; i < len(g); i++ {
+		g[i] = len(escEntities[i]) - 1
+	}
 	return
 }()
 
-// escapeTextTo writes s escaped for element content. It mirrors EscapeText
-// byte for byte: the clean fast path copies s unchanged, the slow path
-// re-encodes rune by rune.
-func escapeTextTo(b *bytes.Buffer, s string) {
-	i := 0
-	for i < len(s) && !escTextByte[s[i]] {
-		i++
-	}
-	if i == len(s) {
-		b.WriteString(s)
-		return
-	}
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		default:
-			b.WriteRune(r)
-		}
-	}
-}
+var escText, escAttr = func() (text, attr [256]uint8) {
+	text['&'], text['<'], text['>'] = 1, 2, 3
+	attr['&'], attr['<'], attr['"'] = 1, 2, 4
+	attr['\n'], attr['\t'], attr['\r'] = 5, 6, 7
+	return
+}()
 
-// escapeAttrTo writes s escaped for a double-quoted attribute value,
-// mirroring EscapeAttr byte for byte.
-func escapeAttrTo(b *bytes.Buffer, s string) {
-	i := 0
-	for i < len(s) && !escAttrByte[s[i]] {
-		i++
+// escapeTo is the escape kernel for both contexts (tab is escText or
+// escAttr). A first pass sums the length the entities add, from
+// escGrowth; a clean string is then written with one copy. Otherwise b
+// grows once to the exact escaped length and a second pass copies the
+// runs between replaced bytes in bulk, with their entities, straight into
+// b's free space. Bytes the
+// table does not replace — non-ASCII and invalid UTF-8 included — are
+// copied verbatim, so a malformed string reaches the receiver's validator
+// instead of being silently rewritten.
+func escapeTo(b *bytes.Buffer, s string, tab *[256]uint8) {
+	extra := 0
+	for i := 0; i < len(s); i++ {
+		extra += escGrowth[tab[s[i]]]
 	}
-	if i == len(s) {
+	if extra == 0 {
 		b.WriteString(s)
 		return
 	}
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '"':
-			b.WriteString("&quot;")
-		case '\n':
-			b.WriteString("&#10;")
-		case '\t':
-			b.WriteString("&#9;")
-		case '\r':
-			b.WriteString("&#13;")
-		default:
-			b.WriteRune(r)
+	b.Grow(len(s) + extra)
+	dst := b.AvailableBuffer()
+	last := 0
+	for i := 0; i < len(s); i++ {
+		if t := tab[s[i]]; t != 0 {
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, escEntities[t]...)
+			last = i + 1
 		}
 	}
+	b.Write(append(dst, s[last:]...))
 }

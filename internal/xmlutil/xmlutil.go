@@ -22,12 +22,25 @@ import (
 	"sync"
 )
 
-// bufPool recycles render buffers across the XML-heavy hot paths (SOAP
-// envelopes, WSDL documents). Buffers above maxPooledBuffer are dropped so
-// one multi-megabyte file transfer does not pin memory forever.
+// MessageLimit is the largest SOAP message, in bytes, any transport reads
+// or any pooled buffer needs to hold. soap enforces it on every message
+// read; it lives here, below soap, so the buffer pool derives its cap from
+// the same figure.
+const MessageLimit = 64 << 20
+
+// bufPool recycles message, render and decode buffers across the XML-heavy
+// hot paths (SOAP envelopes read and written, WSDL documents, unescaping).
+// It keeps every buffer a message within MessageLimit can need, so bulk
+// transfers reuse their buffers instead of regrowing them per message; a
+// sync.Pool drops whatever sits idle across two garbage collections, so a
+// burst of large transfers does not pin memory once it is over.
 var bufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
 
-const maxPooledBuffer = 1 << 20
+// maxPooledBuffer is twice MessageLimit: a bytes.Buffer about doubles when
+// it grows, so a buffer that has held any message the limit admits stays
+// under it. Larger buffers held something no transport accepts and are
+// dropped.
+const maxPooledBuffer = 2 * MessageLimit
 
 // GetBuffer returns an empty buffer from the shared render pool.
 func GetBuffer() *bytes.Buffer {
@@ -415,9 +428,7 @@ func (e *Element) render(b *bytes.Buffer, rs *renderState, indent bool) {
 		return
 	}
 	b.WriteByte('>')
-	if e.Text != "" {
-		b.WriteString(EscapeText(e.Text))
-	}
+	escapeTo(b, e.Text, &escText)
 	for _, c := range e.Children {
 		c.render(b, rs, indent)
 	}
@@ -434,13 +445,15 @@ func (e *Element) renderIndent(b *bytes.Buffer, rs *renderState, depth int) {
 		b.WriteString("/>\n")
 	case len(e.Children) == 0:
 		b.WriteByte('>')
-		b.WriteString(EscapeText(e.Text))
+		escapeTo(b, e.Text, &escText)
 		e.closeTag(b, rs)
 		b.WriteByte('\n')
 	default:
 		b.WriteString(">\n")
 		if e.Text != "" {
-			b.WriteString(pad + "  " + EscapeText(e.Text) + "\n")
+			b.WriteString(pad + "  ")
+			escapeTo(b, e.Text, &escText)
+			b.WriteByte('\n')
 		}
 		for _, c := range e.Children {
 			c.renderIndent(b, rs, depth+1)
@@ -482,14 +495,14 @@ func (e *Element) openTag(b *bytes.Buffer, rs *renderState) []string {
 		}
 		b.WriteString(a.Name)
 		b.WriteString(`="`)
-		b.WriteString(EscapeAttr(a.Value))
+		escapeTo(b, a.Value, &escAttr)
 		b.WriteByte('"')
 	}
 	for _, space := range declared {
 		b.WriteString(` xmlns:`)
 		b.WriteString(rs.prefixes[space])
 		b.WriteString(`="`)
-		b.WriteString(EscapeAttr(space))
+		escapeTo(b, space, &escAttr)
 		b.WriteByte('"')
 	}
 	return declared
@@ -513,57 +526,4 @@ func (e *Element) forget(rs *renderState, declared []string) {
 	for _, space := range declared {
 		delete(rs.prefixes, space)
 	}
-}
-
-// EscapeText escapes character data for inclusion in element content.
-// Strings with nothing to escape (the overwhelmingly common case on the
-// SOAP hot path) are returned unchanged without allocating.
-func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
-// EscapeAttr escapes a string for inclusion in a double-quoted attribute.
-// Clean strings are returned unchanged without allocating.
-func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, "&<\"\n\t\r") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '"':
-			b.WriteString("&quot;")
-		case '\n':
-			b.WriteString("&#10;")
-		case '\t':
-			b.WriteString("&#9;")
-		case '\r':
-			b.WriteString("&#13;")
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
 }

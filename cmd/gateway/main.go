@@ -18,7 +18,6 @@ import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -26,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/rpc"
 )
 
 func main() {
@@ -58,7 +58,7 @@ func main() {
 	gw.StartHealth(*poll)
 	defer gw.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: gw.Handler()}
+	httpSrv := rpc.NewHTTPServer(*addr, gw.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("gateway listening on %s (base %s), federating %s", *addr, base, strings.Join(fleet, ", "))

@@ -1,6 +1,7 @@
 package appws
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/soap"
 	"repro/internal/srb"
 	"repro/internal/srbws"
+	"repro/internal/xmlutil"
 )
 
 // gaussianDescriptor is the canonical Application Web Service example (the
@@ -328,9 +330,13 @@ func TestSOAPServiceFullFlow(t *testing.T) {
 	if err != nil || len(names) != 1 {
 		t.Fatalf("apps = %v, %v", names, err)
 	}
-	desc, err := cl.CallXMLCopy("describeApplication", soap.Str("name", "Gaussian"))
-	if err != nil || desc.FindText("basicInformation/name") != "Gaussian" {
-		t.Fatalf("describe = %v, %v", desc, err)
+	var descName string
+	err = cl.CallXML(context.Background(), "describeApplication", func(el *xmlutil.Element) error {
+		descName = el.FindText("basicInformation/name")
+		return nil
+	}, soap.Str("name", "Gaussian"))
+	if err != nil || descName != "Gaussian" {
+		t.Fatalf("describe = %q, %v", descName, err)
 	}
 	id, err := cl.CallText("prepare",
 		soap.Str("application", "Gaussian"), soap.Str("host", "modi4.ncsa.uiuc.edu"),
@@ -349,9 +355,13 @@ func TestSOAPServiceFullFlow(t *testing.T) {
 	if err != nil || state != "COMPLETED" {
 		t.Errorf("poll = %q, %v", state, err)
 	}
-	instDoc, err := cl.CallXMLCopy("getInstance", soap.Str("instanceID", id))
-	if err != nil || instDoc.ChildText("state") != "COMPLETED" {
-		t.Errorf("instance = %v, %v", instDoc, err)
+	var instState string
+	err = cl.CallXML(context.Background(), "getInstance", func(el *xmlutil.Element) error {
+		instState = el.ChildText("state")
+		return nil
+	}, soap.Str("instanceID", id))
+	if err != nil || instState != "COMPLETED" {
+		t.Errorf("instance state = %q, %v", instState, err)
 	}
 	loc, err := cl.CallText("archive", soap.Str("instanceID", id))
 	if err != nil || loc == "" {

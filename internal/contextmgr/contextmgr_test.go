@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/soap"
+	"repro/internal/xmlutil"
 )
 
 func TestStoreHierarchy(t *testing.T) {
@@ -286,13 +287,21 @@ func TestMonolithServiceRoundTrip(t *testing.T) {
 		t.Fatal("no archive ID")
 	}
 	call("restoreSession", soap.Str("archiveID", id))
-	doc, err := cl.CallXMLCopy("listArchives", soap.Str("user", "cyoun"))
-	if err != nil || len(doc.ChildrenNamed("archive")) != 1 {
-		t.Errorf("archives = %v, %v", doc, err)
+	var archives int
+	err := cl.CallXML(context.Background(), "listArchives", func(el *xmlutil.Element) error {
+		archives = len(el.ChildrenNamed("archive"))
+		return nil
+	}, soap.Str("user", "cyoun"))
+	if err != nil || archives != 1 {
+		t.Errorf("archives = %d, %v", archives, err)
 	}
-	info, err := cl.CallXMLCopy("getArchiveInfo", soap.Str("archiveID", id))
-	if err != nil || info.ChildText("session") != "run1" {
-		t.Errorf("info = %v, %v", info, err)
+	var session string
+	err = cl.CallXML(context.Background(), "getArchiveInfo", func(el *xmlutil.Element) error {
+		session = el.ChildText("session")
+		return nil
+	}, soap.Str("archiveID", id))
+	if err != nil || session != "run1" {
+		t.Errorf("info session = %q, %v", session, err)
 	}
 	// Export/import over SOAP.
 	dir, err := cl.CallText("exportContexts")

@@ -893,21 +893,23 @@ func (c *Client) CallText(operation string, params ...soap.Value) (string, error
 	return resp.ReturnText(""), nil
 }
 
-// CallXMLCopy invokes an operation and returns a copy of the first out
-// parameter's XML payload. Only the payload subtree is copied out of the
-// pooled response arena, so the caller owns a minimal tree instead of the
-// whole envelope.
-func (c *Client) CallXMLCopy(operation string, params ...soap.Value) (*xmlutil.Element, error) {
-	resp, release, err := c.Call(context.TODO(), operation, params...)
+// CallXML invokes an operation under ctx and runs decode on the first out
+// parameter's XML payload while it still sits in the pooled response
+// arena, releasing the arena when decode returns. decode must copy out
+// whatever it keeps: strings read from the tree stay valid forever, but no
+// *xmlutil.Element it is handed may outlive the call. decode's error is
+// returned as is.
+func (c *Client) CallXML(ctx context.Context, operation string, decode func(*xmlutil.Element) error, params ...soap.Value) error {
+	resp, release, err := c.Call(ctx, operation, params...)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer release()
 	v, ok := resp.Return("")
 	if !ok || v.XML == nil {
-		return nil, fmt.Errorf("core: %s.%s returned no XML payload", c.Contract.Name, operation)
+		return fmt.Errorf("core: %s.%s returned no XML payload", c.Contract.Name, operation)
 	}
-	return v.XML.Clone(), nil
+	return decode(v.XML)
 }
 
 // CallStrings invokes an operation and returns the first out parameter as a

@@ -309,12 +309,21 @@ func TestCallStringsAndXML(t *testing.T) {
 	if err != nil || len(names) != 2 || names[0] != "PBS" {
 		t.Errorf("names = %v, %v", names, err)
 	}
-	doc, err := c.CallXMLCopy("doc")
-	if err != nil || doc.Text != "1" {
-		t.Errorf("doc = %v, %v", doc, err)
+	var text string
+	err = c.CallXML(context.Background(), "doc", func(el *xmlutil.Element) error {
+		text = el.Text
+		return nil
+	})
+	if err != nil || text != "1" {
+		t.Errorf("doc = %q, %v", text, err)
 	}
-	if _, err := c.CallXMLCopy("nothing"); err == nil {
-		t.Error("CallXMLCopy on empty return should fail")
+	errDecode := errors.New("decode failed")
+	if err := c.CallXML(context.Background(), "doc", func(*xmlutil.Element) error { return errDecode }); err != errDecode {
+		t.Errorf("CallXML decode error = %v, want %v", err, errDecode)
+	}
+	called := false
+	if err := c.CallXML(context.Background(), "nothing", func(*xmlutil.Element) error { called = true; return nil }); err == nil || called {
+		t.Errorf("CallXML on empty return: err %v, decode called %v", err, called)
 	}
 	if _, err := c.CallStrings("nothing"); err == nil {
 		t.Error("CallStrings on empty return should fail")

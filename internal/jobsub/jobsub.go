@@ -21,6 +21,7 @@
 package jobsub
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -348,11 +349,13 @@ func (cl *GlobusrunClient) Run(host, rsl string) (string, error) {
 
 // RunXML executes a multi-job request and returns the decoded results.
 func (cl *GlobusrunClient) RunXML(jobs []JobRequest) ([]JobResult, error) {
-	doc, err := cl.c.CallXMLCopy("runXML", soap.XMLDoc("request", BuildJobRequest(jobs)))
-	if err != nil {
-		return nil, err
-	}
-	return ParseJobResults(doc)
+	var out []JobResult
+	err := cl.c.CallXML(context.TODO(), "runXML", func(el *xmlutil.Element) error {
+		var err error
+		out, err = ParseJobResults(el)
+		return err
+	}, soap.XMLDoc("request", BuildJobRequest(jobs)))
+	return out, err
 }
 
 // Submit starts a job asynchronously.

@@ -1,6 +1,7 @@
 package jobsub
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -268,5 +269,42 @@ func TestWebFlowBridge(t *testing.T) {
 	// Bad IOR fails at construction.
 	if _, err := NewWebFlowBridgeService(orb, "not-an-ior", "x"); err == nil {
 		t.Error("bad IOR accepted")
+	}
+}
+
+// TestInPlaceResultsSurviveReuse keeps one RunXML answer, then makes 60
+// more calls with different answers through the same client, which
+// recycles the pooled response arena and message buffer. The kept answer
+// must be unchanged: decoders copy only strings out of the arena.
+func TestInPlaceResultsSurviveReuse(t *testing.T) {
+	_, cl := newFixture(t)
+	kept, err := cl.RunXML([]JobRequest{
+		{Host: "modi4.ncsa.uiuc.edu", Spec: grid.JobSpec{Executable: "/bin/echo", Args: []string{"kept", "<&>"}}},
+		{Host: "ghost.example.edu", Spec: grid.JobSpec{Executable: "/bin/date"}},
+	})
+	if err != nil || len(kept) != 2 {
+		t.Fatalf("kept = %+v, %v", kept, err)
+	}
+	// The scheduler assigns the job ID; everything else is known. The ID is
+	// cloned into fresh bytes before the arena is reused.
+	want := []JobResult{
+		{Index: 0, State: grid.StateCompleted, JobID: strings.Clone(kept[0].JobID), Stdout: "kept <&>\n"},
+		{Index: 1, State: grid.StateFailed, Error: strings.Clone(kept[1].Error)},
+	}
+	if want[0].JobID == "" || !strings.Contains(want[1].Error, "no gatekeeper") {
+		t.Fatalf("kept = %+v", kept)
+	}
+	for i := 0; i < 60; i++ {
+		jobs := make([]JobRequest, 1+i%4)
+		for j := range jobs {
+			jobs[j] = JobRequest{Host: "bluehorizon.sdsc.edu",
+				Spec: grid.JobSpec{Executable: "/bin/echo", Args: []string{strings.Repeat("x", 10*i+j)}}}
+		}
+		if _, err := cl.RunXML(jobs); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if !reflect.DeepEqual(kept, want) {
+		t.Errorf("kept answer changed:\n got %+v\nwant %+v", kept, want)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/soap"
 	"repro/internal/wsil"
+	"repro/internal/xmlutil"
 )
 
 // Server is the hosting layer: it owns one or more SOAP service providers
@@ -269,9 +270,66 @@ func (s *Server) drainGate(next core.HandlerFunc) core.HandlerFunc {
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
+// minTransferRate is the slowest average rate, in bytes per second, at
+// which a peer may send a request body. 2 KiB/s (16 kbit/s) is half the
+// 33.6 kbit/s upstream of a V.90 dial-up modem (ITU-T V.90, 1998), so an
+// upload from a modem-class link or anything faster fits its budget.
+const minTransferRate = 2 << 10
+
+// idleTimeout bounds how long a keep-alive connection may sit between
+// requests.
+const idleTimeout = 2 * time.Minute
+
+// readHeaderTimeout bounds the request line and headers, and is also the
+// slack every request body gets on top of its transfer time. A variable
+// only so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
+// bodyBudget is how long a request body of declared length n may take to
+// arrive: the slack plus n bytes at minTransferRate. An unknown length
+// (-1, a chunked body) counts as xmlutil.MessageLimit, the most any
+// handler reads.
+func bodyBudget(n int64) time.Duration {
+	if n < 0 || n > xmlutil.MessageLimit {
+		n = xmlutil.MessageLimit
+	}
+	return readHeaderTimeout + time.Duration(n)*time.Second/minTransferRate
+}
+
+// NewHTTPServer returns the http.Server every portal binary listens with:
+// h served on addr under the header and idle timeouts above, each request
+// body read under the deadline withBodyDeadline sets.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           withBodyDeadline(h),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// withBodyDeadline cuts off a peer that sends a header and then stalls,
+// instead of letting it hold its connection, and the message buffer
+// presized for its declared body, forever. The read deadline follows the
+// declared length (bodyBudget), so a large upload over a slow link still
+// arrives. net/http lifts it when the body has been read, so a handler
+// that then runs long keeps its connection and its context. A request
+// without a body gets no deadline: net/http is already reading ahead on
+// its connection, and a deadline firing there would cancel the handler's
+// context.
+func withBodyDeadline(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength != 0 {
+			// Fails only where the connection takes no deadline (HTTP/2, test recorders).
+			http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyBudget(r.ContentLength)))
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
 // ListenAndServe serves the handler on addr until Shutdown.
 func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s.mux}
+	srv := NewHTTPServer(addr, s.mux)
 	s.httpMu.Lock()
 	s.httpSrv = srv
 	s.httpMu.Unlock()

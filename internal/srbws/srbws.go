@@ -431,11 +431,12 @@ func (cl *Client) Use(i core.ClientInterceptor) *Client {
 
 // Ls lists a collection.
 func (cl *Client) Ls(collection string) ([]srb.Entry, error) {
-	doc, err := cl.c.CallXMLCopy("ls", soap.Str("collection", collection))
-	if err != nil {
-		return nil, err
-	}
-	return EntriesFromElement(doc), nil
+	var out []srb.Entry
+	err := cl.c.CallXML(context.TODO(), "ls", func(el *xmlutil.Element) error {
+		out = EntriesFromElement(el)
+		return nil
+	}, soap.Str("collection", collection))
+	return out, err
 }
 
 // Cat returns a file's contents.
@@ -457,11 +458,13 @@ func (cl *Client) Put(path, data, resource string) error {
 
 // XMLCall executes multiple commands in one connection.
 func (cl *Client) XMLCall(cmds []Command) ([]CommandResult, error) {
-	doc, err := cl.c.CallXMLCopy("xmlCall", soap.XMLDoc("request", BuildRequest(cmds)))
-	if err != nil {
-		return nil, err
-	}
-	return ParseResults(doc)
+	var out []CommandResult
+	err := cl.c.CallXML(context.TODO(), "xmlCall", func(el *xmlutil.Element) error {
+		var err error
+		out, err = ParseResults(el)
+		return err
+	}, soap.XMLDoc("request", BuildRequest(cmds)))
+	return out, err
 }
 
 // Stat returns a file's size.

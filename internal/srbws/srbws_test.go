@@ -3,6 +3,7 @@ package srbws
 import (
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -240,5 +241,66 @@ func TestPutInvalidUTF8Rejected(t *testing.T) {
 				t.Errorf("%s: Put(%q) stored %q", name, data, got)
 			}
 		}
+	}
+}
+
+// TestInPlaceResultsSurviveReuse keeps one Ls and one XMLCall answer, then
+// makes 60 more calls with different answers through the same client,
+// which recycles the pooled response arena and message buffer. The kept
+// answers must still equal the broker's: decoders copy only strings out of
+// the arena.
+func TestInPlaceResultsSurviveReuse(t *testing.T) {
+	b, cl, home := newFixture(t)
+	for i := 0; i < 8; i++ {
+		if err := b.Sput("mock", fmt.Sprintf("%s/f%d.dat", home, i), strings.Repeat("<&>", i+1), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keptLs, err := cl.Ls(home)
+	if err != nil || len(keptLs) != 8 {
+		t.Fatalf("kept ls = %+v, %v", keptLs, err)
+	}
+	keptCall, err := cl.XMLCall([]Command{
+		{Name: "cat", Args: []string{home + "/f2.dat"}},
+		{Name: "ls", Args: []string{home}},
+		{Name: "get", Args: []string{home + "/missing"}},
+	})
+	if err != nil || len(keptCall) != 3 {
+		t.Fatalf("kept xmlCall = %+v, %v", keptCall, err)
+	}
+	for i := 0; i < 60; i++ {
+		path := fmt.Sprintf("%s/f%d.dat", home, i%8)
+		if i%2 == 0 {
+			_, err = cl.Ls(home)
+		} else {
+			_, err = cl.XMLCall([]Command{
+				{Name: "put", Args: []string{fmt.Sprintf("%s/g%d.dat", home, i), strings.Repeat("y", i)}},
+				{Name: "cat", Args: []string{path}},
+			})
+		}
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+
+	entries, err := b.Sls("mock", home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLs := entries[:8] // the broker lists the kept files before the g*.dat added since
+	if !reflect.DeepEqual(keptLs, wantLs) {
+		t.Errorf("kept ls changed:\n got %+v\nwant %+v", keptLs, wantLs)
+	}
+	if !reflect.DeepEqual(keptCall[1].Entries, wantLs) {
+		t.Errorf("kept xmlCall ls changed:\n got %+v\nwant %+v", keptCall[1].Entries, wantLs)
+	}
+	_, missing := b.Sget("mock", home+"/missing")
+	wantCall := []CommandResult{
+		{Index: 0, Command: "cat", OK: true, Data: "<&><&><&>"},
+		{Index: 1, Command: "ls", OK: true, Entries: keptCall[1].Entries},
+		{Index: 2, Command: "get", Error: missing.Error()},
+	}
+	if !reflect.DeepEqual(keptCall, wantCall) {
+		t.Errorf("kept xmlCall changed:\n got %+v\nwant %+v", keptCall, wantCall)
 	}
 }

@@ -1,6 +1,8 @@
 package uddi
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/rpc"
 	"repro/internal/soap"
@@ -190,7 +192,8 @@ func serviceElement(s *BusinessService) *xmlutil.Element {
 	return el
 }
 
-// ServiceFromElement parses a wire businessService element.
+// ServiceFromElement parses a wire businessService element. It copies out
+// only strings, so el may sit in a pooled response arena.
 func ServiceFromElement(el *xmlutil.Element) *BusinessService {
 	s := &BusinessService{
 		Key:         el.AttrDefault("serviceKey", ""),
@@ -198,14 +201,19 @@ func ServiceFromElement(el *xmlutil.Element) *BusinessService {
 		Name:        el.ChildText("name"),
 		Description: el.ChildText("description"),
 	}
-	for _, bt := range el.ChildrenNamed("bindingTemplate") {
+	for _, bt := range el.Children {
+		if bt.Name != "bindingTemplate" {
+			continue
+		}
 		b := BindingTemplate{
 			Key:         bt.AttrDefault("bindingKey", ""),
 			AccessPoint: bt.ChildText("accessPoint"),
 			Description: bt.ChildText("description"),
 		}
-		for _, tk := range bt.ChildrenNamed("tModelKey") {
-			b.TModelKeys = append(b.TModelKeys, tk.Text)
+		for _, tk := range bt.Children {
+			if tk.Name == "tModelKey" {
+				b.TModelKeys = append(b.TModelKeys, tk.Text)
+			}
 		}
 		s.Bindings = append(s.Bindings, b)
 	}
@@ -222,9 +230,16 @@ func serviceList(services []*BusinessService) *xmlutil.Element {
 
 // ServicesFromList parses a wire serviceList element.
 func ServicesFromList(el *xmlutil.Element) []*BusinessService {
-	var out []*BusinessService
-	for _, c := range el.ChildrenNamed("businessService") {
-		out = append(out, ServiceFromElement(c))
+	if len(el.Children) == 0 {
+		return nil
+	}
+	// Every child of a serviceList is a businessService, so this is the
+	// answer's exact length.
+	out := make([]*BusinessService, 0, len(el.Children))
+	for _, c := range el.Children {
+		if c.Name == "businessService" {
+			out = append(out, ServiceFromElement(c))
+		}
 	}
 	return out
 }
@@ -272,52 +287,53 @@ func (cl *Client) DeleteService(serviceKey string) error {
 	return err
 }
 
+// findServices runs one of the find operations and decodes its
+// serviceList in place.
+func (cl *Client) findServices(operation string, params ...soap.Value) ([]*BusinessService, error) {
+	var out []*BusinessService
+	err := cl.c.CallXML(context.TODO(), operation, func(el *xmlutil.Element) error {
+		out = ServicesFromList(el)
+		return nil
+	}, params...)
+	return out, err
+}
+
 // FindService lists services by business and name pattern.
 func (cl *Client) FindService(businessKey, name string) ([]*BusinessService, error) {
-	doc, err := cl.c.CallXMLCopy("findService", soap.Str("businessKey", businessKey), soap.Str("name", name))
-	if err != nil {
-		return nil, err
-	}
-	return ServicesFromList(doc), nil
+	return cl.findServices("findService", soap.Str("businessKey", businessKey), soap.Str("name", name))
 }
 
 // FindServiceByTModel lists services implementing an interface tModel.
 func (cl *Client) FindServiceByTModel(tModelKey string) ([]*BusinessService, error) {
-	doc, err := cl.c.CallXMLCopy("findServiceByTModel", soap.Str("tModelKey", tModelKey))
-	if err != nil {
-		return nil, err
-	}
-	return ServicesFromList(doc), nil
+	return cl.findServices("findServiceByTModel", soap.Str("tModelKey", tModelKey))
 }
 
 // FindByDescription performs the string-convention capability search.
 func (cl *Client) FindByDescription(pattern string) ([]*BusinessService, error) {
-	doc, err := cl.c.CallXMLCopy("findByDescription", soap.Str("pattern", pattern))
-	if err != nil {
-		return nil, err
-	}
-	return ServicesFromList(doc), nil
+	return cl.findServices("findByDescription", soap.Str("pattern", pattern))
 }
 
 // GetServiceDetail fetches one service by key.
 func (cl *Client) GetServiceDetail(serviceKey string) (*BusinessService, error) {
-	doc, err := cl.c.CallXMLCopy("getServiceDetail", soap.Str("serviceKey", serviceKey))
-	if err != nil {
-		return nil, err
-	}
-	return ServiceFromElement(doc), nil
+	var s *BusinessService
+	err := cl.c.CallXML(context.TODO(), "getServiceDetail", func(el *xmlutil.Element) error {
+		s = ServiceFromElement(el)
+		return nil
+	}, soap.Str("serviceKey", serviceKey))
+	return s, err
 }
 
 // GetTModel fetches one tModel by key.
 func (cl *Client) GetTModel(tModelKey string) (*TModel, error) {
-	doc, err := cl.c.CallXMLCopy("getTModel", soap.Str("tModelKey", tModelKey))
-	if err != nil {
-		return nil, err
-	}
-	return &TModel{
-		Key:         doc.AttrDefault("tModelKey", ""),
-		Name:        doc.ChildText("name"),
-		Description: doc.ChildText("description"),
-		OverviewURL: doc.ChildText("overviewURL"),
-	}, nil
+	var tm *TModel
+	err := cl.c.CallXML(context.TODO(), "getTModel", func(el *xmlutil.Element) error {
+		tm = &TModel{
+			Key:         el.AttrDefault("tModelKey", ""),
+			Name:        el.ChildText("name"),
+			Description: el.ChildText("description"),
+			OverviewURL: el.ChildText("overviewURL"),
+		}
+		return nil
+	}, soap.Str("tModelKey", tModelKey))
+	return tm, err
 }

@@ -1,6 +1,8 @@
 package uddi
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -294,5 +296,66 @@ func TestSOAPServiceErrors(t *testing.T) {
 	}
 	if _, err := cl.GetTModel("uuid:ghost"); soap.AsPortalError(err) == nil {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestInPlaceResultsSurviveReuse keeps one decoded answer of each XML-typed
+// read, then makes 60 more calls with different answers through the same
+// client, which recycles the pooled response arena and message buffer.
+// The kept answers must still equal the registry's: decoders copy only
+// strings out of the arena.
+func TestInPlaceResultsSurviveReuse(t *testing.T) {
+	r := NewRegistry()
+	p := core.NewProvider("registry-ssp", "loopback://uddi")
+	p.MustRegister(NewService(r))
+	cl := NewClient(p.Loopback(), "loopback://uddi/UDDIRegistry")
+
+	bk, err := cl.SaveBusiness("SDSC", "HotPage group")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tmodels, services []string
+	for i := 0; i < 4; i++ {
+		tmk, err := cl.SaveTModel(fmt.Sprintf("gce:iface%d", i), "interface", "http://x/iface.wsdl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmodels = append(tmodels, tmk)
+		for j := 0; j <= 3*i; j++ {
+			sk, err := cl.SaveService(bk, fmt.Sprintf("svc-%d-%02d", i, j),
+				fmt.Sprintf("scheduler=PBS <%d> & %d", i, j),
+				fmt.Sprintf("http://host%d.example.edu/soap/%d", i, j), []string{tmk, tmodels[0]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			services = append(services, sk)
+		}
+	}
+
+	kept, err := cl.FindServiceByTModel(tmodels[2])
+	if err != nil || len(kept) != 7 {
+		t.Fatalf("kept find = %d services, %v", len(kept), err)
+	}
+	keptDetail, err := cl.GetServiceDetail(services[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		if i%2 == 0 {
+			_, err = cl.FindServiceByTModel(tmodels[i/2%len(tmodels)])
+		} else {
+			_, err = cl.GetServiceDetail(services[i%len(services)])
+		}
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+
+	if want := r.FindServiceByTModel(tmodels[2]); !reflect.DeepEqual(kept, want) {
+		t.Errorf("kept find answer changed:\n got %+v\nwant %+v", kept, want)
+	}
+	want, err := r.GetServiceDetail(services[3])
+	if err != nil || !reflect.DeepEqual(keptDetail, want) {
+		t.Errorf("kept detail changed:\n got %+v\nwant %+v (%v)", keptDetail, want, err)
 	}
 }

@@ -15,6 +15,7 @@
 package xmlregistry
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -117,10 +118,24 @@ func containerFromElement(el *xmlutil.Element) (*Container, error) {
 		return nil, fmt.Errorf("xmlregistry: element %q is not container", el.Name)
 	}
 	c := newContainer(el.AttrDefault("name", ""), el.AttrDefault("type", ""))
-	for _, p := range el.ChildrenNamed("property") {
-		c.SetProp(p.AttrDefault("name", ""), p.Text)
+	nprops := 0
+	for _, p := range el.Children {
+		if p.Name == "property" {
+			nprops++
+		}
 	}
-	for _, childEl := range el.ChildrenNamed("container") {
+	if nprops > 0 {
+		c.Properties = make([]Property, 0, nprops)
+	}
+	for _, p := range el.Children {
+		if p.Name == "property" {
+			c.SetProp(p.AttrDefault("name", ""), p.Text)
+		}
+	}
+	for _, childEl := range el.Children {
+		if childEl.Name != "container" {
+			continue
+		}
 		child, err := containerFromElement(childEl)
 		if err != nil {
 			return nil, err
@@ -654,11 +669,13 @@ func (cl *Client) Put(path, typ string, props []Property) error {
 
 // Get fetches a container subtree.
 func (cl *Client) Get(path string) (*Container, error) {
-	doc, err := cl.c.CallXMLCopy("get", soap.Str("path", path))
-	if err != nil {
-		return nil, err
-	}
-	return containerFromElement(doc)
+	var c *Container
+	err := cl.c.CallXML(context.TODO(), "get", func(el *xmlutil.Element) error {
+		var err error
+		c, err = containerFromElement(el)
+		return err
+	}, soap.Str("path", path))
+	return c, err
 }
 
 // Delete removes a container subtree.
@@ -669,20 +686,29 @@ func (cl *Client) Delete(path string) error {
 
 // Find runs a structured query remotely.
 func (cl *Client) Find(q Query) ([]Match, error) {
-	doc, err := cl.c.CallXMLCopy("find", soap.XMLDoc("query", queryElement(q)))
+	var out []Match
+	err := cl.c.CallXML(context.TODO(), "find", func(el *xmlutil.Element) error {
+		if len(el.Children) > 0 {
+			out = make([]Match, 0, len(el.Children)) // every child is a match
+		}
+		for _, m := range el.Children {
+			if m.Name != "match" {
+				continue
+			}
+			ce := m.Child("container")
+			if ce == nil {
+				continue
+			}
+			c, err := containerFromElement(ce)
+			if err != nil {
+				return err
+			}
+			out = append(out, Match{Path: m.AttrDefault("path", ""), Container: c})
+		}
+		return nil
+	}, soap.XMLDoc("query", queryElement(q)))
 	if err != nil {
 		return nil, err
-	}
-	var out []Match
-	for _, m := range doc.ChildrenNamed("match") {
-		if len(m.Children) == 0 {
-			continue
-		}
-		c, err := containerFromElement(m.Child("container"))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Match{Path: m.AttrDefault("path", ""), Container: c})
 	}
 	return out, nil
 }

@@ -1,6 +1,10 @@
 package xmlregistry
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -267,5 +271,88 @@ func TestSOAPServiceRoundTrip(t *testing.T) {
 	}
 	if err := cl.Delete("portals/iu/bsg"); err == nil {
 		t.Error("double delete accepted")
+	}
+}
+
+// TestInPlaceResultsSurviveReuse keeps one Get and one Find answer, then
+// makes 60 more calls with different answers through the same client,
+// which recycles the pooled response arena and message buffer. The kept
+// answers must still equal the registry's: decoders copy only strings out
+// of the arena.
+func TestInPlaceResultsSurviveReuse(t *testing.T) {
+	r := NewRegistry()
+	p := core.NewProvider("reg-ssp", "loopback://reg")
+	p.MustRegister(NewService(r))
+	cl := NewClient(p.Loopback(), "loopback://reg/XMLRegistry")
+
+	var paths []string
+	for i := 0; i < 6; i++ {
+		for j := 0; j <= i; j++ {
+			path := fmt.Sprintf("portals/site%d/svc%d", i, j)
+			err := cl.Put(path, "service", []Property{
+				{Name: "supportedScheduler", Value: []string{"PBS", "LSF"}[j%2]},
+				{Name: "endpoint", Value: fmt.Sprintf("http://site%d.example.edu/<%d>&%d", i, j, j)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, path)
+		}
+	}
+	query := Query{Type: "service", PropEquals: []Property{{Name: "supportedScheduler", Value: "LSF"}}}
+
+	keptGet, err := cl.Get("portals/site4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keptFind, err := cl.Find(query)
+	if err != nil || len(keptFind) != 9 {
+		t.Fatalf("kept find = %d matches, %v", len(keptFind), err)
+	}
+	for i := 0; i < 60; i++ {
+		if i%2 == 0 {
+			_, err = cl.Get(paths[i%len(paths)])
+		} else {
+			_, err = cl.Find(Query{Under: fmt.Sprintf("portals/site%d", i%6)})
+		}
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+
+	want, err := r.Get("portals/site4")
+	if err != nil || !reflect.DeepEqual(keptGet, want) {
+		t.Errorf("kept get changed:\n got %+v\nwant %+v (%v)", keptGet, want, err)
+	}
+	wantFind, err := r.Find(query)
+	if err != nil || !reflect.DeepEqual(keptFind, wantFind) {
+		t.Errorf("kept find changed:\n got %+v\nwant %+v (%v)", keptFind, wantFind, err)
+	}
+}
+
+// cannedTransport answers every round trip with one fixed response body.
+type cannedTransport string
+
+func (t cannedTransport) RoundTripRawCtx(_ context.Context, _, _ string, _ *soap.Envelope, resp *bytes.Buffer) error {
+	resp.WriteString(string(t))
+	return nil
+}
+
+// TestFindSkipsMatchWithoutContainer feeds the client a find answer whose
+// first match carries no container: the client must skip it, not
+// dereference a missing element.
+func TestFindSkipsMatchWithoutContainer(t *testing.T) {
+	body := `<?xml version="1.0" encoding="UTF-8"?><e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body>` +
+		`<r:findResponse xmlns:r="urn:gce:xmlregistry"><matches><matches>` +
+		`<match path="a/b"><note/></match>` +
+		`<match path="a/c"><container name="c" type="service"/></match>` +
+		`</matches></matches></r:findResponse></e:Body></e:Envelope>`
+	cl := NewClient(cannedTransport(body), "canned://reg/XMLRegistry")
+	matches, err := cl.Find(Query{Type: "service"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) != 1 || matches[0].Path != "a/c" || matches[0].Container.Name != "c" {
+		t.Errorf("matches = %+v", matches)
 	}
 }

@@ -264,8 +264,11 @@ func (e *Element) Walk(fn func(*Element) bool) {
 func (e *Element) Clone() *Element {
 	cp := &Element{Space: e.Space, Name: e.Name, Text: e.Text}
 	cp.Attrs = append([]Attr(nil), e.Attrs...)
-	for _, c := range e.Children {
-		cp.Children = append(cp.Children, c.Clone())
+	if len(e.Children) > 0 {
+		cp.Children = make([]*Element, len(e.Children))
+		for i, c := range e.Children {
+			cp.Children[i] = c.Clone()
+		}
 	}
 	return cp
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"repro/internal/soap"
+	"repro/internal/xmlutil"
 )
 
 // ForwardResult describes one relayed backend response.
@@ -41,19 +42,18 @@ type HTTPForwarder struct {
 	Pool *soap.ClientPool
 }
 
-// Forward implements Forwarder over HTTP.
+// Forward implements Forwarder over HTTP. body belongs to the caller,
+// which may recycle it as soon as Forward returns, while net/http may
+// still be sending it; so the bytes go out from a pooled copy that
+// soap.Post lends to net/http until it is done with them.
 func (f *HTTPForwarder) Forward(ctx context.Context, backend, path, action string, body []byte, resp *bytes.Buffer) (ForwardResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, backend+path, bytes.NewReader(body))
-	if err != nil {
-		return ForwardResult{}, fmt.Errorf("gateway: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", soap.ContentType)
-	req.Header.Set("SOAPAction", `"`+action+`"`)
 	hc := soap.DefaultClient()
 	if f.Pool != nil {
 		hc = f.Pool.For(backend)
 	}
-	res, err := hc.Do(req)
+	env := xmlutil.GetBuffer()
+	env.Write(body)
+	res, err := soap.Post(ctx, hc, backend+path, action, env)
 	if err != nil {
 		return ForwardResult{}, fmt.Errorf("gateway: post %s%s: %w", backend, path, err)
 	}

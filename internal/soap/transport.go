@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
 	"strconv"
 	"sync"
 	"time"
@@ -143,18 +144,7 @@ func (t *HTTPTransport) RoundTripRawCtx(ctx context.Context, endpoint, action st
 	}
 	reqBuf := xmlutil.GetBuffer()
 	req.AppendTo(reqBuf)
-	// Detach the bytes before handing them to net/http: Do can return
-	// while the transport's write loop is still streaming the body, so the
-	// pooled buffer must not be recycled under an aliasing reader.
-	body := bytes.Clone(reqBuf.Bytes())
-	xmlutil.PutBuffer(reqBuf)
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("soap: build request: %w", err)
-	}
-	httpReq.Header.Set("Content-Type", ContentType)
-	httpReq.Header.Set("SOAPAction", `"`+action+`"`)
-	resp, err := hc.Do(httpReq)
+	resp, err := Post(ctx, hc, endpoint, action, reqBuf)
 	if err != nil {
 		return fmt.Errorf("soap: post %s: %w", endpoint, err)
 	}
@@ -173,6 +163,73 @@ func (t *HTTPTransport) RoundTripRawCtx(ctx context.Context, endpoint, action st
 		return fmt.Errorf("soap: endpoint %s returned HTTP %d", endpoint, resp.StatusCode)
 	}
 	return nil
+}
+
+// Post sends the request envelope in env to endpoint as a SOAP 1.1 HTTP
+// POST through hc and returns net/http's response, whose body the caller
+// must close. env must come from xmlutil.GetBuffer, and Post takes it
+// over: net/http reads the envelope straight from env, not from a copy
+// (see lentBuffer), and env goes back to the pool once net/http is done
+// with it. The caller must not touch env after the call.
+func Post(ctx context.Context, hc *http.Client, endpoint, action string, env *bytes.Buffer) (*http.Response, error) {
+	l := &lentBuffer{buf: env, refs: 1}
+	l.trace = httptrace.ClientTrace{GotConn: l.gotConn, WroteRequest: l.wrote}
+	ctx = httptrace.WithClientTrace(ctx, &l.trace)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, bytes.NewReader(env.Bytes()))
+	if err != nil {
+		xmlutil.PutBuffer(env)
+		return nil, err
+	}
+	req.Header.Set("Content-Type", ContentType)
+	req.Header.Set("SOAPAction", `"`+action+`"`)
+	resp, err := hc.Do(req)
+	l.release()
+	return resp, err
+}
+
+// lentBuffer lends a pooled request envelope to net/http. Do can return
+// while the transport's write loop is still sending the body, and a
+// resend reads it again through GetBody, so the buffer cannot go back to
+// the pool when Do returns. The body stays a bytes.Reader, which net/http
+// sends with its header in one write; a body type of its own would make
+// net/http flush the header in a packet of its own and copy the body
+// through a buffer of its own. So the request's client trace counts the
+// readers instead of the body's Close: every connection obtained for an
+// attempt (GotConn) takes a reference, which that attempt's write drops
+// when it has finished (WroteRequest), and Post holds one until Do
+// returns. The last release recycles the buffer. A request for which the
+// trace reports no connection leaves the buffer to the garbage collector:
+// it failed before it reached a connection, or went through a transport
+// other than net/http's, which may read the body without the trace seeing.
+type lentBuffer struct {
+	trace httptrace.ClientTrace
+	mu    sync.Mutex
+	buf   *bytes.Buffer
+	refs  int  // Post's, plus one per write in flight
+	seen  bool // the trace has reported a connection
+}
+
+func (l *lentBuffer) gotConn(httptrace.GotConnInfo) {
+	l.mu.Lock()
+	l.refs++
+	l.seen = true
+	l.mu.Unlock()
+}
+
+func (l *lentBuffer) wrote(httptrace.WroteRequestInfo) { l.release() }
+
+// release drops one reference, recycling the buffer on the last.
+func (l *lentBuffer) release() {
+	l.mu.Lock()
+	l.refs--
+	var done *bytes.Buffer
+	if l.refs == 0 && l.seen {
+		done, l.buf = l.buf, nil
+	}
+	l.mu.Unlock()
+	if done != nil {
+		xmlutil.PutBuffer(done)
+	}
 }
 
 // ServeFunc answers one serialised request envelope: it appends the

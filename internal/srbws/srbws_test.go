@@ -244,6 +244,35 @@ func TestPutInvalidUTF8Rejected(t *testing.T) {
 	}
 }
 
+// TestPutCarriageReturnsSurvive: a file with CRLF and bare CR line ends
+// is stored and read back byte for byte, over the in-process binding and
+// over HTTP. A raw CR in element text would be normalised to a newline by
+// the receiver's parser, so the writer sends it as &#13;.
+func TestPutCarriageReturnsSurvive(t *testing.T) {
+	b, loop, home := newFixture(t)
+	p := core.NewProvider("srb-ssp", "")
+	p.MustRegister(NewService(b, "mock"))
+	ts := httptest.NewServer(p)
+	defer ts.Close()
+	clients := map[string]*Client{
+		"loopback": loop,
+		"http":     NewClient(&soap.HTTPTransport{}, ts.URL+"/SRBService"),
+	}
+	const data = "a\r\nb\rc"
+	for name, cl := range clients {
+		path := home + "/crlf-" + name
+		if err := cl.Put(path, data, ""); err != nil {
+			t.Fatalf("%s: Put: %v", name, err)
+		}
+		if stored, err := b.Sget("mock", path); err != nil || stored != data {
+			t.Errorf("%s: stored %q, %v; want %q", name, stored, err, data)
+		}
+		if got, err := cl.Get(path); err != nil || got != data {
+			t.Errorf("%s: Get = %q, %v; want %q", name, got, err, data)
+		}
+	}
+}
+
 // TestInPlaceResultsSurviveReuse keeps one Ls and one XMLCall answer, then
 // makes 60 more calls with different answers through the same client,
 // which recycles the pooled response arena and message buffer. The kept

@@ -13,7 +13,7 @@ import (
 // invalid UTF-8 included — through unchanged, which is the kernel's
 // contract.
 var (
-	textEscapeRef = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	textEscapeRef = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#13;")
 	attrEscapeRef = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;",
 		"\n", "&#10;", "\t", "&#9;", "\r", "&#13;")
 )

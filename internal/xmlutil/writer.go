@@ -269,7 +269,9 @@ func (w *Writer) Depth() int { return len(w.frames) }
 // escAttr map each byte, for element content and for double-quoted
 // attribute values, to the index in escEntities of its replacement, or to
 // 0 for a byte copied verbatim. Every replaced byte is ASCII, so escaping
-// never decodes a rune.
+// never decodes a rune. A carriage return is escaped in both contexts: a
+// raw one would reach the receiver's parser, which normalises line ends
+// to a newline.
 var escEntities = [...]string{"", "&amp;", "&lt;", "&gt;", "&quot;", "&#10;", "&#9;", "&#13;"}
 
 // escGrowth is how many bytes each entity adds over the byte it replaces,
@@ -282,7 +284,7 @@ var escGrowth = func() (g [len(escEntities)]int) {
 }()
 
 var escText, escAttr = func() (text, attr [256]uint8) {
-	text['&'], text['<'], text['>'] = 1, 2, 3
+	text['&'], text['<'], text['>'], text['\r'] = 1, 2, 3, 7
 	attr['&'], attr['<'], attr['"'] = 1, 2, 4
 	attr['\n'], attr['\t'], attr['\r'] = 5, 6, 7
 	return

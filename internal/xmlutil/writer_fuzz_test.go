@@ -32,6 +32,7 @@ func FuzzWriterVsRender(f *testing.F) {
 		`<a>x]]&gt;y</a>`,
 		`<empty></empty>`,
 		"<d>line1\r\nline2\rline3</d>",
+		`<d>&#13;</d>`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

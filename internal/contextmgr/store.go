@@ -101,8 +101,9 @@ type Archive struct {
 // internally consistent, but subtrees mutated mid-walk may reflect
 // different instants.
 // With Persist attached, each tree mutation's record is appended inside the
-// same shard-lock critical section as the mutation itself, so per-user log
-// order matches apply order and a compaction dump (which takes shard read
+// same shard-lock critical section as the mutation itself, and before it
+// (persist.Commit), so per-user log order matches apply order, a failed
+// append changes nothing, and a compaction dump (which takes shard read
 // locks) never observes a mutation whose record it might lose. Records
 // carry their timestamps, so replay reproduces creation and archival times
 // exactly. Reads never touch the log.
@@ -183,8 +184,9 @@ func (s *Store) Create(path []string) error {
 		if _, exists := sh.Get(path[0]); exists {
 			return fmt.Errorf("contextmgr: context %q already exists", path[0])
 		}
-		sh.Put(path[0], newNode(path[0], now))
-		return s.persist.Log(opCreate, record{Path: path, At: now})
+		return s.persist.Commit(opCreate, record{Path: path, At: now}, func() {
+			sh.Put(path[0], newNode(path[0], now))
+		})
 	}
 	parent, err := lookupLocked(sh, path[:len(path)-1])
 	if err != nil {
@@ -194,8 +196,9 @@ func (s *Store) Create(path []string) error {
 	if _, exists := parent.children[leaf]; exists {
 		return fmt.Errorf("contextmgr: context %q already exists", strings.Join(path, "/"))
 	}
-	parent.children[leaf] = newNode(leaf, now)
-	return s.persist.Log(opCreate, record{Path: path, At: now})
+	return s.persist.Commit(opCreate, record{Path: path, At: now}, func() {
+		parent.children[leaf] = newNode(leaf, now)
+	})
 }
 
 // Exists reports whether a context exists.
@@ -219,10 +222,10 @@ func (s *Store) Remove(path []string) error {
 	sh.Lock()
 	defer sh.Unlock()
 	if len(path) == 1 {
-		if !sh.Delete(path[0]) {
+		if _, exists := sh.Get(path[0]); !exists {
 			return fmt.Errorf("contextmgr: no context at %q", path[0])
 		}
-		return s.persist.Log(opRemove, record{Path: path})
+		return s.persist.Commit(opRemove, record{Path: path}, func() { sh.Delete(path[0]) })
 	}
 	parent, err := lookupLocked(sh, path[:len(path)-1])
 	if err != nil {
@@ -232,8 +235,7 @@ func (s *Store) Remove(path []string) error {
 	if _, exists := parent.children[leaf]; !exists {
 		return fmt.Errorf("contextmgr: no context at %q", strings.Join(path, "/"))
 	}
-	delete(parent.children, leaf)
-	return s.persist.Log(opRemove, record{Path: path})
+	return s.persist.Commit(opRemove, record{Path: path}, func() { delete(parent.children, leaf) })
 }
 
 // List returns the sorted child names under path ([] lists users).
@@ -279,10 +281,11 @@ func (s *Store) Rename(path []string, newName string) error {
 		if _, dup := dst.Get(newName); dup {
 			return fmt.Errorf("contextmgr: context %q already exists", newName)
 		}
-		src.Delete(path[0])
-		n.name = newName
-		dst.Put(newName, n)
-		return s.persist.Log(opRename, record{Path: path, Name: newName})
+		return s.persist.Commit(opRename, record{Path: path, Name: newName}, func() {
+			src.Delete(path[0])
+			n.name = newName
+			dst.Put(newName, n)
+		})
 	}
 	sh := s.users.ShardFor(path[0])
 	sh.Lock()
@@ -299,10 +302,11 @@ func (s *Store) Rename(path []string, newName string) error {
 	if _, dup := parent.children[newName]; dup {
 		return fmt.Errorf("contextmgr: context %q already exists", newName)
 	}
-	delete(parent.children, leaf)
-	n.name = newName
-	parent.children[newName] = n
-	return s.persist.Log(opRename, record{Path: path, Name: newName})
+	return s.persist.Commit(opRename, record{Path: path, Name: newName}, func() {
+		delete(parent.children, leaf)
+		n.name = newName
+		parent.children[newName] = n
+	})
 }
 
 // Copy duplicates a context subtree under the same parent. Copying a user
@@ -322,10 +326,11 @@ func (s *Store) Copy(path []string, copyName string) error {
 		if _, dup := dst.Get(copyName); dup {
 			return fmt.Errorf("contextmgr: context %q already exists", copyName)
 		}
-		cp := n.clone()
-		cp.name = copyName
-		dst.Put(copyName, cp)
-		return s.persist.Log(opCopy, record{Path: path, Name: copyName})
+		return s.persist.Commit(opCopy, record{Path: path, Name: copyName}, func() {
+			cp := n.clone()
+			cp.name = copyName
+			dst.Put(copyName, cp)
+		})
 	}
 	sh := s.users.ShardFor(path[0])
 	sh.Lock()
@@ -341,10 +346,11 @@ func (s *Store) Copy(path []string, copyName string) error {
 	if _, dup := parent.children[copyName]; dup {
 		return fmt.Errorf("contextmgr: context %q already exists", copyName)
 	}
-	cp := n.clone()
-	cp.name = copyName
-	parent.children[copyName] = cp
-	return s.persist.Log(opCopy, record{Path: path, Name: copyName})
+	return s.persist.Commit(opCopy, record{Path: path, Name: copyName}, func() {
+		cp := n.clone()
+		cp.name = copyName
+		parent.children[copyName] = cp
+	})
 }
 
 // withNode runs fn on the context at path under its shard's write lock.
@@ -380,8 +386,9 @@ func (s *Store) readNode(path []string, fn func(n *node) error) error {
 // SetProp sets a property on a context.
 func (s *Store) SetProp(path []string, name, value string) error {
 	return s.withNode(path, func(n *node) error {
-		n.props[name] = value
-		return s.persist.Log(opSetProp, record{Path: path, Name: name, Value: value})
+		return s.persist.Commit(opSetProp, record{Path: path, Name: name, Value: value}, func() {
+			n.props[name] = value
+		})
 	})
 }
 
@@ -405,8 +412,7 @@ func (s *Store) RemoveProp(path []string, name string) error {
 		if _, ok := n.props[name]; !ok {
 			return fmt.Errorf("contextmgr: context %q has no property %q", strings.Join(path, "/"), name)
 		}
-		delete(n.props, name)
-		return s.persist.Log(opRmProp, record{Path: path, Name: name})
+		return s.persist.Commit(opRmProp, record{Path: path, Name: name}, func() { delete(n.props, name) })
 	})
 }
 
@@ -427,8 +433,7 @@ func (s *Store) ListProps(path []string) ([]string, error) {
 // ClearProps removes every property of a context.
 func (s *Store) ClearProps(path []string) error {
 	return s.withNode(path, func(n *node) error {
-		n.props = map[string]string{}
-		return s.persist.Log(opClearProps, record{Path: path})
+		return s.persist.Commit(opClearProps, record{Path: path}, func() { n.props = map[string]string{} })
 	})
 }
 
@@ -490,22 +495,23 @@ func (s *Store) CreatePlaceholder(user, problem, session string) error {
 	sh := s.users.ShardFor(user)
 	sh.Lock()
 	defer sh.Unlock()
-	cur, ok := sh.Get(user)
-	if !ok {
-		cur = newNode(user, now)
-		cur.props["placeholder"] = "true"
-		sh.Put(user, cur)
-	}
-	for _, seg := range []string{problem, session} {
-		next, ok := cur.children[seg]
+	return s.persist.Commit(opPlaceholder, record{User: user, Problem: problem, Session: session, At: now}, func() {
+		cur, ok := sh.Get(user)
 		if !ok {
-			next = newNode(seg, now)
-			next.props["placeholder"] = "true"
-			cur.children[seg] = next
+			cur = newNode(user, now)
+			cur.props["placeholder"] = "true"
+			sh.Put(user, cur)
 		}
-		cur = next
-	}
-	return s.persist.Log(opPlaceholder, record{User: user, Problem: problem, Session: session, At: now})
+		for _, seg := range []string{problem, session} {
+			next, ok := cur.children[seg]
+			if !ok {
+				next = newNode(seg, now)
+				next.props["placeholder"] = "true"
+				cur.children[seg] = next
+			}
+			cur = next
+		}
+	})
 }
 
 // ArchiveSession snapshots a session context into the archive and returns
@@ -540,13 +546,9 @@ func (s *Store) archiveAs(user, problem, session, id string) error {
 	ash := s.archives.ShardFor(id)
 	ash.Lock()
 	defer ash.Unlock()
-	if err := s.persist.Log(opArchive, record{
+	return s.persist.Commit(opArchive, record{
 		User: user, Problem: problem, Session: session, ID: id, At: a.When, Seq: s.seq.Load(),
-	}); err != nil {
-		return err
-	}
-	ash.Put(id, a)
-	return nil
+	}, func() { ash.Put(id, a) })
 }
 
 // RestoreSession replaces (or recreates) a session context from an archive
@@ -563,8 +565,9 @@ func (s *Store) RestoreSession(id string) error {
 	if err != nil {
 		return err
 	}
-	problemNode.children[a.Session] = a.snapshot.clone()
-	return s.persist.Log(opRestore, record{ID: id})
+	return s.persist.Commit(opRestore, record{ID: id}, func() {
+		problemNode.children[a.Session] = a.snapshot.clone()
+	})
 }
 
 // ListArchives returns archives for a user sorted by ID.
@@ -587,10 +590,10 @@ func (s *Store) RemoveArchive(id string) error {
 	ash := s.archives.ShardFor(id)
 	ash.Lock()
 	defer ash.Unlock()
-	if !ash.Delete(id) {
+	if _, ok := ash.Get(id); !ok {
 		return fmt.Errorf("contextmgr: no archive %q", id)
 	}
-	return s.persist.Log(opRmArchive, record{ID: id})
+	return s.persist.Commit(opRmArchive, record{ID: id}, func() { ash.Delete(id) })
 }
 
 // ExportDirectory renders the tree as the directory-structure mapping the
@@ -643,7 +646,7 @@ func (s *Store) ExportDirectory() string {
 // per-user, not globally atomic: a reader racing an Import may see a mix
 // of old and new user subtrees, and the durability record of an Import
 // racing per-user writers is likewise weakly ordered (the record is
-// appended after the swap, with no global lock held).
+// appended before the swap, with no global lock held).
 func (s *Store) ImportDirectory(data string) error {
 	now := s.clock()
 	root := newNode("", now)
@@ -683,9 +686,10 @@ func (s *Store) ImportDirectory(data string) error {
 			cur.props[propName] = propValue
 		}
 	}
-	s.users.Clear()
-	for name, n := range root.children {
-		s.users.Store(name, n)
-	}
-	return s.persist.Log(opImportDir, record{Data: data, At: now})
+	return s.persist.Commit(opImportDir, record{Data: data, At: now}, func() {
+		s.users.Clear()
+		for name, n := range root.children {
+			s.users.Store(name, n)
+		}
+	})
 }

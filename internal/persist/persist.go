@@ -62,26 +62,31 @@ type Binding struct {
 
 // Bind wraps a store and the service's state-dump function. The caller has
 // already replayed the store; from here on every mutation must go through
-// Log.
+// Commit.
 func Bind(store Store, dump func(add func(op string, data []byte) error) error) *Binding {
 	return &Binding{store: store, dump: dump, CompactAfter: DefaultCompactAfter}
 }
 
-// Log durably appends one JSON-encoded mutation record. It returns only
-// after the record is fsynced (or immediately, on a nil Binding); a non-nil
-// error means the mutation must not be acknowledged as durable.
-func (b *Binding) Log(op string, v interface{}) error {
-	if b == nil {
-		return nil
+// Commit is the one write rule of every service: log first, then apply.
+// It durably appends one JSON-encoded mutation record and, only once the
+// append succeeded, runs apply; a non-nil error means the mutation must not
+// be acknowledged, and apply has not run, so memory is untouched. It
+// returns only after the record is fsynced (at once on a nil Binding,
+// which logs nothing and just applies). Callers run every check that can
+// fail before Commit and call it under the lock that orders the mutation,
+// so per-key log order equals apply order.
+func (b *Binding) Commit(op string, v interface{}, apply func()) error {
+	if b != nil {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return fmt.Errorf("persist: encode %s: %w", op, err)
+		}
+		if err := b.store.Append(op, data); err != nil {
+			return fmt.Errorf("persist: append %s: %w", op, err)
+		}
+		b.maybeCompact()
 	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("persist: encode %s: %w", op, err)
-	}
-	if err := b.store.Append(op, data); err != nil {
-		return fmt.Errorf("persist: append %s: %w", op, err)
-	}
-	b.maybeCompact()
+	apply()
 	return nil
 }
 
@@ -103,9 +108,9 @@ func (b *Binding) maybeCompact() {
 				log.Printf("persist: compaction failed: %v", err)
 				return
 			}
-			// A Log that crossed the threshold while this compaction ran
+			// A Commit that crossed the threshold while this compaction ran
 			// found it in flight and scheduled nothing: re-check now, so
-			// that growth does not wait for the next Log call.
+			// that growth does not wait for the next Commit call.
 			if !b.claimCompaction() {
 				return
 			}
@@ -140,7 +145,7 @@ func (b *Binding) Close() error {
 
 // AddJSON JSON-encodes one record into a Compact dump's add sink; dump
 // implementations use it so their records round-trip through the same
-// encoding Log uses.
+// encoding Commit uses.
 func AddJSON(add func(op string, data []byte) error, op string, v interface{}) error {
 	data, err := json.Marshal(v)
 	if err != nil {

@@ -16,8 +16,9 @@ import (
 // call must be a cheap no-op rather than a panic.
 func TestNilBindingIsNoOp(t *testing.T) {
 	var b *persist.Binding
-	if err := b.Log("op", map[string]int{"x": 1}); err != nil {
-		t.Fatalf("nil Log: %v", err)
+	applied := false
+	if err := b.Commit("op", map[string]int{"x": 1}, func() { applied = true }); err != nil || !applied {
+		t.Fatalf("nil Commit: %v, applied %v", err, applied)
 	}
 	if err := b.Compact(); err != nil {
 		t.Fatalf("nil Compact: %v", err)
@@ -33,18 +34,22 @@ func TestLogEncodeErrorNotAppended(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := persist.Bind(l, func(add func(string, []byte) error) error { return nil })
-	if err := b.Log("bad", func() {}); err == nil { // funcs don't JSON-encode
+	applied := false
+	if err := b.Commit("bad", func() {}, func() { applied = true }); err == nil { // funcs don't JSON-encode
 		t.Fatal("unencodable value accepted")
 	}
+	if applied {
+		t.Fatal("failed Commit ran its apply step")
+	}
 	if got := l.Size(); got != 0 {
-		t.Fatalf("failed Log grew the store by %d bytes", got)
+		t.Fatalf("failed Commit grew the store by %d bytes", got)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAutoCompaction drives Log past a tiny CompactAfter threshold and waits
+// TestAutoCompaction drives Commit past a tiny CompactAfter threshold and waits
 // for the background compaction to shrink the active log, then verifies the
 // snapshot round-trips through Replay with nothing lost.
 func TestAutoCompaction(t *testing.T) {
@@ -73,7 +78,7 @@ func TestAutoCompaction(t *testing.T) {
 		mu.Lock()
 		state[k] = "value"
 		mu.Unlock()
-		if err := b.Log("kv", map[string]string{"k": k, "v": "value"}); err != nil {
+		if err := b.Commit("kv", map[string]string{"k": k, "v": "value"}, func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +173,7 @@ func (s *gatedStore) Close() error { return nil }
 
 // TestCompactionRechecksAfterRun pins compaction liveness: writes that
 // push the log past the threshold while a compaction is running must get
-// their own compaction once it ends, with no further Log call to prompt
+// their own compaction once it ends, with no further Commit call to prompt
 // it.
 func TestCompactionRechecksAfterRun(t *testing.T) {
 	s := newGatedStore()
@@ -176,7 +181,7 @@ func TestCompactionRechecksAfterRun(t *testing.T) {
 	b.CompactAfter = 32
 	record := map[string]string{"k": "0123456789abcdef0123456789abcdef"}
 
-	if err := b.Log("kv", record); err != nil { // crosses the threshold
+	if err := b.Commit("kv", record, func() {}); err != nil { // crosses the threshold
 		t.Fatal(err)
 	}
 	select {
@@ -187,7 +192,7 @@ func TestCompactionRechecksAfterRun(t *testing.T) {
 	// The first compaction is in flight: these writes cross the threshold
 	// again and find it running.
 	for i := 0; i < 4; i++ {
-		if err := b.Log("kv", record); err != nil {
+		if err := b.Commit("kv", record, func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}

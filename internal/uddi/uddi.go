@@ -129,10 +129,11 @@ func (r *Registry) SaveBusiness(b BusinessEntity) (*BusinessEntity, error) {
 	sh := r.businesses.ShardFor(b.Key)
 	sh.Lock()
 	defer sh.Unlock()
-	if err := r.persist.Log(opBusiness, record{Seq: r.seq.Load(), Business: &stored}); err != nil {
+	if err := r.persist.Commit(opBusiness, record{Seq: r.seq.Load(), Business: &stored}, func() {
+		sh.Put(b.Key, &stored)
+	}); err != nil {
 		return nil, err
 	}
-	sh.Put(b.Key, &stored)
 	return &stored, nil
 }
 
@@ -144,10 +145,11 @@ func (r *Registry) SaveTModel(t TModel) (*TModel, error) {
 	sh := r.tmodels.ShardFor(t.Key)
 	sh.Lock()
 	defer sh.Unlock()
-	if err := r.persist.Log(opTModel, record{Seq: r.seq.Load(), TModel: &stored}); err != nil {
+	if err := r.persist.Commit(opTModel, record{Seq: r.seq.Load(), TModel: &stored}, func() {
+		sh.Put(t.Key, &stored)
+	}); err != nil {
 		return nil, err
 	}
-	sh.Put(t.Key, &stored)
 	return &stored, nil
 }
 
@@ -175,10 +177,11 @@ func (r *Registry) SaveService(s BusinessService) (*BusinessService, error) {
 	sh := r.services.ShardFor(s.Key)
 	sh.Lock()
 	defer sh.Unlock()
-	if err := r.persist.Log(opService, record{Seq: r.seq.Load(), Service: &stored}); err != nil {
+	if err := r.persist.Commit(opService, record{Seq: r.seq.Load(), Service: &stored}, func() {
+		sh.Put(s.Key, &stored)
+	}); err != nil {
 		return nil, err
 	}
-	sh.Put(s.Key, &stored)
 	return &stored, nil
 }
 
@@ -190,11 +193,7 @@ func (r *Registry) DeleteService(key string) error {
 	if _, ok := sh.Get(key); !ok {
 		return fmt.Errorf("uddi: unknown serviceKey %q", key)
 	}
-	if err := r.persist.Log(opDelService, record{Key: key}); err != nil {
-		return err
-	}
-	sh.Delete(key)
-	return nil
+	return r.persist.Commit(opDelService, record{Key: key}, func() { sh.Delete(key) })
 }
 
 // GetBusiness returns a business entity by key.

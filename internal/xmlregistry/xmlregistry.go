@@ -156,10 +156,11 @@ func containerFromElement(el *xmlutil.Element) (*Container, error) {
 // containers — which only Export renders — is kept separately under a
 // small mutex touched only on top-level create/delete/import.
 // With Persist attached, each mutation's record is appended inside the same
-// shard-lock critical section as the mutation itself, so per-container log
-// order matches apply order and a compaction dump (which takes shard read
-// locks) never observes a mutation whose record it might lose. Reads never
-// touch the log.
+// shard-lock critical section as the mutation itself, and before it
+// (persist.Commit), so per-container log order matches apply order, a
+// failed append changes nothing, and a compaction dump (which takes shard
+// read locks) never observes a mutation whose record it might lose. Reads
+// never touch the log.
 type Registry struct {
 	top *shardmap.Map[*Container]
 
@@ -204,40 +205,48 @@ func (r *Registry) topOrder() []string {
 	return append([]string(nil), r.order...)
 }
 
+// checkLocked reports the type conflict, if any, that creating segs with
+// typ would meet: an existing leaf of another type. It changes nothing.
+// The caller holds the shard's lock.
+func checkLocked(s *shardmap.Shard[*Container], segs []string, typ string) error {
+	cur, ok := s.Get(segs[0])
+	for i := 1; ok && i < len(segs); i++ {
+		cur, ok = cur.children[segs[i]]
+	}
+	if ok && cur.Type != typ {
+		return fmt.Errorf("xmlregistry: %s exists with type %q, requested %q", strings.Join(segs, "/"), cur.Type, typ)
+	}
+	return nil
+}
+
 // createLocked makes (or finds) the container at segs, creating
-// intermediates of type "container" and the leaf with typ. The caller
-// holds the write lock of the shard owning segs[0].
-func (r *Registry) createLocked(s *shardmap.Shard[*Container], segs []string, typ string) (*Container, error) {
-	leafIdx := len(segs) - 1
+// intermediates of type "container" and the leaf with typ. It cannot
+// fail: checkLocked has ruled out a conflicting leaf. The caller holds the
+// write lock of the shard owning segs[0].
+func (r *Registry) createLocked(s *shardmap.Shard[*Container], segs []string, typ string) *Container {
+	typeAt := func(i int) string {
+		if i == len(segs)-1 {
+			return typ
+		}
+		return "container"
+	}
 	cur, ok := s.Get(segs[0])
 	if !ok {
-		t := "container"
-		if leafIdx == 0 {
-			t = typ
-		}
-		cur = newContainer(segs[0], t)
+		cur = newContainer(segs[0], typeAt(0))
 		s.Put(segs[0], cur)
 		r.addOrder(segs[0])
-	} else if leafIdx == 0 && cur.Type != typ {
-		return nil, fmt.Errorf("xmlregistry: %s exists with type %q, requested %q", segs[0], cur.Type, typ)
 	}
 	for i := 1; i < len(segs); i++ {
 		seg := segs[i]
 		next := cur.children[seg]
 		if next == nil {
-			t := "container"
-			if i == leafIdx {
-				t = typ
-			}
-			next = newContainer(seg, t)
+			next = newContainer(seg, typeAt(i))
 			cur.children[seg] = next
 			cur.order = append(cur.order, seg)
-		} else if i == leafIdx && next.Type != typ {
-			return nil, fmt.Errorf("xmlregistry: %s exists with type %q, requested %q", strings.Join(segs, "/"), next.Type, typ)
 		}
 		cur = next
 	}
-	return cur, nil
+	return cur
 }
 
 // Create makes (or returns a deep copy of) the container at the
@@ -252,11 +261,13 @@ func (r *Registry) Create(path, typ string) (*Container, error) {
 	s := r.top.ShardFor(segs[0])
 	s.Lock()
 	defer s.Unlock()
-	c, err := r.createLocked(s, segs, typ)
-	if err != nil {
+	if err := checkLocked(s, segs, typ); err != nil {
 		return nil, err
 	}
-	if err := r.persist.Log(opCreate, record{Path: path, Type: typ}); err != nil {
+	var c *Container
+	if err := r.persist.Commit(opCreate, record{Path: path, Type: typ}, func() {
+		c = r.createLocked(s, segs, typ)
+	}); err != nil {
 		return nil, err
 	}
 	return copyContainer(c), nil
@@ -274,12 +285,12 @@ func (r *Registry) Put(path, typ string, props []Property) error {
 	s := r.top.ShardFor(segs[0])
 	s.Lock()
 	defer s.Unlock()
-	c, err := r.createLocked(s, segs, typ)
-	if err != nil {
+	if err := checkLocked(s, segs, typ); err != nil {
 		return err
 	}
-	c.Properties = append([]Property(nil), props...)
-	return r.persist.Log(opPut, record{Path: path, Type: typ, Props: props})
+	return r.persist.Commit(opPut, record{Path: path, Type: typ, Props: props}, func() {
+		r.createLocked(s, segs, typ).Properties = append([]Property(nil), props...)
+	})
 }
 
 // Get returns a deep copy of the container at path.
@@ -308,11 +319,13 @@ func (r *Registry) Delete(path string) error {
 	s.Lock()
 	defer s.Unlock()
 	if len(segs) == 1 {
-		if !s.Delete(segs[0]) {
+		if _, ok := s.Get(segs[0]); !ok {
 			return fmt.Errorf("xmlregistry: no container at %q", path)
 		}
-		r.removeOrder(segs[0])
-		return r.persist.Log(opDelete, record{Path: path})
+		return r.persist.Commit(opDelete, record{Path: path}, func() {
+			s.Delete(segs[0])
+			r.removeOrder(segs[0])
+		})
 	}
 	parent, err := lookupLocked(s, segs[:len(segs)-1], path)
 	if err != nil {
@@ -322,14 +335,15 @@ func (r *Registry) Delete(path string) error {
 	if _, ok := parent.children[leaf]; !ok {
 		return fmt.Errorf("xmlregistry: no container at %q", path)
 	}
-	delete(parent.children, leaf)
-	for i, n := range parent.order {
-		if n == leaf {
-			parent.order = append(parent.order[:i], parent.order[i+1:]...)
-			break
+	return r.persist.Commit(opDelete, record{Path: path}, func() {
+		delete(parent.children, leaf)
+		for i, n := range parent.order {
+			if n == leaf {
+				parent.order = append(parent.order[:i], parent.order[i+1:]...)
+				break
+			}
 		}
-	}
-	return r.persist.Log(opDelete, record{Path: path})
+	})
 }
 
 // lookupLocked resolves segs within the shard. The caller holds the
@@ -490,7 +504,7 @@ func (r *Registry) Export() string {
 // per-top-level-container, not globally atomic: a reader racing an Import
 // may see a mix of old and new subtrees, and the durability record of an
 // Import racing per-container writers is likewise weakly ordered (the
-// record is appended after the swap, with no global lock held).
+// record is appended before the swap, with no global lock held).
 func (r *Registry) Import(doc string) error {
 	el, err := xmlutil.ParseString(doc)
 	if err != nil {
@@ -500,15 +514,16 @@ func (r *Registry) Import(doc string) error {
 	if err != nil {
 		return err
 	}
-	r.top.Clear()
-	r.ordMu.Lock()
-	r.order = nil
-	r.ordMu.Unlock()
-	for _, name := range root.order {
-		r.top.Store(name, root.children[name])
-		r.addOrder(name)
-	}
-	return r.persist.Log(opImport, record{Doc: doc})
+	return r.persist.Commit(opImport, record{Doc: doc}, func() {
+		r.top.Clear()
+		r.ordMu.Lock()
+		r.order = nil
+		r.ordMu.Unlock()
+		for _, name := range root.order {
+			r.top.Store(name, root.children[name])
+			r.addOrder(name)
+		}
+	})
 }
 
 // --- SOAP service wrapper -------------------------------------------------

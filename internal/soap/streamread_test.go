@@ -155,3 +155,38 @@ func TestBodyReaderPoolReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestParseResponseStreamEdgeParity pins two documents on which the
+// streamed parse used to disagree with the tree path: an entity error in
+// character data nobody reads, which the tree parser rejects, and a type
+// attribute whose prefix is bound to no namespace, which Element.Attr
+// counts as unqualified.
+func TestParseResponseStreamEdgeParity(t *testing.T) {
+	const open = `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body>`
+	const close = `</e:Body></e:Envelope>`
+	bad := []byte(open + `&bogus;<m:opResponse xmlns:m="urn:s"><r>v</r></m:opResponse>` + close)
+	if _, err := ParseEnvelopeBytes(bad); err == nil {
+		t.Fatal("tree parse accepted an undefined entity")
+	}
+	if _, ok := ParseResponseStream(bad); ok {
+		t.Error("ParseResponseStream accepted an undefined entity in skipped character data")
+	}
+
+	typed := []byte(open + `<m:opResponse xmlns:m="urn:s"><r xmlns:x="" x:type="xsd:int" type="xsd:string">7</r>` +
+		`</m:opResponse>` + close)
+	env, err := ParseEnvelopeBytes(typed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ParseResponse(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := ParseResponseStream(typed)
+	if !ok {
+		t.Fatal("ParseResponseStream fell back on an in-subset response")
+	}
+	if !reflect.DeepEqual(got.Returns, want.Returns) {
+		t.Errorf("returns diverge\n got: %+v\nwant: %+v", got.Returns, want.Returns)
+	}
+}

@@ -1,25 +1,25 @@
-// cursor.go implements a pull-token reader over the same XML subset the
-// tree parser in scanner.go accepts — minus the constructs the streaming
-// consumers deliberately refuse (comments, CDATA sections, DTDs). It is the
+// cursor.go implements a pull-token reader over the tree parser's XML
+// subset minus the constructs the streaming consumers deliberately refuse
+// (comments, CDATA sections, DTDs: anything starting "<!"). It is the
 // foundation of the treeless decode fast path: the soap package walks
 // tokens straight off the wire bytes and hands scalar parameter text to
 // per-operation codecs without ever materialising an *Element tree.
 //
-// Contract with the tree parser: the cursor must never accept input the
-// tree parser rejects, and must decode identical strings for everything it
-// does accept (names interned through the same table, entity expansion and
-// "\r" normalisation identical, character validity identical). It may
-// reject MORE than the parser does — any error simply routes the document
-// to the tree path, which remains the semantic authority. That one-sided
-// guarantee is what lets the fast path fall back on surprise instead of
-// replicating every edge case.
+// Contract with the tree parser: the cursor never accepts input the tree
+// parser rejects, and decodes identical strings for everything it accepts.
+// That holds by construction: names, namespaces, processing instructions,
+// tags, attribute values, end-tag matching and the document rules come from
+// the lexer both embed (lexer.go), character data from the same scan and
+// unescape kernels, and errors carry the parser's text. Only the string
+// policy differs (memoStrings here, interning there). On top of that the
+// cursor refuses "<!", which routes the document to the tree path, the
+// semantic authority; FuzzCursorVsTree checks the whole contract.
 package xmlutil
 
 import (
 	"bytes"
 	"errors"
 	"sync"
-	"unicode/utf8"
 )
 
 // Tok is the kind of token Cursor.Next produced.
@@ -37,148 +37,119 @@ const (
 	TokEOF
 )
 
-// ErrCursorUnsupported marks a well-formed-so-far construct outside the
+// errCursorUnsupported marks a well-formed-so-far construct outside the
 // cursor's streaming subset (comments, CDATA, DTDs). Callers treat it the
 // same as a parse error — fall back to the tree parser — but the distinct
 // value keeps diagnostics honest: the input was not necessarily malformed.
-var ErrCursorUnsupported = errors.New("xmlutil: cursor: construct outside the streaming subset")
-
-var errCursorMalformed = errors.New("xmlutil: cursor: malformed XML")
-
-// openElem is one open element: its resolved identity for end-tag matching
-// plus the namespace-stack depth to restore when it closes.
-type openElem struct {
-	space, name string
-	nsMark      int
-}
+var errCursorUnsupported = errors.New("xmlutil: cursor: construct outside the streaming subset")
 
 // Cursor is a pooled pull-token reader. Acquire with AcquireCursor, walk
 // with Next, and Release when done (whether or not parsing succeeded).
 // Strings returned by Name, Space, Attr lookups, and Text never alias the
 // input and stay valid after Release.
 type Cursor struct {
-	data []byte
-	pos  int
-
-	ns   []nsBinding
-	open []openElem
-	// pend holds the current start tag's non-xmlns attributes. Lookups are
-	// lazy: Attr resolves against these raw spans on demand, so tags whose
-	// attributes nobody reads never pay for name interning or namespace
-	// resolution.
-	pend []pendingAttr
+	// lexer's pend holds the current start tag's non-xmlns attributes.
+	// Lookups are lazy: Attr matches against their raw name spans on
+	// demand, so tags whose attributes nobody reads never pay for name
+	// interning or namespace resolution.
+	lexer
 
 	// Current TokStart state.
 	space, name string
 	selfClose   bool
 
-	// Current TokText state: the raw span (aliasing data) and whether it
-	// needs unescaping.
+	// Current TokText state: the raw span (aliasing data), whether it
+	// needs unescaping, and whether Text has decoded it. Next decodes a
+	// span that needs it and that nobody read, since the tree parser
+	// checks the entities of all character data.
 	textSpan  []byte
 	textClean bool
+	textRead  bool
 
-	// memo is a small direct-mapped cache over recently seen clean byte
-	// spans (names, attribute values, short leaf text), surviving pool
-	// cycles. RPC traffic re-sends the same vocabulary every request —
-	// "xsd:string", the xsi namespace URI, parameter names, scheduler
-	// names — and the cache turns those into collision-checked string
-	// reuse without touching the locked global intern table.
-	memo [32]string
+	memo memoStrings
 }
 
-// memoSpan returns a string equal to the clean span, reusing a cached
-// instance when the same bytes were seen recently. A full comparison
-// guards every hit, so collisions only cost the miss path: one string
-// allocation and a cache overwrite.
-//
-// Only bounded vocabulary — element names and namespace prefixes — may
-// feed the global intern table through here. High-cardinality spans
-// (leaf text and attribute values: registry keys, user data) must go
-// through memoLocal instead, or the append-only intern table fills with
+// memoStrings is the cursor's string policy: a small direct-mapped cache
+// over recently seen clean byte spans (names, attribute values, short leaf
+// text), surviving pool cycles. RPC traffic re-sends the same vocabulary
+// every request — "xsd:string", the xsi namespace URI, parameter names,
+// scheduler names — and the cache turns those into collision-checked
+// string reuse without touching the locked global intern table. A full
+// comparison guards every hit, so collisions only cost the miss path: one
+// string allocation and a cache overwrite.
+type memoStrings [32]string
+
+func (m *memoStrings) slot(span []byte) *string {
+	return &m[(uint(len(span))*131+uint(span[0])*31+uint(span[len(span)-1]))%uint(len(m))]
+}
+
+// name memoises bounded vocabulary, element names and namespace prefixes,
+// through the global intern table: only these may feed it. High-cardinality
+// spans (leaf text and attribute values: registry keys, user data) go
+// through value instead, or the append-only intern table fills with
 // one-shot strings — evicting nothing, wasting the cap, and paying a
 // full-table copy per insert until full.
-func (c *Cursor) memoSpan(span []byte) string {
+func (m *memoStrings) name(span []byte) string {
 	if len(span) == 0 {
 		return ""
 	}
 	if len(span) > maxInternLen {
 		return string(span)
 	}
-	h := (uint(len(span))*131 + uint(span[0])*31 + uint(span[len(span)-1])) % uint(len(c.memo))
-	if s := c.memo[h]; s == string(span) { // no alloc: compiler-recognised compare
-		return s
+	e := m.slot(span)
+	if *e == string(span) { // no alloc: compiler-recognised compare
+		return *e
 	}
-	s := intern(span) // shared instance even when slots collide
-	c.memo[h] = s
-	return s
+	*e = intern(span) // shared instance even when slots collide
+	return *e
 }
 
-// memoLocal is memoSpan without the global intern table: a miss
-// allocates and caches per-cursor only. For spans whose value space is
-// unbounded, the recurring ones ("xsd:string", redeclared namespace
-// URIs) still turn into reuse via the memo — cursors are pooled, so the
-// memo warms once per cursor instance — while unique ones (freshly
-// minted uuid keys in publish responses) cost exactly their own
-// allocation instead of a global table insert.
-func (c *Cursor) memoLocal(span []byte) string {
+// value is name without the global intern table: a miss allocates and
+// caches per cursor only. For spans whose value space is unbounded, the
+// recurring ones ("xsd:string", redeclared namespace URIs) still turn into
+// reuse via the memo — cursors are pooled, so the memo warms once per
+// cursor instance — while unique ones (freshly minted uuid keys in publish
+// responses) cost exactly their own allocation instead of a global table
+// insert.
+func (m *memoStrings) value(span []byte) string {
 	if len(span) == 0 {
 		return ""
 	}
 	if len(span) > maxInternLen {
 		return string(span)
 	}
-	h := (uint(len(span))*131 + uint(span[0])*31 + uint(span[len(span)-1])) % uint(len(c.memo))
-	if s := c.memo[h]; s == string(span) {
-		return s
+	e := m.slot(span)
+	if *e != string(span) {
+		*e = string(span)
 	}
-	s := string(span)
-	c.memo[h] = s
-	return s
+	return *e
 }
 
-// memoHit probes the memo with a raw, not-yet-validated span and reports
-// whether it holds a byte-equal string. Every memo entrant was
-// content-validated by its producer (qname, a clean attribute value,
+// known probes the memo with a raw, not-yet-validated span. Every memo
+// entrant was validated by its producer (a name, a clean attribute value,
 // clean character data), so a hit proves the span clean and valid without
 // rescanning it — the basis of the attribute-value fast path.
-func (c *Cursor) memoHit(span []byte) (string, bool) {
-	n := len(span)
-	if n == 0 || n > maxInternLen {
+func (m *memoStrings) known(span []byte) (string, bool) {
+	if len(span) == 0 || len(span) > maxInternLen {
 		return "", false
 	}
-	h := (uint(n)*131 + uint(span[0])*31 + uint(span[n-1])) % uint(len(c.memo))
-	if s := c.memo[h]; s == string(span) {
-		return s, true
+	if e := m.slot(span); *e == string(span) {
+		return *e, true
 	}
 	return "", false
 }
 
-// plainAttrByte classifies the bytes attribute-value scanning can accept
-// without further checks: printable ASCII plus tab and newline, minus '<',
-// '&' and '\r' (the closing quote is compared before the table). One table
-// load replaces the per-byte switch on the hot scanning loop.
-var plainAttrByte = func() (attr [256]bool) {
-	for i := 0x20; i < 0x80; i++ {
-		attr[i] = true
-	}
-	attr['\t'], attr['\n'] = true, true
-	attr['<'], attr['&'] = false, false
-	return
-}()
-
-var cursorPool = sync.Pool{New: func() interface{} { return new(Cursor) }}
+var cursorPool = sync.Pool{New: func() interface{} {
+	c := new(Cursor)
+	c.str = &c.memo
+	return c
+}}
 
 // AcquireCursor returns a pooled cursor positioned at the start of data. A
 // UTF-8 byte-order mark is tolerated, as in the tree parser.
 func AcquireCursor(data []byte) *Cursor {
 	c := cursorPool.Get().(*Cursor)
-	c.data = data
-	c.pos = 0
-	if bytes.HasPrefix(data, bomPrefix) {
-		c.pos = 3
-	}
-	c.ns = c.ns[:0]
-	c.open = c.open[:0]
+	c.reset(data)
 	c.selfClose = false
 	c.textSpan = nil
 	return c
@@ -187,18 +158,8 @@ func AcquireCursor(data []byte) *Cursor {
 // Release returns the cursor to the pool. The cursor must not be used
 // afterwards.
 func (c *Cursor) Release() {
-	c.data = nil
+	c.release()
 	c.textSpan = nil
-	// pend and ns hold byte slices aliasing the document; zero them so a
-	// pooled cursor does not pin a released request buffer.
-	for i := range c.pend {
-		c.pend[i] = pendingAttr{}
-	}
-	c.pend = c.pend[:0]
-	for i := range c.ns {
-		c.ns[i] = nsBinding{}
-	}
-	c.ns = c.ns[:0]
 	c.space, c.name = "", ""
 	cursorPool.Put(c)
 }
@@ -240,7 +201,8 @@ func (c *Cursor) SkipPrologue(seed *PrologueSeed) bool {
 		if i > 0 {
 			mark = len(c.ns)
 		}
-		c.open = append(c.open, openElem{space: seed.OpenSpaces[i], name: seed.OpenNames[i], nsMark: mark})
+		c.open = append(c.open, openTag{space: seed.OpenSpaces[i], name: seed.OpenNames[i], nsMark: mark})
+		c.rooted = true
 	}
 	c.pos += len(seed.Text)
 	return true
@@ -258,24 +220,25 @@ func (c *Cursor) Space() string { return c.space }
 func (c *Cursor) Name() string { return c.name }
 
 // Attr looks up an attribute of the current TokStart element by local
-// name with Element.Attr semantics: an unqualified attribute wins, then
-// the first prefixed one. xmlns declarations are never visible here. The
-// lookup works on the raw attribute spans, so elements whose attributes
-// are never queried pay nothing beyond value scanning.
+// name with Element.Attr semantics: the first attribute in no namespace
+// wins, then the first namespaced one. xmlns declarations are never
+// visible here. The lookup works on the raw attribute spans, so elements
+// whose attributes are never queried pay nothing beyond value scanning.
 func (c *Cursor) Attr(name string) (string, bool) {
+	v, found := "", false
 	for i := range c.pend {
 		pa := &c.pend[i]
-		if pa.prefix == nil && string(pa.local) == name {
+		if string(pa.local) != name {
+			continue
+		}
+		if pa.prefix == nil || c.resolve(pa.prefix, false) == "" {
 			return pa.value, true
 		}
-	}
-	for i := range c.pend {
-		pa := &c.pend[i]
-		if string(pa.local) == name {
-			return pa.value, true
+		if !found {
+			v, found = pa.value, true
 		}
 	}
-	return "", false
+	return v, found
 }
 
 // TextIsSpace reports whether the current TokText raw span is entirely XML
@@ -297,9 +260,11 @@ func (c *Cursor) TextIsSpace() bool {
 // returned string.
 func (c *Cursor) Text() (string, error) {
 	if c.textClean {
-		return c.memoLocal(c.textSpan), nil
+		return c.memo.value(c.textSpan), nil
 	}
-	return unescapeCursor(c.textSpan)
+	s, err := c.unescape(c.textSpan, true)
+	c.textRead = err == nil
+	return s, err
 }
 
 // Next advances to the next token. Any error — malformed XML or a
@@ -308,68 +273,51 @@ func (c *Cursor) Text() (string, error) {
 func (c *Cursor) Next() (Tok, error) {
 	if c.selfClose {
 		c.selfClose = false
-		return c.popElem()
+		c.pop()
+		return TokEnd, nil
 	}
+	if c.textSpan != nil && !c.textClean && !c.textRead {
+		if _, err := c.unescape(c.textSpan, true); err != nil {
+			return TokEOF, err
+		}
+	}
+	c.textSpan = nil
 	for {
 		if c.pos >= len(c.data) {
-			if len(c.open) != 0 {
-				return TokEOF, errCursorMalformed
-			}
-			return TokEOF, nil
+			return TokEOF, c.finish()
 		}
 		if c.data[c.pos] != '<' {
 			return c.scanText()
 		}
 		c.pos++
 		if c.pos >= len(c.data) {
-			return TokEOF, errCursorMalformed
+			return TokEOF, c.errf("unexpected EOF")
 		}
 		switch c.data[c.pos] {
 		case '?':
 			// Processing instructions (the XML declaration included) are
 			// skipped wherever they appear, as in the tree parser.
-			if !c.skipPI() {
-				return TokEOF, errCursorMalformed
+			if err := c.skipPI(); err != nil {
+				return TokEOF, err
 			}
 		case '!':
 			// Comments and CDATA are tree-parser territory; DTDs are
 			// rejected there too, so either way the fast path stops here.
-			return TokEOF, ErrCursorUnsupported
+			return TokEOF, errCursorUnsupported
 		case '/':
 			c.pos++
-			return c.endTag()
+			if err := c.endTag(); err != nil {
+				return TokEOF, err
+			}
+			return TokEnd, nil
 		default:
-			return c.startTag()
+			var err error
+			if c.space, c.name, c.selfClose, err = c.startTag(); err != nil {
+				return TokEOF, err
+			}
+			return TokStart, nil
 		}
 	}
-}
-
-// Skip consumes tokens until the element whose TokStart was just returned
-// closes, discarding everything inside it.
-func (c *Cursor) Skip() error {
-	depth := 1
-	for depth > 0 {
-		tok, err := c.Next()
-		if err != nil {
-			return err
-		}
-		switch tok {
-		case TokStart:
-			depth++
-		case TokEnd:
-			depth--
-		case TokEOF:
-			return errCursorMalformed
-		}
-	}
-	return nil
-}
-
-func (c *Cursor) popElem() (Tok, error) {
-	f := c.open[len(c.open)-1]
-	c.ns = c.ns[:f.nsMark]
-	c.open = c.open[:len(c.open)-1]
-	return TokEnd, nil
 }
 
 // scanText scans one run of character data up to the next '<', with the
@@ -377,257 +325,12 @@ func (c *Cursor) popElem() (Tok, error) {
 func (c *Cursor) scanText() (Tok, error) {
 	end, clean, msg := scanCharData(c.data, c.pos)
 	if msg != "" {
-		return TokEOF, errCursorMalformed
+		c.pos = end
+		return TokEOF, c.errf("%s", msg)
 	}
 	c.textSpan = c.data[c.pos:end]
 	c.textClean = clean
+	c.textRead = false
 	c.pos = end
 	return TokText, nil
-}
-
-func (c *Cursor) skipPI() bool {
-	data := c.data
-	i := c.pos + 1
-	for i < len(data) {
-		if data[i] == '?' && i+1 < len(data) && data[i+1] == '>' {
-			c.pos = i + 2
-			return true
-		}
-		i++
-	}
-	return false
-}
-
-// qname reads one XML name with the single-colon rule, returning prefix
-// (nil when unprefixed) and local slices of the input.
-func (c *Cursor) qname() (prefix, local []byte, ok bool) {
-	data := c.data
-	start := c.pos
-	i := c.pos
-	if i >= len(data) {
-		return nil, nil, false
-	}
-	colon := -1
-	ch := data[i]
-	switch {
-	case ch < 0x80:
-		if !isNameStartByte(ch) {
-			return nil, nil, false
-		}
-		if ch == ':' {
-			colon = 0
-		}
-		i++
-	default:
-		r, size := utf8.DecodeRune(data[i:])
-		if (r == utf8.RuneError && size == 1) || !validXMLChar(r) {
-			return nil, nil, false
-		}
-		i += size
-	}
-	for i < len(data) {
-		ch := data[i]
-		if ch < 0x80 {
-			if !isNameByte(ch) {
-				break
-			}
-			if ch == ':' {
-				if colon >= 0 {
-					return nil, nil, false
-				}
-				colon = i - start
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRune(data[i:])
-		if (r == utf8.RuneError && size == 1) || !validXMLChar(r) {
-			return nil, nil, false
-		}
-		i += size
-	}
-	raw := data[start:i]
-	c.pos = i
-	// ":", "b:", ":b" are kept whole as the local name, as in the parser.
-	if colon > 0 && colon < len(raw)-1 {
-		return raw[:colon], raw[colon+1:], true
-	}
-	return nil, raw, true
-}
-
-// resolve mirrors parser.resolve over the cursor's binding stack.
-func (c *Cursor) resolve(prefix []byte, element bool) string {
-	if prefix == nil {
-		if element {
-			for i := len(c.ns) - 1; i >= 0; i-- {
-				if c.ns[i].prefix == nil {
-					return c.ns[i].uri
-				}
-			}
-		}
-		return ""
-	}
-	if string(prefix) == "xml" {
-		return xmlNamespace
-	}
-	if string(prefix) == "xmlns" {
-		return "xmlns"
-	}
-	for i := len(c.ns) - 1; i >= 0; i-- {
-		if c.ns[i].prefix != nil && bytes.Equal(c.ns[i].prefix, prefix) {
-			return c.ns[i].uri
-		}
-	}
-	return c.memoSpan(prefix)
-}
-
-func (c *Cursor) skipSpace() {
-	for c.pos < len(c.data) && isSpaceByte(c.data[c.pos]) {
-		c.pos++
-	}
-}
-
-func (c *Cursor) startTag() (Tok, error) {
-	nsMark := len(c.ns)
-	prefix, local, ok := c.qname()
-	if !ok {
-		return TokEOF, errCursorMalformed
-	}
-	c.pend = c.pend[:0]
-	c.selfClose = false
-	for {
-		c.skipSpace()
-		if c.pos >= len(c.data) {
-			return TokEOF, errCursorMalformed
-		}
-		ch := c.data[c.pos]
-		if ch == '>' {
-			c.pos++
-			break
-		}
-		if ch == '/' {
-			c.pos++
-			if c.pos >= len(c.data) || c.data[c.pos] != '>' {
-				return TokEOF, errCursorMalformed
-			}
-			c.pos++
-			c.selfClose = true
-			break
-		}
-		aprefix, alocal, ok := c.qname()
-		if !ok {
-			return TokEOF, errCursorMalformed
-		}
-		c.skipSpace()
-		if c.pos >= len(c.data) || c.data[c.pos] != '=' {
-			return TokEOF, errCursorMalformed
-		}
-		c.pos++
-		c.skipSpace()
-		val, err := c.attrValue()
-		if err != nil {
-			return TokEOF, err
-		}
-		switch {
-		case aprefix == nil && string(alocal) == "xmlns":
-			c.ns = append(c.ns, nsBinding{prefix: nil, uri: val})
-		case string(aprefix) == "xmlns":
-			c.ns = append(c.ns, nsBinding{prefix: alocal, uri: val})
-		default:
-			c.pend = append(c.pend, pendingAttr{prefix: aprefix, local: alocal, value: val})
-		}
-	}
-	c.space = c.resolve(prefix, true)
-	c.name = c.memoSpan(local)
-	if len(c.open) >= maxDepth {
-		return TokEOF, errCursorMalformed
-	}
-	c.open = append(c.open, openElem{space: c.space, name: c.name, nsMark: nsMark})
-	return TokStart, nil
-}
-
-func (c *Cursor) attrValue() (string, error) {
-	data := c.data
-	if c.pos >= len(data) || (data[c.pos] != '"' && data[c.pos] != '\'') {
-		return "", errCursorMalformed
-	}
-	q := data[c.pos]
-	c.pos++
-	start := c.pos
-	// Fast path: find the closing quote with IndexByte and probe the memo
-	// with the raw span. A clean value contains neither entities nor its
-	// own quote character, so a byte-equal memo hit is exactly the
-	// already-validated value — namespace URIs and xsi type attributes,
-	// re-declared on every RPC parameter, land here after the first one.
-	if rel := bytes.IndexByte(data[start:], q); rel > 0 {
-		if s, ok := c.memoHit(data[start : start+rel]); ok {
-			c.pos = start + rel + 1
-			return s, nil
-		}
-	}
-	i := c.pos
-	clean := true
-	for {
-		if i >= len(data) {
-			return "", errCursorMalformed
-		}
-		ch := data[i]
-		if ch == q {
-			break
-		}
-		if plainAttrByte[ch] {
-			i++
-			continue
-		}
-		switch {
-		case ch == '&' || ch == '\r':
-			clean = false
-			i++
-		case ch < 0x80: // '<' or a control character outside tab/newline
-			return "", errCursorMalformed
-		default:
-			r, size := utf8.DecodeRune(data[i:])
-			if (r == utf8.RuneError && size == 1) || !validXMLChar(r) {
-				return "", errCursorMalformed
-			}
-			i += size
-		}
-	}
-	span := data[start:i]
-	c.pos = i + 1
-	if clean {
-		return c.memoLocal(span), nil
-	}
-	return unescapeCursor(span)
-}
-
-func (c *Cursor) endTag() (Tok, error) {
-	prefix, local, ok := c.qname()
-	if !ok {
-		return TokEOF, errCursorMalformed
-	}
-	c.skipSpace()
-	if c.pos >= len(c.data) || c.data[c.pos] != '>' {
-		return TokEOF, errCursorMalformed
-	}
-	c.pos++
-	if len(c.open) == 0 {
-		return TokEOF, errCursorMalformed
-	}
-	f := c.open[len(c.open)-1]
-	// Compare the resolved name, as parser.endTag does.
-	if f.name != string(local) || f.space != c.resolve(prefix, true) {
-		return TokEOF, errCursorMalformed
-	}
-	return c.popElem()
-}
-
-// unescapeCursor decodes a dirty span with the tree parser's kernel; the
-// cursor only needs to know that decoding failed, not why.
-func unescapeCursor(span []byte) (string, error) {
-	s, msg := unescapeString(span, true)
-	if msg != "" {
-		return "", errCursorMalformed
-	}
-	return s, nil
 }

@@ -268,3 +268,138 @@ func TestCursorPoolReuse(t *testing.T) {
 		c.Release()
 	}
 }
+
+// cursorWalkError walks doc to its end with a cursor that never reads a
+// text token, returning the first error.
+func cursorWalkError(doc []byte) error {
+	c := AcquireCursor(doc)
+	defer c.Release()
+	for {
+		tok, err := c.Next()
+		if err != nil || tok == TokEOF {
+			return err
+		}
+	}
+}
+
+// FuzzCursorVsTree checks the cursor against the tree parser on whole
+// documents. Whatever the cursor walks to TokEOF, reading every text
+// token, the tree parser accepts, with the same elements in the same
+// order: space, name, attributes as Attr sees them, and text by the tree
+// parser's rules (runs joined; trimmed where the element has children).
+// The cursor rejects a document the parser accepts only for a "<!"
+// construct, and where both reject one, they give the same error text. A
+// walk that skips the text tokens accepts nothing more.
+func FuzzCursorVsTree(f *testing.F) {
+	// Character data inside one element: text scanning and unescaping.
+	for _, s := range []string{
+		"", "plain", "a &amp; b", "&lt;&gt;&amp;&quot;&apos;", "&#65;&#x42;&#x10FFFF;",
+		"x\r\ny\rz\r", "\r&#10;", "]]>", "]]", "a]b", "a\xffb", "&bogus;", "&#0;", "&#xD800;",
+		"&#x110000;", "&", "&amp", "\x01", "\t\n", "\xe6\x97\xa5\xe6\x9c\xac", "\xef\xbf\xbe",
+		strings.Repeat("&lt;x&amp;", 40),
+	} {
+		f.Add([]byte("<a>" + s + "</a>"))
+	}
+	// TestCursorTreeParity's documents.
+	for _, doc := range []string{
+		`<r><v t="xsd:string">hi</v><v t="xsd:string">hi</v></r>`,
+		`<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body>` +
+			`<m:op xmlns:m="urn:svc"><p x:type="xsd:int" xmlns:x="urn:x">41</p></m:op></e:Body></e:Envelope>`,
+		`<r a="1" b="two &quot;quoted&quot;" c="">mixed <i>in</i> tail</r>`,
+		`<r xmlns="urn:default"><child attr="&#65;BC"/></r>`,
+	} {
+		f.Add([]byte(doc))
+	}
+	// An attribute whose prefix is bound to no namespace counts as
+	// unqualified for Attr; character data must be checked even when
+	// nobody reads it; a second root and an empty document are errors.
+	for _, doc := range []string{
+		`<a xmlns:p="" p:b="2" b="1"/>`, "x&bogus;<a/>", "<a>&bogus;<b/></a>", "<a/><b/>", "<?pi?> ",
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		tree, treeErr := ParseBytes(doc)
+		var order []*Element
+		if treeErr == nil {
+			tree.Walk(func(e *Element) bool { order = append(order, e); return true })
+		}
+		if err := cursorWalkError(doc); err == nil && treeErr != nil {
+			t.Fatalf("a cursor skipping text accepts %q; the tree parser says %v", doc, treeErr)
+		}
+
+		type open struct {
+			el   *Element
+			text string
+			kids bool
+		}
+		var stack []open
+		c := AcquireCursor(doc)
+		defer c.Release()
+		for n := 0; ; {
+			tok, err := c.Next()
+			var text string
+			if err == nil && tok == TokText {
+				text, err = c.Text()
+			}
+			if err != nil {
+				switch {
+				case treeErr == nil && err != errCursorUnsupported:
+					t.Fatalf("the cursor rejects %q (%v); the tree parser accepts it", doc, err)
+				case treeErr != nil && err != errCursorUnsupported && err.Error() != treeErr.Error():
+					t.Fatalf("on %q the cursor says %q, the tree parser %q", doc, err, treeErr)
+				}
+				return
+			}
+			if treeErr != nil {
+				if tok == TokEOF {
+					t.Fatalf("the cursor accepts %q; the tree parser says %v", doc, treeErr)
+				}
+				continue
+			}
+			switch tok {
+			case TokStart:
+				if n == len(order) {
+					t.Fatalf("on %q the cursor starts <%s|%s> after the tree's last element", doc, c.Space(), c.Name())
+				}
+				el := order[n]
+				n++
+				if c.Space() != el.Space || c.Name() != el.Name {
+					t.Fatalf("on %q element %d: cursor <%s|%s>, tree <%s|%s>", doc, n, c.Space(), c.Name(), el.Space, el.Name)
+				}
+				if len(c.pend) != len(el.Attrs) {
+					t.Fatalf("on %q element %d: cursor has %d attributes, tree %d", doc, n, len(c.pend), len(el.Attrs))
+				}
+				for _, a := range append(el.Attrs, Attr{Name: "absent-name"}) {
+					got, gotOK := c.Attr(a.Name)
+					want, wantOK := el.Attr(a.Name)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("on %q element %d: Attr(%q) = %q/%v, tree %q/%v", doc, n, a.Name, got, gotOK, want, wantOK)
+					}
+				}
+				if len(stack) > 0 {
+					stack[len(stack)-1].kids = true
+				}
+				stack = append(stack, open{el: el})
+			case TokText:
+				if len(stack) > 0 {
+					stack[len(stack)-1].text += text
+				}
+			case TokEnd:
+				o := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if o.kids {
+					o.text = strings.TrimSpace(o.text)
+				}
+				if o.text != o.el.Text {
+					t.Fatalf("on %q <%s>: cursor text %q, tree %q", doc, o.el.Name, o.text, o.el.Text)
+				}
+			case TokEOF:
+				if n != len(order) {
+					t.Fatalf("on %q the cursor saw %d elements, the tree %d", doc, n, len(order))
+				}
+				return
+			}
+		}
+	})
+}

@@ -64,58 +64,6 @@ func FuzzEscape(f *testing.F) {
 	})
 }
 
-// cursorLeafText reads the single leaf of doc with a Cursor, reporting
-// whether the cursor accepted the document.
-func cursorLeafText(doc []byte) (string, bool) {
-	c := AcquireCursor(doc)
-	defer c.Release()
-	text := ""
-	for {
-		tok, err := c.Next()
-		if err != nil {
-			return "", false
-		}
-		switch tok {
-		case TokText:
-			s, err := c.Text()
-			if err != nil {
-				return "", false
-			}
-			text += s
-		case TokEOF:
-			return text, true
-		}
-	}
-}
-
-// FuzzCursorText pins the cursor's text scanning and unescaping to the
-// tree parser's: for any character data s without markup, "<a>"+s+"</a>"
-// is accepted by both or rejected by both, and decodes to the same text.
-func FuzzCursorText(f *testing.F) {
-	for _, s := range []string{
-		"", "plain", "a &amp; b", "&lt;&gt;&amp;&quot;&apos;", "&#65;&#x42;&#x10FFFF;",
-		"x\r\ny\rz\r", "\r&#10;", "]]>", "]]", "a]b", "a\xffb", "&bogus;", "&#0;", "&#xD800;",
-		"&#x110000;", "&", "&amp", "\x01", "\t\n", "\xe6\x97\xa5\xe6\x9c\xac", "\xef\xbf\xbe",
-		strings.Repeat("&lt;x&amp;", 40),
-	} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		if strings.IndexByte(s, '<') >= 0 {
-			return // markup, not character data: the parse oracles cover it
-		}
-		doc := []byte("<a>" + s + "</a>")
-		tree, treeErr := ParseBytes(doc)
-		got, ok := cursorLeafText(doc)
-		if ok != (treeErr == nil) {
-			t.Fatalf("on %q the cursor accepts=%v but the tree parser says %v", s, ok, treeErr)
-		}
-		if ok && got != tree.Text {
-			t.Fatalf("on %q the cursor reads %q, the tree parser %q", s, got, tree.Text)
-		}
-	})
-}
-
 // allocatedPerCall reports the mean number of heap bytes fn allocates.
 func allocatedPerCall(runs int, fn func()) uint64 {
 	fn() // warm the buffer pool

@@ -1,41 +1,42 @@
-// scanner.go implements the hand-rolled XML token scanner behind Parse,
-// ParseBytes, ParseString, and the pooled-arena decode path (ParseBytesPooled).
+// scanner.go is the tree parser behind Parse, ParseBytes, ParseString and
+// the pooled-arena decode path (ParseBytesPooled). It is one of the two
+// consumers of the package's markup lexer (lexer.go), the streaming Cursor
+// being the other, so both accept the same markup by construction. The
+// parser adds what only a tree needs: character data accumulated per
+// element, comments and CDATA sections, the rejection of DTDs and other
+// <!...> directives, and slab-allocated Element nodes.
 //
-// The scanner lexes directly over []byte for the XML subset the portal wire
-// formats actually use: elements, attributes, namespaces, character data,
-// CDATA sections, comments, and entity references (the five predefined names
-// plus decimal/hex character references). Processing instructions — including
-// the XML declaration — are skipped wherever they appear; DTDs and other
-// <!...> directives are rejected. A UTF-8 byte-order mark and leading
-// whitespace before the document are tolerated.
+// The subset is the one the portal wire formats use: elements, attributes,
+// namespaces, character data, CDATA, comments, and entity references (the
+// five predefined names plus decimal/hex character references); processing
+// instructions, the XML declaration included, are skipped wherever they
+// appear. A UTF-8 byte-order mark and leading whitespace are tolerated.
 //
 // Performance model:
 //
-//   - Names and namespace URIs are resolved by slicing the input without
-//     copying, then materialised through a bounded global intern table, so
-//     after warm-up the recurring vocabulary of a dialect (SOAP envelope
-//     names, xsi:type values, namespace URIs) costs zero allocations.
+//   - Names, unbound prefixes and clean attribute values of up to
+//     maxInternLen bytes are materialised through a bounded global intern
+//     table (internStrings), so after warm-up the recurring vocabulary of a
+//     dialect costs zero allocations. Attributes are resolved eagerly.
 //   - Element nodes are carved out of slabs. Plain ParseBytes hands the
 //     slabs to the caller inside the returned tree (forever-owned); the
 //     pooled path (ParseBytesPooled) recycles slabs, attribute storage, and
 //     parser state through a sync.Pool once the caller Releases the Doc.
-//   - Character data and attribute values take a fast path that allocates
-//     only the final string: unescaping runs only when an entity reference
-//     or a carriage return (which XML requires to be normalised) is present.
+//   - Character data and attribute values allocate only the final string:
+//     unescaping runs only when an entity reference or a carriage return
+//     (which XML requires to be normalised) is present.
 //
-// Compatibility: the scanner matches the strictness of the previous
-// encoding/xml-token implementation for every construct it supports — XML
-// character validity, "]]>" rejected in character data, "--" rejected inside
-// comments, entity syntax, "\r\n"/"\r" to "\n" normalisation in text, CDATA
-// and attribute values, at most one colon per name, namespace scoping with
-// unbound prefixes resolving to the prefix itself — so the element trees it
-// produces are identical. FuzzParseRoundTrip enforces the equivalence
+// Compatibility: the parser matches encoding/xml's strictness for every
+// construct it supports — character validity, "]]>" rejected in character
+// data, "--" rejected inside comments, entity syntax, "\r\n"/"\r" to "\n"
+// normalisation, at most one colon per name, namespace scoping with unbound
+// prefixes resolving to the prefix itself — so the trees it produces are
+// the ones an encoding/xml decoder would. FuzzParseRoundTrip enforces that
 // differentially against an encoding/xml reference decoder.
 package xmlutil
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -43,16 +44,8 @@ import (
 	"unicode/utf8"
 )
 
-const (
-	// xmlNamespace is the URI the reserved "xml" prefix resolves to.
-	xmlNamespace = "http://www.w3.org/XML/1998/namespace"
-	// maxDepth bounds element nesting so a hostile document cannot wind the
-	// stack (and the render recursion of whoever consumes the tree) out of
-	// control.
-	maxDepth = 1000
-	// maxEntityLen bounds the distance scanned for the ';' of an entity.
-	maxEntityLen = 64
-)
+// maxEntityLen bounds the distance scanned for the ';' of an entity.
+const maxEntityLen = 64
 
 // Pool trim thresholds: a pooled parser that handled one huge document must
 // not pin that memory forever.
@@ -125,49 +118,27 @@ func intern(b []byte) string {
 
 // --- parser state ----------------------------------------------------------
 
-// nsBinding is one in-scope namespace declaration. prefix slices the input
-// (valid only during the parse); nil prefix is the default namespace.
-type nsBinding struct {
-	prefix []byte
-	uri    string
-}
-
-// frame is one open element on the parse stack.
+// frame is the tree state of one open element; the lexer's open stack
+// holds its name, in step with the parser's stack.
 type frame struct {
 	el *Element
-	// rawName is the tag name exactly as written, for error messages.
-	rawName []byte
 	// raw holds a pending clean text span (no entity, no '\r') aliasing the
 	// input; it is materialised lazily so whitespace-only formatting between
 	// child elements never allocates.
 	raw []byte
 	// mat records that Text has been materialised through the slow path.
 	mat bool
-	// nsMark is the namespace stack depth when the element opened.
-	nsMark int
 }
 
-// pendingAttr is one lexed attribute awaiting namespace resolution: decls on
-// the same tag may appear after the attributes that use them, so attributes
-// materialise only once the whole tag has been scanned.
-type pendingAttr struct {
-	prefix []byte
-	local  []byte
-	value  string
-}
-
-// parser is the pooled scanner state. Retained-mode parsers (Parse,
-// ParseBytes, ParseString) detach their element slabs into the returned tree
-// and recycle only the lexer state; arena-mode parsers (ParseBytesPooled)
-// keep the slabs and recycle everything when the Doc is released.
+// parser is the pooled tree builder over the lexer. Retained-mode parsers
+// (Parse, ParseBytes, ParseString) detach their element slabs into the
+// returned tree and recycle only the lexer state; arena-mode parsers
+// (ParseBytesPooled) keep the slabs and recycle everything when the Doc is
+// released.
 type parser struct {
-	data []byte
-	pos  int
-	root *Element
-
+	lexer
+	root  *Element
 	stack []frame
-	ns    []nsBinding
-	pend  []pendingAttr
 
 	// Element arena: nodes are handed out of slabs in order.
 	slabs    [][]Element
@@ -180,20 +151,17 @@ type parser struct {
 	attrs []Attr
 }
 
+func newParser() interface{} { return &parser{lexer: lexer{str: internStrings{}}} }
+
 var (
-	retainedPool = sync.Pool{New: func() interface{} { return new(parser) }}
-	arenaPool    = sync.Pool{New: func() interface{} { return new(parser) }}
+	retainedPool = sync.Pool{New: newParser}
+	arenaPool    = sync.Pool{New: newParser}
 )
 
-var bomPrefix = []byte{0xEF, 0xBB, 0xBF}
-
 func (p *parser) reset(data []byte) {
-	p.data = data
-	p.pos = 0
+	p.lexer.reset(data)
 	p.root = nil
 	p.stack = p.stack[:0]
-	p.ns = p.ns[:0]
-	p.pend = p.pend[:0]
 	p.slabI = 0
 	p.elemI = 0
 	p.attrs = p.attrs[:0]
@@ -239,46 +207,9 @@ func (p *parser) newElement() *Element {
 	}
 }
 
-func (p *parser) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("xmlutil: parse at byte %d: %s", p.pos, fmt.Sprintf(format, args...))
-}
-
-// --- character classes -----------------------------------------------------
-
-// validXMLChar reports whether r is in the XML 1.0 Char production, the same
-// range encoding/xml enforces.
-func validXMLChar(r rune) bool {
-	return r == 0x09 || r == 0x0A || r == 0x0D ||
-		(0x20 <= r && r <= 0xD7FF) ||
-		(0xE000 <= r && r <= 0xFFFD) ||
-		(0x10000 <= r && r <= 0x10FFFF)
-}
-
-func isNameStartByte(c byte) bool {
-	return 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_' || c == ':'
-}
-
-func isNameByte(c byte) bool {
-	return 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || '0' <= c && c <= '9' ||
-		c == '_' || c == ':' || c == '.' || c == '-'
-}
-
-func isSpaceByte(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
-}
-
-func (p *parser) skipSpace() {
-	for p.pos < len(p.data) && isSpaceByte(p.data[p.pos]) {
-		p.pos++
-	}
-}
-
 // --- main loop -------------------------------------------------------------
 
 func (p *parser) run() (*Element, error) {
-	if bytes.HasPrefix(p.data, bomPrefix) {
-		p.pos = 3
-	}
 	for p.pos < len(p.data) {
 		if p.data[p.pos] != '<' {
 			if err := p.text(); err != nil {
@@ -310,11 +241,8 @@ func (p *parser) run() (*Element, error) {
 			}
 		}
 	}
-	if len(p.stack) != 0 {
-		return nil, errors.New("xmlutil: parse: unterminated document")
-	}
-	if p.root == nil {
-		return nil, errors.New("xmlutil: parse: empty document")
+	if err := p.finish(); err != nil {
+		return nil, err
 	}
 	return p.root, nil
 }
@@ -371,16 +299,6 @@ func (p *parser) addText(span []byte, clean, entities bool) error {
 	f.el.Text += s
 	f.mat = true
 	return nil
-}
-
-// unescape expands entity references (when entities is true) and normalises
-// "\r\n" and "\r" to "\n", returning an exactly sized fresh string.
-func (p *parser) unescape(span []byte, entities bool) (string, error) {
-	s, msg := unescapeString(span, entities)
-	if msg != "" {
-		return "", p.errf("%s", msg)
-	}
-	return s, nil
 }
 
 // textStop marks the bytes character-data scanning must stop on to make a
@@ -680,169 +598,18 @@ func (p *parser) cdata() error {
 	return p.errf("unterminated CDATA section")
 }
 
-// skipPI skips a processing instruction (including the XML declaration,
-// wherever it appears) without interpreting it.
-func (p *parser) skipPI() error {
-	data := p.data
-	i := p.pos + 1
-	for i < len(data) {
-		if data[i] == '?' && i+1 < len(data) && data[i+1] == '>' {
-			p.pos = i + 2
-			return nil
-		}
-		i++
-	}
-	p.pos = i
-	return p.errf("unterminated processing instruction")
-}
-
-// --- names and namespaces --------------------------------------------------
-
-// qname reads one XML name, enforcing the single-colon prefix rule, and
-// returns the raw bytes plus the prefix/local split (prefix nil when
-// unprefixed). Only slices of the input are returned.
-func (p *parser) qname() (raw, prefix, local []byte, err error) {
-	data := p.data
-	start := p.pos
-	i := p.pos
-	if i >= len(data) {
-		return nil, nil, nil, p.errf("expected name")
-	}
-	colon := -1
-	c := data[i]
-	switch {
-	case c < 0x80:
-		if !isNameStartByte(c) {
-			return nil, nil, nil, p.errf("expected name, found %q", rune(c))
-		}
-		if c == ':' {
-			colon = 0
-		}
-		i++
-	default:
-		r, size := utf8.DecodeRune(data[i:])
-		if (r == utf8.RuneError && size == 1) || !validXMLChar(r) {
-			return nil, nil, nil, p.errf("invalid rune in name")
-		}
-		i += size
-	}
-	for i < len(data) {
-		c := data[i]
-		if c < 0x80 {
-			if !isNameByte(c) {
-				break
-			}
-			if c == ':' {
-				if colon >= 0 {
-					p.pos = i
-					return nil, nil, nil, p.errf("name with more than one colon")
-				}
-				colon = i - start
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRune(data[i:])
-		if (r == utf8.RuneError && size == 1) || !validXMLChar(r) {
-			p.pos = i
-			return nil, nil, nil, p.errf("invalid rune in name")
-		}
-		i += size
-	}
-	raw = data[start:i]
-	p.pos = i
-	// A name with an empty prefix or local part (":", "b:", ":b") is not
-	// treated as namespaced: encoding/xml keeps it whole as the local name.
-	if colon > 0 && colon < len(raw)-1 {
-		return raw, raw[:colon], raw[colon+1:], nil
-	}
-	return raw, nil, raw, nil
-}
-
-// resolve maps a prefix to its namespace URI under the current bindings,
-// mirroring encoding/xml: the default namespace applies only to elements,
-// "xml" and "xmlns" are reserved, and an unbound prefix resolves to the
-// prefix itself.
-func (p *parser) resolve(prefix []byte, element bool) string {
-	if prefix == nil {
-		if element {
-			for i := len(p.ns) - 1; i >= 0; i-- {
-				if p.ns[i].prefix == nil {
-					return p.ns[i].uri
-				}
-			}
-		}
-		return ""
-	}
-	if string(prefix) == "xml" {
-		return xmlNamespace
-	}
-	if string(prefix) == "xmlns" {
-		return "xmlns"
-	}
-	for i := len(p.ns) - 1; i >= 0; i-- {
-		if p.ns[i].prefix != nil && bytes.Equal(p.ns[i].prefix, prefix) {
-			return p.ns[i].uri
-		}
-	}
-	return intern(prefix)
-}
-
 // --- tags ------------------------------------------------------------------
 
+// startTag builds the element of a start tag the lexer has lexed: its
+// name, every attribute resolved and interned now, and its place in the
+// tree.
 func (p *parser) startTag() error {
-	nsMark := len(p.ns)
-	rawName, prefix, local, err := p.qname()
+	space, name, selfClose, err := p.lexer.startTag()
 	if err != nil {
 		return err
 	}
-	p.pend = p.pend[:0]
-	selfClose := false
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.data) {
-			return p.errf("unexpected EOF in element <%s>", rawName)
-		}
-		c := p.data[p.pos]
-		if c == '>' {
-			p.pos++
-			break
-		}
-		if c == '/' {
-			p.pos++
-			if p.pos >= len(p.data) || p.data[p.pos] != '>' {
-				return p.errf("expected /> in element <%s>", rawName)
-			}
-			p.pos++
-			selfClose = true
-			break
-		}
-		_, aprefix, alocal, err := p.qname()
-		if err != nil {
-			return err
-		}
-		p.skipSpace()
-		if p.pos >= len(p.data) || p.data[p.pos] != '=' {
-			return p.errf("attribute name without = in element <%s>", rawName)
-		}
-		p.pos++
-		p.skipSpace()
-		val, err := p.attrValue()
-		if err != nil {
-			return err
-		}
-		switch {
-		case aprefix == nil && string(alocal) == "xmlns":
-			p.ns = append(p.ns, nsBinding{prefix: nil, uri: val})
-		case string(aprefix) == "xmlns":
-			p.ns = append(p.ns, nsBinding{prefix: alocal, uri: val})
-		default:
-			p.pend = append(p.pend, pendingAttr{prefix: aprefix, local: alocal, value: val})
-		}
-	}
 	el := p.newElement()
-	el.Space = p.resolve(prefix, true)
-	el.Name = intern(local)
+	el.Space, el.Name = space, name
 	if len(p.pend) > 0 {
 		start := len(p.attrs)
 		for _, pa := range p.pend {
@@ -855,102 +622,26 @@ func (p *parser) startTag() error {
 		el.Attrs = p.attrs[start:len(p.attrs):len(p.attrs)]
 	}
 	if len(p.stack) == 0 {
-		if p.root != nil {
-			return errors.New("xmlutil: parse: multiple root elements")
-		}
 		p.root = el
 	} else {
 		parent := p.stack[len(p.stack)-1].el
 		parent.Children = append(parent.Children, el)
 	}
 	if selfClose {
-		p.ns = p.ns[:nsMark]
+		p.pop()
 		return nil
 	}
-	if len(p.stack) >= maxDepth {
-		return p.errf("element depth exceeds %d", maxDepth)
-	}
-	p.stack = append(p.stack, frame{el: el, rawName: rawName, nsMark: nsMark})
+	p.stack = append(p.stack, frame{el: el})
 	return nil
 }
 
-// attrValue lexes one quoted attribute value, unescaping only when needed.
-// Short clean values are interned: type tags like "xsd:string" repeat on
-// every message.
-func (p *parser) attrValue() (string, error) {
-	data := p.data
-	if p.pos >= len(data) || (data[p.pos] != '"' && data[p.pos] != '\'') {
-		return "", p.errf("unquoted or missing attribute value in element")
-	}
-	q := data[p.pos]
-	p.pos++
-	start := p.pos
-	i := p.pos
-	clean := true
-	for {
-		if i >= len(data) {
-			p.pos = i
-			return "", p.errf("unterminated quoted string")
-		}
-		c := data[i]
-		if c == q {
-			break
-		}
-		switch {
-		case c == '<':
-			p.pos = i
-			return "", p.errf("unescaped < inside quoted string")
-		case c == '&' || c == '\r':
-			clean = false
-			i++
-		case c < 0x20:
-			if c != '\t' && c != '\n' {
-				p.pos = i
-				return "", p.errf("illegal character code %U", rune(c))
-			}
-			i++
-		case c < 0x80:
-			i++
-		default:
-			r, size := utf8.DecodeRune(data[i:])
-			if r == utf8.RuneError && size == 1 {
-				p.pos = i
-				return "", p.errf("invalid UTF-8")
-			}
-			if !validXMLChar(r) {
-				p.pos = i
-				return "", p.errf("illegal character code %U", r)
-			}
-			i += size
-		}
-	}
-	span := data[start:i]
-	p.pos = i + 1
-	if clean {
-		return intern(span), nil
-	}
-	return p.unescape(span, true)
-}
-
+// endTag closes the innermost element once the lexer has matched its end
+// tag, settling the element's text.
 func (p *parser) endTag() error {
-	raw, prefix, local, err := p.qname()
-	if err != nil {
+	if err := p.lexer.endTag(); err != nil {
 		return err
 	}
-	p.skipSpace()
-	if p.pos >= len(p.data) || p.data[p.pos] != '>' {
-		return p.errf("invalid characters between </%s and >", raw)
-	}
-	p.pos++
-	if len(p.stack) == 0 {
-		return errors.New("xmlutil: parse: unbalanced end element")
-	}
 	f := &p.stack[len(p.stack)-1]
-	// Compare the resolved name (namespace + local), not the raw bytes:
-	// <p:a xmlns:p="u" xmlns:q="u"></q:a> is well formed.
-	if f.el.Name != string(local) || f.el.Space != p.resolve(prefix, true) {
-		return p.errf("element <%s> closed by </%s>", f.rawName, raw)
-	}
 	el := f.el
 	if f.raw != nil {
 		rawText := f.raw
@@ -966,7 +657,6 @@ func (p *parser) endTag() error {
 	} else if f.mat && len(el.Children) > 0 {
 		el.Text = strings.TrimSpace(el.Text)
 	}
-	p.ns = p.ns[:f.nsMark]
 	p.stack = p.stack[:len(p.stack)-1]
 	return nil
 }
@@ -980,7 +670,7 @@ func parseRetained(data []byte) (*Element, error) {
 	p := retainedPool.Get().(*parser)
 	p.reset(data)
 	root, err := p.run()
-	p.data = nil
+	p.release()
 	p.root = nil
 	p.slabs = nil // owned by the returned tree now
 	p.nextSlab = 0
@@ -1011,7 +701,7 @@ func ParseBytesPooled(data []byte) (*Doc, error) {
 	p := arenaPool.Get().(*parser)
 	p.reset(data)
 	root, err := p.run()
-	p.data = nil
+	p.release()
 	if err != nil {
 		p.root = nil
 		arenaPool.Put(p)

@@ -221,26 +221,6 @@ func (e *Element) Find(path string) *Element {
 	return cur
 }
 
-// FindAll returns every element reachable by the slash-separated path. At
-// each level all children matching the segment are expanded.
-func (e *Element) FindAll(path string) []*Element {
-	frontier := []*Element{e}
-	if path == "" {
-		return frontier
-	}
-	for _, seg := range strings.Split(path, "/") {
-		var next []*Element
-		for _, el := range frontier {
-			next = append(next, el.ChildrenNamed(seg)...)
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			return nil
-		}
-	}
-	return frontier
-}
-
 // FindText returns the text at a slash-separated path, or "".
 func (e *Element) FindText(path string) string {
 	if el := e.Find(path); el != nil {
@@ -295,14 +275,6 @@ func (e *Element) Equal(o *Element) bool {
 		}
 	}
 	return true
-}
-
-// CountNodes returns the number of elements in the subtree, including the
-// receiver.
-func (e *Element) CountNodes() int {
-	n := 0
-	e.Walk(func(*Element) bool { n++; return true })
-	return n
 }
 
 // Int returns the element text parsed as an int.

@@ -1,16 +1,11 @@
 // scanner.go is the tree parser behind Parse, ParseBytes, ParseString and
-// the pooled-arena decode path (ParseBytesPooled). It is one of the two
-// consumers of the package's markup lexer (lexer.go), the streaming Cursor
-// being the other, so both accept the same markup by construction. The
-// parser adds what only a tree needs: character data accumulated per
-// element, comments and CDATA sections, the rejection of DTDs and other
-// <!...> directives, and slab-allocated Element nodes.
-//
-// The subset is the one the portal wire formats use: elements, attributes,
-// namespaces, character data, CDATA, comments, and entity references (the
-// five predefined names plus decimal/hex character references); processing
-// instructions, the XML declaration included, are skipped wherever they
-// appear. A UTF-8 byte-order mark and leading whitespace are tolerated.
+// the pooled-arena decode path (ParseBytesPooled), and holds the text
+// kernels (scan, unescape, entity decoding) both consumers of the markup
+// lexer (lexer.go) share. Because the parser and the streaming Cursor lex
+// markup with the same code, they accept the same markup by construction.
+// The parser adds what only a tree needs: character data accumulated per
+// element, comments, CDATA sections, the rejection of DTDs and other <!...>
+// directives, and slab-allocated Element nodes.
 //
 // Performance model:
 //
@@ -26,13 +21,10 @@
 //     unescaping runs only when an entity reference or a carriage return
 //     (which XML requires to be normalised) is present.
 //
-// Compatibility: the parser matches encoding/xml's strictness for every
-// construct it supports — character validity, "]]>" rejected in character
-// data, "--" rejected inside comments, entity syntax, "\r\n"/"\r" to "\n"
-// normalisation, at most one colon per name, namespace scoping with unbound
-// prefixes resolving to the prefix itself — so the trees it produces are
-// the ones an encoding/xml decoder would. FuzzParseRoundTrip enforces that
-// differentially against an encoding/xml reference decoder.
+// The parser matches encoding/xml's strictness for every construct it
+// supports (character validity, "]]>" in character data, "--" in comments,
+// entity syntax, "\r" normalisation, one colon per name, namespace
+// scoping), enforced differentially by FuzzParseRoundTrip.
 package xmlutil
 
 import (

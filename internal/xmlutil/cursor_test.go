@@ -403,3 +403,32 @@ func FuzzCursorVsTree(f *testing.F) {
 		}
 	})
 }
+
+// TestCursorErrorTexts walks every document of the parser's error-text
+// table that stays inside the cursor's subset, reading its text tokens or
+// not: the cursor fails with the parser's exact error text.
+func TestCursorErrorTexts(t *testing.T) {
+	for _, c := range parseErrorTexts {
+		if strings.Contains(c.doc, "<!") {
+			continue
+		}
+		if err := cursorWalkError([]byte(c.doc)); err == nil || err.Error() != c.want {
+			t.Errorf("cursor skipping text on %.40q: error = %v, want %q", c.doc, err, c.want)
+		}
+		cur := AcquireCursor([]byte(c.doc))
+		var err error
+		for err == nil {
+			var tok Tok
+			if tok, err = cur.Next(); err == nil && tok == TokText {
+				_, err = cur.Text()
+			}
+			if err == nil && tok == TokEOF {
+				break
+			}
+		}
+		cur.Release()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("cursor reading text on %.40q: error = %v, want %q", c.doc, err, c.want)
+		}
+	}
+}

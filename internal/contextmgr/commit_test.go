@@ -4,7 +4,9 @@ import (
 	"errors"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // brokenStore is a persist.Store whose Append fails once broken is set.
@@ -22,6 +24,66 @@ func (b *brokenStore) Compact(func(add func(op string, data []byte) error) error
 }
 func (b *brokenStore) Size() int64  { return 0 }
 func (b *brokenStore) Close() error { return nil }
+
+// rotatingStore models a wal.Log whose compaction starts right after the
+// armed op's record is appended: the log rotates at once, so that record
+// lives only in the superseded segment, and once the dump has written the
+// snapshot the snapshot is its only copy. Append gives the dump up to
+// 100ms to run before returning, so a dump that the service does not hold
+// off until the mutation is applied finishes first.
+type rotatingStore struct {
+	armOp  string
+	dump   func(add func(op string, data []byte) error) error
+	dumped chan struct{}
+
+	mu        sync.Mutex
+	snap, seg [][2]string // (op, data) records
+}
+
+func (s *rotatingStore) Append(op string, data []byte) error {
+	s.mu.Lock()
+	s.seg = append(s.seg, [2]string{op, string(data)})
+	armed := op == s.armOp
+	if armed {
+		s.seg = nil
+	}
+	s.mu.Unlock()
+	if armed {
+		go func() {
+			var recs [][2]string
+			if err := s.dump(func(op string, data []byte) error {
+				recs = append(recs, [2]string{op, string(data)})
+				return nil
+			}); err != nil {
+				panic(err)
+			}
+			s.mu.Lock()
+			s.snap = recs
+			s.mu.Unlock()
+			close(s.dumped)
+		}()
+		select {
+		case <-s.dumped:
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	return nil
+}
+func (s *rotatingStore) Replay(apply func(op string, data []byte) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, rec := range append(append([][2]string(nil), s.snap...), s.seg...) {
+		if err := apply(rec[0], []byte(rec[1])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+func (s *rotatingStore) Compact(func(add func(op string, data []byte) error) error) error {
+	return nil
+}
+func (s *rotatingStore) Size() int64  { return 0 }
+func (s *rotatingStore) Close() error { return nil }
 
 // dumpText is the store's snapshot dump as sorted "op data" lines. The
 // archive-ID sequence record is left out: a failed ArchiveSession may use
@@ -91,5 +153,34 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 		if after := dumpText(t, s); after != before {
 			t.Errorf("%s: a failed append changed the store:\nbefore %s\nafter  %s", c.name, before, after)
 		}
+	}
+}
+
+// TestImportSurvivesCompactionAfterAppend pins that a compaction dump
+// cannot run between an ImportDirectory's append and its swap: the import
+// record sits in a segment the compaction deletes, so after a restart the
+// import must come back from the snapshot.
+func TestImportSurvivesCompactionAfterAppend(t *testing.T) {
+	s := NewStore()
+	st := &rotatingStore{armOp: opImportDir, dump: s.dump, dumped: make(chan struct{})}
+	if err := s.Persist(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Create([]string{"old"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ImportDirectory("/new/p\n/new/p:k=v"); err != nil {
+		t.Fatal(err)
+	}
+	<-st.dumped
+	restarted := NewStore()
+	if err := restarted.Persist(st); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := restarted.GetProp([]string{"new", "p"}, "k"); err != nil || v != "v" {
+		t.Errorf("import lost after restart: %q, %v", v, err)
+	}
+	if restarted.Exists([]string{"old"}) {
+		t.Error("pre-import user came back after restart")
 	}
 }

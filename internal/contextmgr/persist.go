@@ -187,8 +187,12 @@ func (s *Store) apply(op string, data []byte) error {
 // dump re-emits current state for a compacting snapshot: the archive-ID
 // sequence, one record per user subtree, one per archive. Each Range visits
 // shards one at a time under their read locks; mutations racing the dump
-// land in the post-rotation segment and replay over the snapshot.
+// land in the post-rotation segment and replay over the snapshot. An
+// ImportDirectory record may sit before the rotation, so the dump waits out
+// any import between its append and its swap.
 func (s *Store) dump(add func(op string, data []byte) error) error {
+	s.importMu.RLock()
+	defer s.importMu.RUnlock()
 	if err := persist.AddJSON(add, opSeqRec, record{Seq: s.seq.Load()}); err != nil {
 		return err
 	}

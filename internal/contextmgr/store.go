@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,15 +105,18 @@ type Archive struct {
 // same shard-lock critical section as the mutation itself, and before it
 // (persist.Commit), so per-user log order matches apply order, a failed
 // append changes nothing, and a compaction dump (which takes shard read
-// locks) never observes a mutation whose record it might lose. Records
-// carry their timestamps, so replay reproduces creation and archival times
-// exactly. Reads never touch the log.
+// locks) never observes a mutation whose record it might lose.
+// ImportDirectory holds no shard lock across its append, so it holds
+// importMu instead, which the dump takes for reading. Records carry their
+// timestamps, so replay reproduces creation and archival times exactly.
+// Reads never touch the log.
 type Store struct {
 	users    *shardmap.Map[*node]
 	archives *shardmap.Map[*Archive]
 	seq      atomic.Int64
 	now      atomic.Value // func() time.Time
 	persist  *persist.Binding
+	importMu sync.RWMutex // ImportDirectory (W) vs compaction dump (R)
 }
 
 // NewStore returns an empty store.
@@ -646,7 +650,8 @@ func (s *Store) ExportDirectory() string {
 // per-user, not globally atomic: a reader racing an Import may see a mix
 // of old and new user subtrees, and the durability record of an Import
 // racing per-user writers is likewise weakly ordered (the record is
-// appended before the swap, with no global lock held).
+// appended before the swap, with no shard lock held). importMu keeps a
+// compaction dump from running between the append and the swap.
 func (s *Store) ImportDirectory(data string) error {
 	now := s.clock()
 	root := newNode("", now)
@@ -686,6 +691,8 @@ func (s *Store) ImportDirectory(data string) error {
 			cur.props[propName] = propValue
 		}
 	}
+	s.importMu.Lock()
+	defer s.importMu.Unlock()
 	return s.persist.Commit(opImportDir, record{Data: data, At: now}, func() {
 		s.users.Clear()
 		for name, n := range root.children {

@@ -74,19 +74,27 @@ func Bind(store Store, dump func(add func(op string, data []byte) error) error) 
 // returns only after the record is fsynced (at once on a nil Binding,
 // which logs nothing and just applies). Callers run every check that can
 // fail before Commit and call it under the lock that orders the mutation,
-// so per-key log order equals apply order.
+// so per-key log order equals apply order. That lock must also hold off
+// the service's dump until apply has run: a compaction started by another
+// writer may rotate the log just after this record was appended, and then
+// the snapshot is the record's only lasting copy.
 func (b *Binding) Commit(op string, v interface{}, apply func()) error {
-	if b != nil {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("persist: encode %s: %w", op, err)
-		}
-		if err := b.store.Append(op, data); err != nil {
-			return fmt.Errorf("persist: append %s: %w", op, err)
-		}
-		b.maybeCompact()
+	if b == nil {
+		apply()
+		return nil
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("persist: encode %s: %w", op, err)
+	}
+	if err := b.store.Append(op, data); err != nil {
+		return fmt.Errorf("persist: append %s: %w", op, err)
 	}
 	apply()
+	// After apply: a compaction this record starts must dump a state that
+	// already holds it, since the record's own segment may be deleted once
+	// the snapshot is written.
+	b.maybeCompact()
 	return nil
 }
 

@@ -78,7 +78,12 @@ func (r *Registry) apply(op string, data []byte) error {
 // dump re-emits current state for a compacting snapshot as one Export
 // document. Export is weakly consistent under concurrent writers; records
 // for those writes land in the post-rotation segment and are replayed over
-// the snapshot, which is what makes the weak walk sufficient.
+// the snapshot, which is what makes the weak walk sufficient. An Import
+// record may sit before the rotation, so the dump waits out any Import
+// between its append and its swap.
 func (r *Registry) dump(add func(op string, data []byte) error) error {
-	return persist.AddJSON(add, opImport, record{Doc: r.Export()})
+	r.importMu.RLock()
+	doc := r.Export()
+	r.importMu.RUnlock()
+	return persist.AddJSON(add, opImport, record{Doc: doc})
 }

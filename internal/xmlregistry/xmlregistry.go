@@ -159,13 +159,16 @@ func containerFromElement(el *xmlutil.Element) (*Container, error) {
 // shard-lock critical section as the mutation itself, and before it
 // (persist.Commit), so per-container log order matches apply order, a
 // failed append changes nothing, and a compaction dump (which takes shard
-// read locks) never observes a mutation whose record it might lose. Reads
-// never touch the log.
+// read locks) never observes a mutation whose record it might lose. Import
+// holds no shard lock across its append, so it holds importMu instead,
+// which the dump takes for reading. Reads never touch the log.
 type Registry struct {
 	top *shardmap.Map[*Container]
 
 	ordMu sync.Mutex
 	order []string
+
+	importMu sync.RWMutex // Import (W) vs compaction dump (R)
 
 	persist *persist.Binding // nil = in-memory only
 }
@@ -504,7 +507,8 @@ func (r *Registry) Export() string {
 // per-top-level-container, not globally atomic: a reader racing an Import
 // may see a mix of old and new subtrees, and the durability record of an
 // Import racing per-container writers is likewise weakly ordered (the
-// record is appended before the swap, with no global lock held).
+// record is appended before the swap, with no shard lock held). importMu
+// keeps a compaction dump from running between the append and the swap.
 func (r *Registry) Import(doc string) error {
 	el, err := xmlutil.ParseString(doc)
 	if err != nil {
@@ -514,6 +518,8 @@ func (r *Registry) Import(doc string) error {
 	if err != nil {
 		return err
 	}
+	r.importMu.Lock()
+	defer r.importMu.Unlock()
 	return r.persist.Commit(opImport, record{Doc: doc}, func() {
 		r.top.Clear()
 		r.ordMu.Lock()

@@ -11,9 +11,11 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -46,138 +48,199 @@ import (
 
 // ---------------------------------------------------------------------------
 // FIG1 — Figure 1: UI server -> UDDI find -> bind SSP -> SOAP invoke.
-// Decomposes the cost of breaking the stovepipe: direct call, SOAP hop,
-// and full discovery+bind+invoke.
+// BenchmarkFigure1_Ladder prices the invoke one layer at a time, so a
+// regression names its layer; BenchmarkFigure1_DiscoveryBindInvoke puts
+// the UDDI find and the bind in front of it.
 // ---------------------------------------------------------------------------
-
-func fig1Fixture(b *testing.B) (gen *batchscript.Generator, cl *batchscript.Client,
-	reg *uddi.Registry, tr soap.Transport, tmKey string) {
-	b.Helper()
-	gen = batchscript.NewIUGenerator()
-	ssp := core.NewProvider("iu-ssp", "loopback://iu")
-	ssp.MustRegister(batchscript.NewService(gen))
-	tr = ssp.Loopback()
-	cl = batchscript.NewClient(tr, "loopback://iu/BatchScriptGenerator")
-	reg = uddi.NewRegistry()
-	biz, _ := reg.SaveBusiness(uddi.BusinessEntity{Name: "IU"})
-	if _, err := batchscript.PublishUDDI(reg, biz.Key, "IU BSG",
-		"loopback://iu/BatchScriptGenerator", gen); err != nil {
-		b.Fatal(err)
-	}
-	tm, _ := reg.TModelByName(batchscript.TModelName)
-	return gen, cl, reg, tr, tm.Key
-}
 
 var benchRequest = batchscript.Request{
 	Scheduler: grid.PBS, JobName: "bench", Executable: "/bin/date",
 	Queue: "batch", Nodes: 4, WallTime: time.Hour,
 }
 
-func BenchmarkFigure1_DirectCall(b *testing.B) {
-	gen, _, _, _, _ := fig1Fixture(b)
+// benchGenerateParams is benchRequest as generateScript's wire parameters.
+var benchGenerateParams = []soap.Value{
+	soap.Str("scheduler", "PBS"), soap.Str("jobName", "bench"),
+	soap.Str("executable", "/bin/date"), soap.StrArray("arguments", nil),
+	soap.Str("stdin", ""), soap.Str("queue", "batch"),
+	soap.Int("nodes", 4), soap.Int("wallTimeSeconds", 3600),
+}
+
+// ladderWarmup untimed calls precede every rung's clock, so no rung pays
+// a one-time fill (the global intern table, the buffer pools, a TCP
+// connection) on behalf of the rungs after it.
+const ladderWarmup = 100
+
+// warm runs op ladderWarmup times and then resets the clock.
+func warm(b *testing.B, op func() error) {
+	b.Helper()
+	b.ReportAllocs()
+	for i := 0; i < ladderWarmup; i++ {
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ResetTimer()
+}
+
+// rung times b.N calls of op after the warm-up.
+func rung(b *testing.B, op func() error) {
+	b.Helper()
+	warm(b, op)
 	for i := 0; i < b.N; i++ {
-		if _, err := gen.Generate(benchRequest); err != nil {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFigure1_SOAPInvoke(b *testing.B) {
-	_, cl, _, _, _ := fig1Fixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.GenerateScript(benchRequest); err != nil {
+// BenchmarkFigure1_Ladder prices Figure 1's invoke one layer at a time.
+// The read rungs make the same generateScript call, each adding one layer
+// to the rung before it:
+//
+//   - direct: the generator alone, no SOAP;
+//   - serve: Provider.Serve on pre-encoded request bytes (kernel decode,
+//     middleware, handler, encode);
+//   - loopback: a core.Client over the in-process transport (adds the
+//     client's encode and decode);
+//   - guarded: loopback with the production guard set, Deadline and
+//     LoadShed on the server, Retry and Breakers on the client;
+//   - http: the loopback call over TCP through net/http;
+//   - gateway: the http rung's server behind the federating gateway,
+//     reached in process; the gateway forwards over TCP.
+//
+// The write rungs publish a business (saveBusiness) over loopback into a
+// registry held in memory, logged to a WAL without fsync, and logged with
+// a group-committed fsync. wal-fsync-parallel runs the fsync rung from
+// p writers per P (b.RunParallel) and reports the writer count, so group
+// commit shows as the cost per publish falling while writers are added.
+//
+// Rung differences are layer costs: guarded − loopback is the guard-set
+// tax, gateway − http the federation cost, wal-fsync − memory the
+// durability tax.
+func BenchmarkFigure1_Ladder(b *testing.B) {
+	const path = "/ssp/BatchScriptGenerator"
+	hosted := func(mw ...core.Middleware) (*rpc.Server, *core.Provider) {
+		srv := rpc.NewServer("ladder", "loopback://ladder")
+		p := srv.Provider("/ssp", mw...)
+		p.MustRegister(batchscript.NewService(batchscript.NewIUGenerator()))
+		return srv, p
+	}
+	overTCP := func(b *testing.B, srv *rpc.Server) string {
+		hs := httptest.NewServer(srv.Handler())
+		b.Cleanup(hs.Close)
+		srv.SetBaseURL(hs.URL)
+		return hs.URL
+	}
+	generate := func(cl *core.Client) func() error {
+		return func() error {
+			_, err := cl.CallText("generateScript", benchGenerateParams...)
+			return err
+		}
+	}
+	b.Run("direct", func(b *testing.B) {
+		gen := batchscript.NewIUGenerator()
+		rung(b, func() error {
+			_, err := gen.Generate(benchRequest)
+			return err
+		})
+	})
+	b.Run("serve", func(b *testing.B) {
+		_, p := hosted()
+		call := soap.Call{ServiceNS: batchscript.Contract().TargetNS, Method: "generateScript", Params: benchGenerateParams}
+		var req, out bytes.Buffer
+		call.WireEnvelope().AppendTo(&req)
+		rung(b, func() error {
+			out.Reset()
+			return p.Serve(context.Background(), req.Bytes(), nil, &out)
+		})
+	})
+	b.Run("loopback", func(b *testing.B) {
+		srv, _ := hosted()
+		rung(b, generate(core.NewClient(srv.Transport(), "loopback://ladder"+path, batchscript.Contract())))
+	})
+	b.Run("guarded", func(b *testing.B) {
+		srv, _ := hosted(rpc.Deadline(time.Second), rpc.LoadShed(64, 128))
+		rung(b, generate(resilientClient(srv.Transport(), "loopback://ladder"+path,
+			benchRetryPolicy(), benchBreakerSet())))
+	})
+	b.Run("http", func(b *testing.B) {
+		srv, _ := hosted()
+		base := overTCP(b, srv)
+		rung(b, generate(core.NewClient(&soap.HTTPTransport{}, base+path, batchscript.Contract())))
+	})
+	b.Run("gateway", func(b *testing.B) {
+		srv, _ := hosted()
+		gw := gateway.New("gw", "http://gw.ladder")
+		if err := gw.Mount(overTCP(b, srv)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
+		b.Cleanup(gw.Close)
+		rung(b, generate(core.NewClient(gw.Loopback(), "http://gw.ladder"+path, batchscript.Contract())))
+	})
 
-// BenchmarkFigure1_SOAPInvoke_Gateway is the same SOAP hop routed through
-// the federated front door: mount by WSIL/WSDL crawl, consistent-hash
-// ring lookup, breaker admission, forward, relay. The delta against
-// BenchmarkFigure1_SOAPInvoke is the price of federation.
-func BenchmarkFigure1_SOAPInvoke_Gateway(b *testing.B) {
-	srv := rpc.NewServer("bench", "http://backend.bench")
-	srv.Provider("/ssp").MustRegister(batchscript.NewService(batchscript.NewIUGenerator()))
-	gw := gateway.New("gw", "http://gw.bench")
-	gw.Fetch = func(u string) (string, error) {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, u, nil))
-		if rec.Code != http.StatusOK {
-			return "", fmt.Errorf("GET %s: HTTP %d", u, rec.Code)
-		}
-		return rec.Body.String(), nil
-	}
-	gw.Forward = &gateway.TransportForwarder{RT: srv.Transport()}
-	if err := gw.Mount("http://backend.bench"); err != nil {
-		b.Fatal(err)
-	}
-	defer gw.Close()
-	cl := batchscript.NewClient(gw.Loopback(), "http://gw.bench/ssp/BatchScriptGenerator")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.GenerateScript(benchRequest); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure1_SOAPInvoke_Durable prices durability on the SOAP write
-// path: the same publish (saveBusiness) against an in-memory registry, a
-// WAL-backed registry with group-committed fsyncs, and — to separate record
-// framing from the fsync itself — a WAL with sync disabled. The in-memory
-// sub-benchmark doubles as the no-regression control: with -data unset the
-// persistence seam is a nil binding, so it must track the historical
-// in-memory publish cost.
-func BenchmarkFigure1_SOAPInvoke_Durable(b *testing.B) {
-	run := func(b *testing.B, attach func(*uddi.Registry) error) {
+	// publisher returns a saveBusiness call against a fresh registry,
+	// logged to a WAL with opts unless opts is nil.
+	publisher := func(b *testing.B, opts *wal.Options) func() error {
 		reg := uddi.NewRegistry()
-		if err := attach(reg); err != nil {
-			b.Fatal(err)
-		}
-		ssp := core.NewProvider("uddi-bench", "loopback://uddi")
-		ssp.MustRegister(uddi.NewService(reg))
-		cl := uddi.NewClient(ssp.Loopback(), "loopback://uddi/UDDIRegistry")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cl.SaveBusiness(fmt.Sprintf("biz-%d", i), "durability bench"); err != nil {
+		if opts != nil {
+			l, err := wal.Open(b.TempDir(), *opts)
+			if err != nil {
 				b.Fatal(err)
 			}
+			if err := reg.Persist(l); err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() {
+				if err := reg.ClosePersist(); err != nil {
+					b.Error(err)
+				}
+			})
 		}
-		b.StopTimer()
-		if err := reg.ClosePersist(); err != nil {
-			b.Fatal(err)
+		p := core.NewProvider("ladder-uddi", "loopback://uddi")
+		p.MustRegister(uddi.NewService(reg))
+		cl := core.NewClient(p.Loopback(), "loopback://uddi/UDDIRegistry", uddi.Contract())
+		return func() error {
+			_, err := cl.CallText("saveBusiness", soap.Str("name", "ladder"), soap.Str("description", "write rung"))
+			return err
 		}
 	}
-	b.Run("publish-memory", func(b *testing.B) {
-		run(b, func(*uddi.Registry) error { return nil })
-	})
-	b.Run("publish-wal-fsync", func(b *testing.B) {
-		run(b, func(r *uddi.Registry) error {
-			l, err := wal.Open(b.TempDir(), wal.Options{})
-			if err != nil {
-				return err
-			}
-			return r.Persist(l)
+	b.Run("memory", func(b *testing.B) { rung(b, publisher(b, nil)) })
+	b.Run("wal-nosync", func(b *testing.B) { rung(b, publisher(b, &wal.Options{NoSync: true})) })
+	b.Run("wal-fsync", func(b *testing.B) { rung(b, publisher(b, &wal.Options{})) })
+	for _, p := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("wal-fsync-parallel/p=%d", p), func(b *testing.B) {
+			op := publisher(b, &wal.Options{})
+			b.SetParallelism(p)
+			warm(b, op)
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if err := op(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.ReportMetric(float64(p*runtime.GOMAXPROCS(0)), "writers")
 		})
-	})
-	b.Run("publish-wal-nosync", func(b *testing.B) {
-		run(b, func(r *uddi.Registry) error {
-			l, err := wal.Open(b.TempDir(), wal.Options{NoSync: true})
-			if err != nil {
-				return err
-			}
-			return r.Persist(l)
-		})
-	})
+	}
 }
 
 func BenchmarkFigure1_DiscoveryBindInvoke(b *testing.B) {
-	_, _, reg, tr, tmKey := fig1Fixture(b)
+	gen := batchscript.NewIUGenerator()
+	ssp := core.NewProvider("iu-ssp", "loopback://iu")
+	ssp.MustRegister(batchscript.NewService(gen))
+	tr := ssp.Loopback()
+	reg := uddi.NewRegistry()
+	biz, _ := reg.SaveBusiness(uddi.BusinessEntity{Name: "IU"})
+	if _, err := batchscript.PublishUDDI(reg, biz.Key, "IU BSG",
+		"loopback://iu/BatchScriptGenerator", gen); err != nil {
+		b.Fatal(err)
+	}
+	tm, _ := reg.TModelByName(batchscript.TModelName)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		services := reg.FindServiceByTModel(tmKey)
+		services := reg.FindServiceByTModel(tm.Key)
 		if len(services) != 1 {
 			b.Fatal("discovery failed")
 		}
@@ -826,10 +889,10 @@ func BenchmarkAblation_SOAPEnvelope(b *testing.B) {
 			}
 		}
 	})
-	wire := call.Envelope().Render()
+	wireBytes := []byte(call.Envelope().Render())
 	b.Run("decode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			env, err := soap.ParseEnvelope(wire)
+			env, err := soap.ParseEnvelopeBytes(wireBytes)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -841,14 +904,14 @@ func BenchmarkAblation_SOAPEnvelope(b *testing.B) {
 	// decode-stream is the treeless fast path over the same bytes: the
 	// pooled cursor feeds parameter Values directly, no element tree. The
 	// rpc kernel layers typed conversion on top of exactly this loop.
-	wireBytes := []byte(wire)
 	b.Run("decode-stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r := soap.AcquireBodyReader(wireBytes)
 			_, _, ok := r.Begin()
 			n := 0
+			var v soap.Value
 			for ok {
-				v, done, vok := r.ReadValue()
+				done, vok := r.ReadValueInto(&v)
 				if !vok {
 					ok = false
 					break
@@ -856,7 +919,6 @@ func BenchmarkAblation_SOAPEnvelope(b *testing.B) {
 				if done {
 					break
 				}
-				_ = v
 				n++
 			}
 			if !ok || !r.Finish() || n != 3 {
@@ -869,21 +931,9 @@ func BenchmarkAblation_SOAPEnvelope(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// RESILIENCE — overhead of the end-to-end resilience layer. The serial
-// variant is BenchmarkFigure1_SOAPInvoke with every production guard
-// switched on: Deadline + LoadShed middleware on the provider, Retry +
-// circuit breakers on the client. On the happy path nothing fires — the
-// number here is the pure bookkeeping tax (context plumbing, admission
-// accounting, breaker reads), and the acceptance bar is <=5% over the
-// unguarded serial figure.
+// RESILIENCE — the production guard set the guarded ladder rung and the
+// parallel tier's loopback-resilient variant switch on.
 // ---------------------------------------------------------------------------
-
-var benchGenerateParams = []soap.Value{
-	soap.Str("scheduler", "PBS"), soap.Str("jobName", "bench"),
-	soap.Str("executable", "/bin/date"), soap.StrArray("arguments", nil),
-	soap.Str("stdin", ""), soap.Str("queue", "batch"),
-	soap.Int("nodes", 4), soap.Int("wallTimeSeconds", 3600),
-}
 
 // resilientClient wraps the endpoint with the full client-side guard set.
 // The policies are shared when callers pass the same pointers, matching how
@@ -908,21 +958,6 @@ func benchBreakerSet() *resilience.BreakerSet {
 	return &resilience.BreakerSet{Config: resilience.BreakerConfig{
 		FailureThreshold: 5, OpenFor: 50 * time.Millisecond,
 	}}
-}
-
-func BenchmarkFigure1_SOAPInvoke_Resilient(b *testing.B) {
-	ssp := core.NewProvider("iu-ssp", "loopback://iu")
-	ssp.Use(rpc.Deadline(time.Second))
-	ssp.Use(rpc.LoadShed(64, 128))
-	ssp.MustRegister(batchscript.NewService(batchscript.NewIUGenerator()))
-	cl := resilientClient(ssp.Loopback(), "loopback://iu/BatchScriptGenerator",
-		benchRetryPolicy(), benchBreakerSet())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.CallText("generateScript", benchGenerateParams...); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

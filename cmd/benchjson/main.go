@@ -1,12 +1,16 @@
-// Command benchjson converts `go test -bench` text output into a JSON
+// Command benchjson reduces `go test -bench` text output to a JSON
 // document, so the performance trajectory of the repository is machine
 // readable across PRs. It reads the benchmark output on stdin and writes a
 // JSON report to -o (default stdout):
 //
-//	go test -run '^$' -bench . -benchmem . | benchjson -o BENCH.json
+//	go test -run '^$' -bench . -count 10 -benchmem . | benchjson -o BENCH.json
 //
-// Every metric pair the benchmark framework emits is kept, including custom
-// b.ReportMetric values (ns/job, MB/s, methods, ...), keyed by unit.
+// Result lines that share a package and a full benchmark name (sub-benchmark
+// path and -cpu suffix included) are repeats of one benchmark, as -count
+// produces. Each benchmark is reported once, in first-seen order, with the
+// median and quartiles over its repeats of every metric the framework
+// emitted, keyed by unit: ns/op, B/op, allocs/op, MB/s and any custom
+// b.ReportMetric unit alike.
 package main
 
 import (
@@ -21,87 +25,36 @@ import (
 	"strings"
 )
 
-// Benchmark is one benchmark result line.
+// Benchmark is one benchmark reduced over its repeats.
 type Benchmark struct {
 	// Name is the full benchmark name including sub-benchmark path and the
-	// -cpu suffix, e.g. "BenchmarkAblation_SOAPEnvelope/decode-8".
+	// -cpu suffix, e.g. "BenchmarkFigure1_Ladder/loopback-8".
 	Name string `json:"name"`
-	// Runs is the iteration count the framework settled on.
-	Runs int64 `json:"runs"`
-	// Metrics maps unit to value, e.g. {"ns/op": 5376, "allocs/op": 19}.
-	Metrics map[string]float64 `json:"metrics"`
+	// Pkg is the package the benchmark ran in.
+	Pkg string `json:"pkg,omitempty"`
+	// Samples is the number of result lines reduced (the -count).
+	Samples int `json:"samples"`
+	// Metrics maps unit to the spread of its values over the samples.
+	Metrics map[string]Spread `json:"metrics"`
+
+	values map[string][]float64
 }
 
-// Breakdown summarises the raw-messaging ablation: where the XML cost of
-// one SOAP round trip sits between encode and decode, and what the
-// streamed encoder saves over the element-tree path. Derived from the
-// BenchmarkAblation_SOAPEnvelope sub-benchmarks when present.
-type Breakdown struct {
-	// EncodeNsOp is the streamed (production) envelope encode cost.
-	EncodeNsOp float64 `json:"encode_ns_op"`
-	// EncodeTreeNsOp is the legacy element-tree encode cost, kept as the
-	// differential oracle.
-	EncodeTreeNsOp float64 `json:"encode_tree_ns_op,omitempty"`
-	// DecodeNsOp is the envelope decode (scanner) cost.
-	DecodeNsOp float64 `json:"decode_ns_op"`
-	// EncodeAllocsOp / DecodeAllocsOp are the per-op allocation counts.
-	EncodeAllocsOp float64 `json:"encode_allocs_op"`
-	DecodeAllocsOp float64 `json:"decode_allocs_op"`
-	// EncodeShare is encode/(encode+decode) in ns — the fraction of the
-	// XML round-trip tax paid on the way out.
-	EncodeShare float64 `json:"encode_share"`
+// Spread is the median and quartiles of one metric's samples, by linear
+// interpolation between order statistics (at rank p·(n−1) for p = ¼, ½,
+// ¾). One sample gives three equal numbers.
+type Spread struct {
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
 }
 
-// DecodePaths summarises the server-side decode split introduced by the
-// treeless streaming path: what a request decode costs through the
-// per-operation stream codecs against the pooled element-tree fallback
-// that handles everything outside the streaming subset. Derived from the
-// BenchmarkAblation_SOAPEnvelope "decode-stream" and "decode"
-// sub-benchmarks when both are present.
-type DecodePaths struct {
-	// StreamNsOp / StreamAllocsOp are the fast-path costs: envelope
-	// tokens straight into typed values, no element tree.
-	StreamNsOp     float64 `json:"stream_ns_op"`
-	StreamAllocsOp float64 `json:"stream_allocs_op"`
-	// TreeNsOp / TreeAllocsOp are the fallback costs: the pooled tree
-	// parse every out-of-subset request still takes.
-	TreeNsOp     float64 `json:"tree_ns_op"`
-	TreeAllocsOp float64 `json:"tree_allocs_op"`
-	// Speedup is TreeNsOp/StreamNsOp — how much cheaper the fast path
-	// makes the common case.
-	Speedup float64 `json:"speedup"`
-}
-
-// ScalingPoint is one -cpu measurement of a parallel benchmark.
-type ScalingPoint struct {
-	// CPU is the GOMAXPROCS value the point ran at (the -cpu suffix; 1
-	// when the framework omitted it).
-	CPU int `json:"cpu"`
-	// NsOp is the per-operation wall time at that parallelism.
-	NsOp float64 `json:"ns_op"`
-	// Speedup is throughput relative to this benchmark's lowest-CPU point:
-	// ns_op(min cpu) / ns_op(this cpu). 1.0 at the base point; values
-	// approaching the CPU ratio mean linear scaling, a flat 1.0 across the
-	// curve means a shared lock is serialising the stack.
-	Speedup float64 `json:"speedup,omitempty"`
-}
-
-// Report is the whole converted run.
+// Report is the whole reduced run.
 type Report struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
-	Benchmarks []Benchmark `json:"benchmarks"`
-	// EncodeVsDecode is present when the SOAP envelope ablation ran.
-	EncodeVsDecode *Breakdown `json:"encode_vs_decode,omitempty"`
-	// DecodeFastVsFallback is present when the ablation ran with the
-	// streaming decode sub-benchmark.
-	DecodeFastVsFallback *DecodePaths `json:"decode_fast_vs_fallback,omitempty"`
-	// ParallelScaling groups every BenchmarkParallel_* result into its
-	// scaling curve across -cpu values, keyed by benchmark name with the
-	// cpu suffix stripped. Present when the parallel tier ran.
-	ParallelScaling map[string][]ScalingPoint `json:"parallel_scaling,omitempty"`
+	Goos       string       `json:"goos,omitempty"`
+	Goarch     string       `json:"goarch,omitempty"`
+	CPU        string       `json:"cpu,omitempty"`
+	Benchmarks []*Benchmark `json:"benchmarks"`
 }
 
 func main() {
@@ -130,164 +83,58 @@ func main() {
 }
 
 func parse(sc *bufio.Scanner) (*Report, error) {
-	r := &Report{Benchmarks: []Benchmark{}}
+	r := &Report{Benchmarks: []*Benchmark{}}
+	byKey := map[string]*Benchmark{}
+	var pkg string
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		key, value, _ := strings.Cut(line, ":")
+		value = strings.TrimSpace(value)
 		switch {
-		case strings.HasPrefix(line, "goos:"):
-			r.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			r.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
-			r.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-		case strings.HasPrefix(line, "cpu:"):
-			r.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case key == "goos":
+			r.Goos = value
+		case key == "goarch":
+			r.Goarch = value
+		case key == "cpu":
+			r.CPU = value
+		case key == "pkg":
+			pkg = value
 		case strings.HasPrefix(line, "Benchmark"):
-			b, ok := parseBenchLine(line)
-			if ok {
+			name, metrics, ok := parseBenchLine(line)
+			if !ok {
+				continue
+			}
+			b := byKey[pkg+" "+name]
+			if b == nil {
+				b = &Benchmark{Name: name, Pkg: pkg, values: map[string][]float64{}}
+				byKey[pkg+" "+name] = b
 				r.Benchmarks = append(r.Benchmarks, b)
+			}
+			b.Samples++
+			for unit, v := range metrics {
+				b.values[unit] = append(b.values[unit], v)
 			}
 		}
 	}
-	r.EncodeVsDecode = breakdown(r.Benchmarks)
-	r.DecodeFastVsFallback = decodePaths(r.Benchmarks)
-	r.ParallelScaling = parallelScaling(r.Benchmarks)
+	for _, b := range r.Benchmarks {
+		b.Metrics = make(map[string]Spread, len(b.values))
+		for unit, vs := range b.values {
+			sort.Float64s(vs)
+			b.Metrics[unit] = Spread{Median: quantile(vs, 0.5), Q1: quantile(vs, 0.25), Q3: quantile(vs, 0.75)}
+		}
+	}
 	return r, sc.Err()
 }
 
-// cpuSuffix splits a full benchmark name into its base (the -cpu suffix
-// stripped) and the GOMAXPROCS value it ran at. The framework omits the
-// suffix when GOMAXPROCS is 1, so a name with no numeric suffix is a
-// 1-CPU point.
-func cpuSuffix(name string) (string, int) {
-	if i := strings.LastIndex(name, "-"); i >= 0 {
-		if n, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i], n
-		}
+// quantile interpolates the p-quantile of the sorted, non-empty vs.
+func quantile(vs []float64, p float64) float64 {
+	pos := p * float64(len(vs)-1)
+	i := int(pos)
+	if i+1 >= len(vs) {
+		return vs[i]
 	}
-	return name, 1
-}
-
-// parallelScaling collects every BenchmarkParallel_* result into per-
-// benchmark scaling curves ordered by CPU count, with speedups relative
-// to each curve's lowest-CPU point. Nil when the parallel tier was not in
-// the run.
-func parallelScaling(benchmarks []Benchmark) map[string][]ScalingPoint {
-	curves := map[string][]ScalingPoint{}
-	for i := range benchmarks {
-		if !strings.HasPrefix(benchmarks[i].Name, "BenchmarkParallel_") {
-			continue
-		}
-		base, cpu := cpuSuffix(benchmarks[i].Name)
-		pt := ScalingPoint{CPU: cpu, NsOp: benchmarks[i].Metrics["ns/op"]}
-		// One point per CPU count, later measurement wins: when a run
-		// concatenates a general bench pass with a dedicated -cpu sweep,
-		// the sweep owns the curve.
-		replaced := false
-		for j, prev := range curves[base] {
-			if prev.CPU == cpu {
-				curves[base][j] = pt
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			curves[base] = append(curves[base], pt)
-		}
-	}
-	if len(curves) == 0 {
-		return nil
-	}
-	for name, pts := range curves {
-		sort.Slice(pts, func(a, b int) bool { return pts[a].CPU < pts[b].CPU })
-		if base := pts[0].NsOp; base > 0 {
-			for j := range pts {
-				if pts[j].NsOp > 0 {
-					pts[j].Speedup = base / pts[j].NsOp
-				}
-			}
-		}
-		curves[name] = pts
-	}
-	return curves
-}
-
-// subBenchName extracts the sub-benchmark segment of a full name,
-// stripping the trailing -cpu suffix the framework appends:
-// "BenchmarkX/encode-tree-8" -> "encode-tree".
-func subBenchName(name string) string {
-	if i := strings.LastIndex(name, "/"); i >= 0 {
-		name = name[i+1:]
-	}
-	if i := strings.LastIndex(name, "-"); i >= 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
-	}
-	return name
-}
-
-// breakdown derives the encode-vs-decode summary from the envelope
-// ablation sub-benchmarks, or nil when they are absent from the run.
-func breakdown(benchmarks []Benchmark) *Breakdown {
-	find := func(sub string) *Benchmark {
-		for i := range benchmarks {
-			if strings.Contains(benchmarks[i].Name, "Ablation_SOAPEnvelope/") &&
-				subBenchName(benchmarks[i].Name) == sub {
-				return &benchmarks[i]
-			}
-		}
-		return nil
-	}
-	encode := find("encode")
-	tree := find("encode-tree")
-	decode := find("decode")
-	if encode == nil || decode == nil {
-		return nil
-	}
-	b := &Breakdown{
-		EncodeNsOp:     encode.Metrics["ns/op"],
-		DecodeNsOp:     decode.Metrics["ns/op"],
-		EncodeAllocsOp: encode.Metrics["allocs/op"],
-		DecodeAllocsOp: decode.Metrics["allocs/op"],
-	}
-	if tree != nil {
-		b.EncodeTreeNsOp = tree.Metrics["ns/op"]
-	}
-	if total := b.EncodeNsOp + b.DecodeNsOp; total > 0 {
-		b.EncodeShare = b.EncodeNsOp / total
-	}
-	return b
-}
-
-// decodePaths derives the fast-path-vs-fallback decode summary from the
-// envelope ablation, or nil when the streaming sub-benchmark is absent.
-func decodePaths(benchmarks []Benchmark) *DecodePaths {
-	find := func(sub string) *Benchmark {
-		for i := range benchmarks {
-			if strings.Contains(benchmarks[i].Name, "Ablation_SOAPEnvelope/") &&
-				subBenchName(benchmarks[i].Name) == sub {
-				return &benchmarks[i]
-			}
-		}
-		return nil
-	}
-	stream := find("decode-stream")
-	tree := find("decode")
-	if stream == nil || tree == nil {
-		return nil
-	}
-	d := &DecodePaths{
-		StreamNsOp:     stream.Metrics["ns/op"],
-		StreamAllocsOp: stream.Metrics["allocs/op"],
-		TreeNsOp:       tree.Metrics["ns/op"],
-		TreeAllocsOp:   tree.Metrics["allocs/op"],
-	}
-	if d.StreamNsOp > 0 {
-		d.Speedup = d.TreeNsOp / d.StreamNsOp
-	}
-	return d
+	return vs[i] + (pos-float64(i))*(vs[i+1]-vs[i])
 }
 
 // parseBenchLine parses one result line of the form
@@ -295,22 +142,21 @@ func decodePaths(benchmarks []Benchmark) *DecodePaths {
 //	BenchmarkName-8   43238   26633 ns/op   5816 B/op   104 allocs/op
 //
 // Metrics are (value, unit) pairs after the run count.
-func parseBenchLine(line string) (Benchmark, bool) {
+func parseBenchLine(line string) (string, map[string]float64, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || len(fields)%2 != 0 {
-		return Benchmark{}, false
+		return "", nil, false
 	}
-	runs, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Benchmark{}, false
+	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+		return "", nil, false
 	}
-	b := Benchmark{Name: fields[0], Runs: runs, Metrics: map[string]float64{}}
+	metrics := map[string]float64{}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Benchmark{}, false
+			return "", nil, false
 		}
-		b.Metrics[fields[i+1]] = v
+		metrics[fields[i+1]] = v
 	}
-	return b, true
+	return fields[0], metrics, true
 }

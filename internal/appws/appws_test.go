@@ -332,7 +332,9 @@ func TestSOAPServiceFullFlow(t *testing.T) {
 	}
 	var descName string
 	err = cl.CallXML(context.Background(), "describeApplication", func(el *xmlutil.Element) error {
-		descName = el.FindText("basicInformation/name")
+		if n := el.Find("basicInformation/name"); n != nil {
+			descName = n.Text
+		}
 		return nil
 	}, soap.Str("name", "Gaussian"))
 	if err != nil || descName != "Gaussian" {

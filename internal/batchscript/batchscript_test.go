@@ -3,6 +3,8 @@ package batchscript
 import (
 	"context"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -155,8 +157,8 @@ func TestImplementationsCompatibleWithAgreedContract(t *testing.T) {
 		if err := svc.Validate(); err != nil {
 			t.Errorf("%s: %v", g.Group, err)
 		}
-		if !wsdl.Compatible(agreed, svc.Contract) {
-			t.Errorf("%s service incompatible with agreed contract", g.Group)
+		if problems := wsdl.CheckCompatible(agreed, svc.Contract); len(problems) > 0 {
+			t.Errorf("%s service incompatible with agreed contract: %v", g.Group, problems)
 		}
 	}
 }
@@ -254,7 +256,9 @@ func TestBindWSDLCompatibilityGate(t *testing.T) {
 	p := core.NewProvider("ssp", "http://provider.example.edu")
 	svc := NewService(NewIUGenerator())
 	p.MustRegister(svc)
-	good := p.WSDLFor(svc)
+	rec := httptest.NewRecorder()
+	p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p.EndpointFor(svc)+"?wsdl", nil))
+	good := rec.Body.String()
 	if _, err := BindWSDL(nil, good); err != nil {
 		t.Errorf("compatible WSDL rejected: %v", err)
 	}

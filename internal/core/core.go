@@ -349,13 +349,6 @@ func (p *Provider) EndpointFor(s *Service) string {
 	return p.BaseURL + s.Path
 }
 
-// WSDLFor renders the WSDL document for a deployed service, with the
-// provider's endpoint address.
-func (p *Provider) WSDLFor(s *Service) string {
-	svc := &wsdl.Service{Name: s.Contract.Name + "Service", Interface: s.Contract, Endpoint: p.EndpointFor(s)}
-	return svc.Render()
-}
-
 // wsdlBytesFor returns the rendered WSDL for a deployed service, cached
 // per service path. Contracts are immutable after registration, so the
 // only invalidation trigger is a BaseURL rewrite. The document is rendered

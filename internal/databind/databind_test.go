@@ -195,8 +195,8 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	if len(el.ChildrenNamed("flag")) != 2 {
 		t.Errorf("marshal flags = %d", len(el.ChildrenNamed("flag")))
 	}
-	if el.FindText("execution/host") != "modi4.ncsa.uiuc.edu" {
-		t.Errorf("marshal host = %q", el.FindText("execution/host"))
+	if host := el.Find("execution/host"); host == nil || host.Text != "modi4.ncsa.uiuc.edu" {
+		t.Errorf("marshal host = %v", host)
 	}
 
 	back, err := Unmarshal(s.Root("application"), el)

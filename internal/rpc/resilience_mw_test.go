@@ -308,7 +308,7 @@ func TestListenAndServeGracefulSIGTERM(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("graceful loop did not return after SIGTERM")
 	}
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Error("server not draining after signal shutdown")
 	}
 }

@@ -146,17 +146,6 @@ func (s *Server) SetBaseURL(baseURL string) {
 	}
 }
 
-// Providers returns the mounted providers in mount order.
-func (s *Server) Providers() []*core.Provider {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*core.Provider, len(s.mounts))
-	for i, m := range s.mounts {
-		out[i] = m.provider
-	}
-	return out
-}
-
 // Handler returns the complete HTTP surface: SOAP endpoints with WSDL
 // publication, the WS-Inspection document, /healthz, and any extra
 // mounted handlers.
@@ -266,9 +255,6 @@ func (s *Server) drainGate(next core.HandlerFunc) core.HandlerFunc {
 		return next(ctx, args)
 	}
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // minTransferRate is the slowest average rate, in bytes per second, at
 // which a peer may send a request body. 2 KiB/s (16 kbit/s) is half the

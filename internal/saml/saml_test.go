@@ -121,7 +121,7 @@ func TestEnvelopeAttachExtract(t *testing.T) {
 	env := soap.NewEnvelope().AddBody(xmlutil.New("op"))
 	Attach(env, a)
 	// Over the wire.
-	parsedEnv, err := soap.ParseEnvelope(env.Render())
+	parsedEnv, err := soap.ParseEnvelopeBytes([]byte(env.Render()))
 	if err != nil {
 		t.Fatal(err)
 	}

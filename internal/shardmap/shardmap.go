@@ -122,17 +122,10 @@ func New[V any](n int) *Map[V] {
 	return m
 }
 
-// NumShards returns the shard count.
-func (m *Map[V]) NumShards() int { return len(m.shards) }
-
 // ShardFor returns the shard owning key, unlocked.
 func (m *Map[V]) ShardFor(key string) *Shard[V] {
 	return &m.shards[Hash(key)&m.mask]
 }
-
-// Shards returns the shard slice for whole-map iteration. Callers lock each
-// shard as they visit it.
-func (m *Map[V]) Shards() []Shard[V] { return m.shards }
 
 // LockPair write-locks the shards owning both keys in index order — the
 // deadlock-free way to move an entry between keys (rename, copy) that may

@@ -8,8 +8,8 @@ import (
 
 func TestBasicOps(t *testing.T) {
 	m := New[int](0)
-	if m.NumShards() != DefaultShards {
-		t.Fatalf("shards = %d, want %d", m.NumShards(), DefaultShards)
+	if len(m.shards) != DefaultShards {
+		t.Fatalf("shards = %d, want %d", len(m.shards), DefaultShards)
 	}
 	if _, ok := m.Load("a"); ok {
 		t.Fatal("empty map loaded a value")
@@ -45,8 +45,8 @@ func TestShardCountRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{-1, DefaultShards}, {0, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32},
 	} {
-		if got := New[int](tc.in).NumShards(); got != tc.want {
-			t.Errorf("New(%d).NumShards = %d, want %d", tc.in, got, tc.want)
+		if got := len(New[int](tc.in).shards); got != tc.want {
+			t.Errorf("New(%d) has %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 }

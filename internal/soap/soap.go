@@ -194,18 +194,8 @@ func (e *Envelope) AppendTo(b *bytes.Buffer) {
 	w.End()
 }
 
-// ParseEnvelope parses a SOAP 1.1 envelope from its serialised form.
-func ParseEnvelope(data string) (*Envelope, error) {
-	root, err := xmlutil.ParseString(data)
-	if err != nil {
-		return nil, fmt.Errorf("soap: %w", err)
-	}
-	return envelopeFromRoot(root)
-}
-
-// ParseEnvelopeBytes parses a serialised envelope directly from bytes,
-// avoiding the string conversion of ParseEnvelope. The returned envelope
-// does not alias data.
+// ParseEnvelopeBytes parses a SOAP 1.1 envelope from its serialised
+// form. The returned envelope does not alias data.
 func ParseEnvelopeBytes(data []byte) (*Envelope, error) {
 	root, err := xmlutil.ParseBytes(data)
 	if err != nil {

@@ -27,7 +27,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		},
 	}
 	env := call.Envelope()
-	parsed, err := ParseEnvelope(env.Render())
+	parsed, err := ParseEnvelopeBytes([]byte(env.Render()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestXMLParameter(t *testing.T) {
 	jobs := xmlutil.New("jobs")
 	jobs.Add(xmlutil.New("job").AddText("executable", "/bin/date"))
 	call := &Call{ServiceNS: "urn:globusrun", Method: "submitXML", Params: []Value{XMLDoc("request", jobs)}}
-	parsed, err := ParseEnvelope(call.Envelope().Render())
+	parsed, err := ParseEnvelopeBytes([]byte(call.Envelope().Render()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +69,14 @@ func TestXMLParameter(t *testing.T) {
 	if doc == nil {
 		t.Fatal("XML param lost")
 	}
-	if doc.FindText("job/executable") != "/bin/date" {
-		t.Errorf("job executable = %q", doc.FindText("job/executable"))
+	if exe := doc.Find("job/executable"); exe == nil || exe.Text != "/bin/date" {
+		t.Errorf("job executable = %v", exe)
 	}
 }
 
 func TestResponseRoundTrip(t *testing.T) {
 	r := &Response{ServiceNS: "urn:srb", Method: "ls", Returns: []Value{StrArray("entries", []string{"a.dat", "b.dat"})}}
-	parsed, err := ParseEnvelope(r.Envelope().Render())
+	parsed, err := ParseEnvelopeBytes([]byte(r.Envelope().Render()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestResponseRoundTrip(t *testing.T) {
 func TestFaultRoundTrip(t *testing.T) {
 	pe := NewPortalError("SRBService", ErrCodeResourceFull, "disk full on resource %s", "sdsc-disk1")
 	env := NewEnvelope().AddBody(pe.Fault().Element())
-	parsed, err := ParseEnvelope(env.Render())
+	parsed, err := ParseEnvelopeBytes([]byte(env.Render()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestAsPortalError(t *testing.T) {
 }
 
 func TestVersionMismatch(t *testing.T) {
-	_, err := ParseEnvelope(`<Envelope xmlns="urn:not-soap"><Body/></Envelope>`)
+	_, err := ParseEnvelopeBytes([]byte(`<Envelope xmlns="urn:not-soap"><Body/></Envelope>`))
 	var f *Fault
 	if !errors.As(err, &f) || f.Code != FaultVersionMismatch {
 		t.Errorf("err = %v, want VersionMismatch fault", err)
@@ -150,8 +150,8 @@ func TestParseEnvelopeErrors(t *testing.T) {
 		"<notsoap/>",
 		`<Envelope xmlns="http://schemas.xmlsoap.org/soap/envelope/"><Header/></Envelope>`,
 	} {
-		if _, err := ParseEnvelope(bad); err == nil {
-			t.Errorf("ParseEnvelope(%q) succeeded", bad)
+		if _, err := ParseEnvelopeBytes([]byte(bad)); err == nil {
+			t.Errorf("ParseEnvelopeBytes(%q) succeeded", bad)
 		}
 	}
 }
@@ -161,7 +161,7 @@ func TestHeaderEntries(t *testing.T) {
 	assertion := xmlutil.NewNS("urn:saml", "Assertion").SetAttr("issuer", "authsvc")
 	env.AddHeader(assertion)
 	env.AddBody(xmlutil.New("op"))
-	parsed, err := ParseEnvelope(env.Render())
+	parsed, err := ParseEnvelopeBytes([]byte(env.Render()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestPropertyCallRoundTrip(t *testing.T) {
 				call.Params = append(call.Params, Bool(name, r.Intn(2) == 0))
 			}
 		}
-		env, err := ParseEnvelope(call.Envelope().Render())
+		env, err := ParseEnvelopeBytes([]byte(call.Envelope().Render()))
 		if err != nil {
 			return false
 		}
@@ -333,9 +333,9 @@ func TestEnvelopeBOMAndLeadingWhitespace(t *testing.T) {
 		{"bom+whitespace", "\xef\xbb\xbf \n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env, err := ParseEnvelope(tc.prefix + wire)
+			env, err := ParseEnvelopeBytes([]byte(tc.prefix + wire))
 			if err != nil {
-				t.Fatalf("ParseEnvelope with %s prefix: %v", tc.name, err)
+				t.Fatalf("ParseEnvelopeBytes with %s prefix: %v", tc.name, err)
 			}
 			got, err := ParseCall(env)
 			if err != nil || got.Method != "op" || len(got.Params) != 1 {

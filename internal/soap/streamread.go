@@ -25,7 +25,7 @@ import (
 )
 
 // BodyReader streams the primary body entry of a serialised envelope. The
-// usage protocol is Begin, then ReadValue until done, then Finish; any
+// usage protocol is Begin, then ReadValueInto until done, then Finish; any
 // step reporting !ok means the document is outside the streaming subset
 // and the caller must fall back to the tree path. Release must always be
 // called, exactly once.
@@ -57,11 +57,10 @@ func (r *BodyReader) Release() {
 // it with one memcmp, letting Begin skip tokenising the opening tags.
 // Foreign peers that serialise differently just take the general scan.
 var envelopePrologue = xmlutil.PrologueSeed{
-	Text:       []byte(xmlDecl + `<ns0:Envelope xmlns:ns0="` + EnvelopeNS + `"><ns0:Body>`),
-	Prefixes:   [][]byte{[]byte("ns0")},
-	URIs:       []string{EnvelopeNS},
-	OpenSpaces: []string{EnvelopeNS, EnvelopeNS},
-	OpenNames:  []string{"Envelope", "Body"},
+	Text:     []byte(xmlDecl + `<ns0:Envelope xmlns:ns0="` + EnvelopeNS + `"><ns0:Body>`),
+	Prefixes: [][]byte{[]byte("ns0")},
+	URIs:     []string{EnvelopeNS},
+	Open:     [][]byte{[]byte("ns0:Envelope"), []byte("ns0:Body")},
 }
 
 // Begin matches the envelope prolog — Envelope, then Body as its first
@@ -123,20 +122,13 @@ func (r *BodyReader) nextElem(depth int) bool {
 	}
 }
 
-// ReadValue reads the next parameter element of the primary body entry,
-// reproducing ParseValue's result for the streaming subset: typed scalars,
-// soapenc:Array containers of scalar items, and untyped text values. done
-// reports the entry's end tag; !ok means fall back (literal-XML payloads,
-// nested arrays, mixed content, malformed input).
-func (r *BodyReader) ReadValue() (v Value, done, ok bool) {
-	done, ok = r.ReadValueInto(&v)
-	return v, done, ok
-}
-
-// ReadValueInto is ReadValue filling a caller-provided Value in place —
-// the form the rpc codecs use to decode straight into their pre-sized raw
-// slice without copying the (pointer-heavy) Value through two returns. On
-// done or !ok, *v is meaningless.
+// ReadValueInto reads the next parameter element of the primary body
+// entry into *v, reproducing ParseValue's result for the streaming subset:
+// typed scalars, soapenc:Array containers of scalar items, and untyped
+// text values. done reports the entry's end tag; !ok means fall back
+// (literal-XML payloads, nested arrays, mixed content, malformed input).
+// Filling in place lets the rpc codecs decode straight into their
+// pre-sized raw slice. On done or !ok, *v is meaningless.
 func (r *BodyReader) ReadValueInto(v *Value) (done, ok bool) {
 	cur := r.cur
 	for {

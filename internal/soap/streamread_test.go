@@ -16,7 +16,8 @@ func drainBody(data []byte) (space, name string, vals []Value, ok bool) {
 		return "", "", nil, false
 	}
 	for {
-		v, done, vok := r.ReadValue()
+		var v Value
+		done, vok := r.ReadValueInto(&v)
 		if !vok {
 			return "", "", nil, false
 		}

@@ -11,7 +11,6 @@ package wsdl
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/xmlutil"
@@ -81,17 +80,6 @@ func (i *Interface) Operation(name string) *Operation {
 		}
 	}
 	return nil
-}
-
-// OperationNames returns the sorted operation names; used by the
-// method-count analyses in the context-manager experiments.
-func (i *Interface) OperationNames() []string {
-	names := make([]string, 0, len(i.Operations))
-	for _, op := range i.Operations {
-		names = append(names, op.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Service is a concrete deployment of an interface at an endpoint — the
@@ -453,10 +441,4 @@ func compareParams(opName, dir string, agreed, impl []Param) []Incompatibility {
 		}
 	}
 	return problems
-}
-
-// Compatible reports whether impl can serve clients of the agreed
-// interface.
-func Compatible(agreed, impl *Interface) bool {
-	return len(CheckCompatible(agreed, impl)) == 0
 }

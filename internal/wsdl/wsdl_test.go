@@ -83,17 +83,14 @@ func TestCompatibleIdentical(t *testing.T) {
 	if problems := CheckCompatible(agreed, impl); len(problems) != 0 {
 		t.Errorf("identical interfaces flagged: %v", problems)
 	}
-	if !Compatible(agreed, impl) {
-		t.Error("Compatible = false for identical interfaces")
-	}
 }
 
 func TestCompatibleExtraOperationsAllowed(t *testing.T) {
 	agreed := scriptGenInterface()
 	impl := scriptGenInterface()
 	impl.Operations = append(impl.Operations, Operation{Name: "extraDiagnostics"})
-	if !Compatible(agreed, impl) {
-		t.Error("extra provider operations must not break compatibility")
+	if problems := CheckCompatible(agreed, impl); len(problems) != 0 {
+		t.Errorf("extra provider operations must not break compatibility: %v", problems)
 	}
 }
 
@@ -127,7 +124,7 @@ func TestIncompatibleParamRename(t *testing.T) {
 	agreed := scriptGenInterface()
 	impl := scriptGenInterface()
 	impl.Operations[1].Input[0].Name = "queueSystem"
-	if Compatible(agreed, impl) {
+	if len(CheckCompatible(agreed, impl)) == 0 {
 		t.Error("renamed parameter must break compatibility")
 	}
 }
@@ -152,11 +149,15 @@ func TestIncompatibleNamespace(t *testing.T) {
 	}
 }
 
-func TestOperationNamesSorted(t *testing.T) {
+func TestOperationLookup(t *testing.T) {
 	i := scriptGenInterface()
-	names := i.OperationNames()
-	if len(names) != 2 || names[0] != "generateScript" || names[1] != "listSchedulers" {
-		t.Errorf("names = %v", names)
+	for _, name := range []string{"listSchedulers", "generateScript"} {
+		if op := i.Operation(name); op == nil || op.Name != name {
+			t.Errorf("Operation(%q) = %v", name, op)
+		}
+	}
+	if op := i.Operation("submitJob"); op != nil {
+		t.Errorf("Operation(submitJob) = %v, want nil", op)
 	}
 }
 
@@ -274,7 +275,7 @@ func TestAppendToMatchesDocument(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: streamed WSDL does not parse: %v", svc.Name, err)
 		}
-		if !Compatible(svc.Interface, back.Interface) || !Compatible(back.Interface, svc.Interface) {
+		if len(CheckCompatible(svc.Interface, back.Interface)) != 0 || len(CheckCompatible(back.Interface, svc.Interface)) != 0 {
 			t.Errorf("%s: streamed WSDL parsed into an incompatible interface", svc.Name)
 		}
 	}

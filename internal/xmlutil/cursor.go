@@ -177,10 +177,9 @@ type PrologueSeed struct {
 	// in order; they are treated as declared on the outermost open element.
 	Prefixes [][]byte
 	URIs     []string
-	// OpenSpaces and OpenNames are the elements left open by the prologue,
-	// outermost first, with resolved namespaces.
-	OpenSpaces []string
-	OpenNames  []string
+	// Open are the qualified names, as written, of the elements the
+	// prologue leaves open, outermost first.
+	Open [][]byte
 }
 
 // SkipPrologue consumes seed.Text when the document starts with it,
@@ -196,12 +195,12 @@ func (c *Cursor) SkipPrologue(seed *PrologueSeed) bool {
 	for i := range seed.Prefixes {
 		c.ns = append(c.ns, nsBinding{prefix: seed.Prefixes[i], uri: seed.URIs[i]})
 	}
-	for i := range seed.OpenNames {
+	for i, raw := range seed.Open {
 		mark := 0
 		if i > 0 {
 			mark = len(c.ns)
 		}
-		c.open = append(c.open, openTag{space: seed.OpenSpaces[i], name: seed.OpenNames[i], nsMark: mark})
+		c.open = append(c.open, openTag{raw: raw, nsMark: mark})
 		c.rooted = true
 	}
 	c.pos += len(seed.Text)

@@ -170,11 +170,10 @@ func TestCursorUnsupportedConstructs(t *testing.T) {
 // non-matching one is untouched for the general scan.
 func TestSkipPrologue(t *testing.T) {
 	seed := PrologueSeed{
-		Text:       []byte(`<a:r xmlns:a="urn:a"><a:b>`),
-		Prefixes:   [][]byte{[]byte("a")},
-		URIs:       []string{"urn:a"},
-		OpenSpaces: []string{"urn:a", "urn:a"},
-		OpenNames:  []string{"r", "b"},
+		Text:     []byte(`<a:r xmlns:a="urn:a"><a:b>`),
+		Prefixes: [][]byte{[]byte("a")},
+		URIs:     []string{"urn:a"},
+		Open:     [][]byte{[]byte("a:r"), []byte("a:b")},
 	}
 	c := AcquireCursor([]byte(`<a:r xmlns:a="urn:a"><a:b><a:leaf>x</a:leaf></a:b></a:r>`))
 	if !c.SkipPrologue(&seed) {

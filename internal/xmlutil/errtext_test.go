@@ -79,6 +79,7 @@ var parseErrorTexts = []struct{ doc, want string }{
 	{"<a></a", "xmlutil: parse at byte 6: invalid characters between </a and >"},
 	{"<a></b>", "xmlutil: parse at byte 7: element <a> closed by </b>"},
 	{`<p:a xmlns:p="u"></q:a>`, "xmlutil: parse at byte 23: element <p:a> closed by </q:a>"},
+	{`<p:a xmlns:p="u" xmlns:q="u"></q:a>`, "xmlutil: parse at byte 35: element <p:a> closed by </q:a>"},
 }
 
 // TestParseErrorTexts pins the exact error text of every parser error

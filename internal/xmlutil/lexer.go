@@ -73,14 +73,12 @@ type pendingAttr struct {
 	value  string
 }
 
-// openTag is one open element: its resolved identity for end-tag
-// matching, where its name as written lies in the input (data[at:end],
-// for error messages; empty for elements a PrologueSeed opened) and the
-// namespace-stack depth to restore when it closes.
+// openTag is one open element: its qualified name as written, which its
+// end tag must repeat, and the namespace-stack depth to restore when it
+// closes.
 type openTag struct {
-	space, name string
-	at, end     int
-	nsMark      int
+	raw    []byte
+	nsMark int
 }
 
 // lexer is the markup lexer state a consumer embeds.
@@ -116,7 +114,9 @@ func (l *lexer) release() {
 	l.data = nil
 	clear(l.ns)
 	clear(l.pend)
-	l.ns, l.pend = l.ns[:0], l.pend[:0]
+	// Closed elements stay in the backing array past len(l.open).
+	clear(l.open[:cap(l.open)])
+	l.ns, l.pend, l.open = l.ns[:0], l.pend[:0], l.open[:0]
 }
 
 func (l *lexer) errf(format string, args ...interface{}) error {
@@ -368,7 +368,7 @@ func (l *lexer) startTag() (space, name string, selfClose bool, err error) {
 	if !selfClose && len(l.open) >= maxDepth {
 		return "", "", false, l.errf("element depth exceeds %d", maxDepth)
 	}
-	l.open = append(l.open, openTag{space: space, name: name, at: at, end: at + len(rawName), nsMark: nsMark})
+	l.open = append(l.open, openTag{raw: rawName, nsMark: nsMark})
 	return space, name, selfClose, nil
 }
 
@@ -453,8 +453,7 @@ func (l *lexer) unescape(span []byte, entities bool) (string, error) {
 // the innermost open element and pops that element.
 func (l *lexer) endTag() error {
 	at := l.pos
-	prefix, local, err := l.qname()
-	if err != nil {
+	if _, _, err := l.qname(); err != nil {
 		return err
 	}
 	raw := l.data[at:l.pos]
@@ -467,10 +466,11 @@ func (l *lexer) endTag() error {
 		return errors.New("xmlutil: parse: unbalanced end element")
 	}
 	top := &l.open[len(l.open)-1]
-	// Compare the resolved name (namespace + local), not the raw bytes:
-	// <p:a xmlns:p="u" xmlns:q="u"></q:a> is well formed.
-	if top.name != string(local) || top.space != l.resolve(prefix, true) {
-		return l.errf("element <%s> closed by </%s>", l.data[top.at:top.end], raw)
+	// XML's Element Type Match: the end tag repeats the start tag's name
+	// byte for byte, so <p:a xmlns:p="u" xmlns:q="u"></q:a> is not well
+	// formed although both names resolve alike.
+	if !bytes.Equal(raw, top.raw) {
+		return l.errf("element <%s> closed by </%s>", top.raw, raw)
 	}
 	l.pop()
 	return nil

@@ -255,9 +255,10 @@ func TestNamespaceResolutionParity(t *testing.T) {
 	if a := root.Children[3].Attrs[0]; a.Space != xmlNamespace || a.Name != "lang" {
 		t.Errorf("xml:lang attr = %+v", a)
 	}
-	// Same-URI prefixes may close each other.
-	if _, err := ParseString(`<p:a xmlns:p="u" xmlns:q="u"></q:a>`); err != nil {
-		t.Errorf("same-URI close rejected: %v", err)
+	// An end tag repeats its start tag's prefix, even where another
+	// prefix is bound to the same URI.
+	if _, err := ParseString(`<p:a xmlns:p="u" xmlns:q="u"></q:a>`); err == nil {
+		t.Error("same-URI close under another prefix accepted")
 	}
 	// Degenerate colon names are whole local names, not namespace splits.
 	root, err = ParseString(`<b: :c="v"></b:>`)

@@ -221,14 +221,6 @@ func (e *Element) Find(path string) *Element {
 	return cur
 }
 
-// FindText returns the text at a slash-separated path, or "".
-func (e *Element) FindText(path string) string {
-	if el := e.Find(path); el != nil {
-		return el.Text
-	}
-	return ""
-}
-
 // Walk visits the element and every descendant in document order. Returning
 // false from fn prunes the subtree below the current node.
 func (e *Element) Walk(fn func(*Element) bool) {

@@ -58,7 +58,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if root.Name != "host" {
 		t.Fatalf("root = %q", root.Name)
 	}
-	if got := root.FindText("ip"); got != "141.142.30.72" {
+	if got := root.ChildText("ip"); got != "141.142.30.72" {
 		t.Errorf("ip = %q", got)
 	}
 	queues := root.ChildrenNamed("queue")
@@ -169,8 +169,8 @@ func TestFindAndFindAll(t *testing.T) {
 	if doc.Find("missing/path") != nil {
 		t.Error("Find on absent path returned non-nil")
 	}
-	if doc.FindText("application/name") != "code" {
-		t.Error("FindText mismatch")
+	if name := doc.Find("application/name"); name == nil || name.Text != "code" {
+		t.Error("Find text mismatch")
 	}
 	if doc.Find("") != doc {
 		t.Error("empty path should return receiver")

@@ -103,8 +103,10 @@ func rung(b *testing.B, op func() error) {
 //     middleware, handler, encode);
 //   - loopback: a core.Client over the in-process transport (adds the
 //     client's encode and decode);
-//   - guarded: loopback with the production guard set, Deadline and
-//     LoadShed on the server, Retry and Breakers on the client;
+//   - guarded: loopback with the full guard set, Deadline and LoadShed
+//     on the server, Retry and Breakers on the client. No cmd/ binary
+//     wires these four; the binaries run only the gateway's breakers and
+//     the graceful drain;
 //   - http: the loopback call over TCP through net/http;
 //   - gateway: the http rung's server behind the federating gateway,
 //     reached in process; the gateway forwards over TCP.
@@ -152,7 +154,7 @@ func BenchmarkFigure1_Ladder(b *testing.B) {
 		call.WireEnvelope().AppendTo(&req)
 		rung(b, func() error {
 			out.Reset()
-			return p.Serve(context.Background(), req.Bytes(), nil, &out)
+			return p.Serve(context.Background(), req.Bytes(), &out)
 		})
 	})
 	b.Run("loopback", func(b *testing.B) {
@@ -931,8 +933,8 @@ func BenchmarkAblation_SOAPEnvelope(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// RESILIENCE — the production guard set the guarded ladder rung and the
-// parallel tier's loopback-resilient variant switch on.
+// RESILIENCE — the full guard set the guarded ladder rung and the parallel
+// tier's loopback-resilient variant switch on (no cmd/ binary wires it).
 // ---------------------------------------------------------------------------
 
 // resilientClient wraps the endpoint with the full client-side guard set.

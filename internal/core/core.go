@@ -48,11 +48,9 @@ type Context struct {
 	// ServiceNS is the service namespace of the call.
 	ServiceNS string
 	// Envelope is the full request envelope, giving handlers access to
-	// header entries such as SAML assertions.
+	// header entries such as SAML assertions. On the streaming fast path,
+	// which only takes headerless requests, it is an empty view.
 	Envelope *soap.Envelope
-	// HTTPRequest is the underlying HTTP request when served over HTTP;
-	// nil in-process (Provider.Loopback).
-	HTTPRequest *http.Request
 	// Principal is the authenticated identity, set by a verification
 	// interceptor; empty for unauthenticated calls.
 	Principal string
@@ -65,29 +63,14 @@ type Context struct {
 	Decoded interface{}
 	// Ctx is the request's lifetime: cancelled when the client goes away,
 	// the deadline middleware's budget expires, or the server drains.
-	// Handlers doing slow work should watch it. Use Context() for a
-	// nil-safe read.
+	// Handlers doing slow work should watch it; it also carries any other
+	// request-scoped values. Use Context() for a nil-safe read.
 	Ctx context.Context
-	// values holds interceptor-provided request-scoped data.
-	values map[string]interface{}
 	// abandoned is set (atomically; the dispatch goroutine and the
 	// deadline middleware race on it by design) when the handler chain was
 	// given up on mid-flight, so dispatch must not recycle pooled request
 	// storage the runaway handler may still read.
 	abandoned uint32
-}
-
-// Set stores a request-scoped value for downstream interceptors/handlers.
-func (c *Context) Set(key string, v interface{}) {
-	if c.values == nil {
-		c.values = map[string]interface{}{}
-	}
-	c.values[key] = v
-}
-
-// Value retrieves a request-scoped value, or nil.
-func (c *Context) Value(key string) interface{} {
-	return c.values[key]
 }
 
 // Context returns the request's context.Context, never nil.
@@ -104,39 +87,19 @@ func (c *Context) Context() context.Context {
 // collector instead of recycling it under the still-running goroutine.
 func (c *Context) Abandon() { atomic.StoreUint32(&c.abandoned, 1) }
 
-// Abandoned reports whether Abandon was called.
-func (c *Context) Abandoned() bool { return atomic.LoadUint32(&c.abandoned) != 0 }
-
-// Detach returns a shallow copy of the context for running the inner
-// handler chain on a goroutine that may outlive the request: the copy gets
-// its own values map, so a runaway handler mutating it cannot race with
-// outer middleware reading the original. ctx becomes the copy's lifetime.
+// Detach returns a copy of the context for running the inner handler chain
+// on a goroutine that may outlive the request, so a runaway handler
+// mutating the copy cannot race with outer middleware reading the
+// original. ctx becomes the copy's lifetime.
 func (c *Context) Detach(ctx context.Context) *Context {
-	d := &Context{
-		Operation:   c.Operation,
-		ServiceNS:   c.ServiceNS,
-		Envelope:    c.Envelope,
-		HTTPRequest: c.HTTPRequest,
-		Principal:   c.Principal,
-		Decoded:     c.Decoded,
-		Ctx:         ctx,
-	}
-	if c.values != nil {
-		d.values = make(map[string]interface{}, len(c.values))
-		for k, v := range c.values {
-			d.values[k] = v
-		}
-	}
-	return d
+	return &Context{Operation: c.Operation, ServiceNS: c.ServiceNS, Envelope: c.Envelope,
+		Principal: c.Principal, Decoded: c.Decoded, Ctx: ctx}
 }
 
-// Adopt copies the mutable outcomes of a detached run back onto the
-// original context. Only call it after the detached chain has returned in
-// time (never after Abandon).
-func (c *Context) Adopt(d *Context) {
-	c.Principal = d.Principal
-	c.values = d.values
-}
+// Adopt copies the one mutable outcome of a detached run, the Principal,
+// back onto the original context. Only call it after the detached chain
+// has returned in time (never after Abandon).
+func (c *Context) Adopt(d *Context) { c.Principal = d.Principal }
 
 // HandlerFunc implements one operation: it receives the decoded arguments
 // and returns the out parameters or an error. Errors that are (or wrap)
@@ -169,18 +132,15 @@ type ClientInterceptor func(call *soap.Call, env *soap.Envelope) error
 // xml-typed parameters, a wire shape outside the streaming subset, or a
 // value that fails validation (the tree path then reproduces the exact
 // fault). On !ok nothing may have been committed anywhere.
+//
+// ReleaseStream recycles whatever pooled scratch a successful decode
+// handed out inside decoded and raw. The provider calls it exactly once
+// per successful DecodeCallStream: once the handler chain has returned
+// (success or error), or when the request falls back to the tree path
+// after all. It is skipped only when the chain was abandoned mid-flight,
+// since the runaway handler may still read the decode products.
 type StreamDecoder interface {
 	DecodeCallStream(op string, r *soap.BodyReader) (decoded interface{}, raw []soap.Value, ok bool)
-}
-
-// StreamReleaser is an optional extension of StreamDecoder for decoders
-// that hand out pooled scratch inside decoded/raw. The provider calls
-// ReleaseStream exactly once per successful DecodeCallStream, after the
-// dispatch completes (the handler chain has returned and the response is
-// built from handler-owned values) or when the request is abandoned to
-// the tree fallback — the two points where nothing can still reference
-// the request's decode products under the handler-retention contract.
-type StreamReleaser interface {
 	ReleaseStream(decoded interface{}, raw []soap.Value)
 }
 
@@ -385,14 +345,14 @@ func (p *Provider) wsdlBytesFor(s *Service) []byte {
 //
 // The streaming decode path is tried first; a request outside its subset
 // is parsed into a pooled element arena and dispatched through the tree
-// path, which is the semantic authority. The response or fault envelope
-// is appended to out, and the returned error is non-nil exactly when out
-// holds a fault. The arena is recycled once the response is rendered,
-// unless the handler chain was abandoned mid-flight (deadline middleware):
-// a runaway goroutine may still read the request tree, so it is left to
-// the garbage collector.
-func (p *Provider) Serve(ctx context.Context, body []byte, httpReq *http.Request, out *bytes.Buffer) error {
-	resp, handled, err := p.dispatchStream(ctx, body, httpReq)
+// path, which is the semantic authority. Both paths end in the same
+// invoke step. The response or fault envelope is appended to out, and the
+// returned error is non-nil exactly when out holds a fault. The arena is
+// recycled once the response is rendered, unless the handler chain was
+// abandoned mid-flight (deadline middleware): a runaway goroutine may
+// still read the request tree, so it is left to the garbage collector.
+func (p *Provider) Serve(ctx context.Context, body []byte, out *bytes.Buffer) error {
+	resp, handled, err := p.dispatchStream(ctx, body)
 	if !handled {
 		env, doc, perr := soap.ParseEnvelopeBytesPooled(body)
 		if perr != nil {
@@ -400,7 +360,7 @@ func (p *Provider) Serve(ctx context.Context, body []byte, httpReq *http.Request
 			return perr
 		}
 		var abandoned bool
-		resp, abandoned, err = p.dispatch(ctx, env, httpReq)
+		resp, abandoned, err = p.dispatch(ctx, env)
 		if !abandoned {
 			defer doc.Release()
 		}
@@ -415,7 +375,7 @@ func (p *Provider) Serve(ctx context.Context, body []byte, httpReq *http.Request
 // dispatch runs one parsed request envelope through the tree path.
 // abandoned reports that the handler chain was given up on mid-flight, so
 // the caller must not recycle the request tree.
-func (p *Provider) dispatch(ctx context.Context, env *soap.Envelope, httpReq *http.Request) (resp *soap.Envelope, abandoned bool, err error) {
+func (p *Provider) dispatch(ctx context.Context, env *soap.Envelope) (resp *soap.Envelope, abandoned bool, err error) {
 	call, err := soap.ParseCall(env)
 	if err != nil {
 		return nil, false, err
@@ -432,47 +392,7 @@ func (p *Provider) dispatch(ctx context.Context, env *soap.Envelope, httpReq *ht
 		return nil, false, soap.NewPortalError(svc.Contract.Name, soap.ErrCodeNoSuchMethod,
 			"operation %q not implemented", call.Method)
 	}
-	c := &Context{
-		Operation:   call.Method,
-		ServiceNS:   call.ServiceNS,
-		Envelope:    env,
-		HTTPRequest: httpReq,
-		Ctx:         ctx,
-	}
-	returns, err := h(c, soap.Args(call.Params))
-	if err != nil {
-		return nil, c.Abandoned(), err
-	}
-	r := &soap.Response{ServiceNS: call.ServiceNS, Method: call.Method, Returns: returns}
-	// The response envelope is streamed: when Serve serialises it, the
-	// operation element and typed return values are written directly to
-	// the output buffer, with no element tree in between.
-	return r.WireEnvelope(), false, nil
-}
-
-// handlerFor returns the fully composed middleware chain for one
-// operation, composing and memoizing it on first use (Use invalidates the
-// memo, so wiring-time changes still apply); nil when the operation has no
-// handler.
-func (p *Provider) handlerFor(svc *Service, method string) HandlerFunc {
-	p.mu.RLock()
-	h := svc.composed[method]
-	p.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	base, ok := svc.handlers[method]
-	if !ok {
-		return nil
-	}
-	p.mu.Lock()
-	h = Chain(base, p.middleware, svc.middleware)
-	if svc.composed == nil {
-		svc.composed = make(map[string]HandlerFunc, len(svc.handlers))
-	}
-	svc.composed[method] = h
-	p.mu.Unlock()
-	return h
+	return invoke(ctx, h, env, call.ServiceNS, call.Method, nil, call.Params)
 }
 
 // dispatchStream is the streaming decode fast path: it dispatches a
@@ -485,7 +405,7 @@ func (p *Provider) handlerFor(svc *Service, method string) HandlerFunc {
 // authority for every such case. The decision is made before the handler
 // runs: once handled is true the operation has executed and the result is
 // final.
-func (p *Provider) dispatchStream(ctx context.Context, body []byte, httpReq *http.Request) (resp *soap.Envelope, handled bool, err error) {
+func (p *Provider) dispatchStream(ctx context.Context, body []byte) (resp *soap.Envelope, handled bool, err error) {
 	r := soap.AcquireBodyReader(body)
 	cursorHeld := true
 	defer func() {
@@ -507,73 +427,93 @@ func (p *Provider) dispatchStream(ctx context.Context, body []byte, httpReq *htt
 	if !ok {
 		return nil, false, nil
 	}
-	// release recycles the decoder's pooled scratch (when it pools any) at
-	// every exit past this point: the decode products must not outlive the
-	// dispatch, which the handler-retention contract guarantees.
-	release := func() {
-		if rel, ok := svc.Stream.(StreamReleaser); ok {
-			rel.ReleaseStream(decoded, raw)
-		}
+	var h HandlerFunc
+	if r.Finish() {
+		h = p.handlerFor(svc, method)
 	}
-	if !r.Finish() {
-		release()
-		return nil, false, nil
-	}
-	h := p.handlerFor(svc, method)
 	if h == nil {
-		release()
-		return nil, false, nil // NoSuchMethod fault via the tree path
+		// A malformed tail or a method without a handler: the tree path
+		// answers it (NoSuchMethod, say), so the decode products go back.
+		svc.Stream.ReleaseStream(decoded, raw)
+		return nil, false, nil
 	}
 	// Decode is complete and its products are copies: the cursor and
 	// scanner go back to their pools now, before the handler runs, so a
 	// slow or cancelled handler never pins them.
 	cursorHeld = false
 	r.Release()
-	// The fast path only handles headerless requests, so an empty envelope
-	// is a faithful view for middleware that inspects ctx.Envelope (e.g.
-	// SAML header checks see the same absence either way). Context, the
-	// request envelope view, the response, and the response envelope all
-	// share one request-scoped allocation.
-	var cx struct {
-		ctx    Context
-		env    soap.Envelope
-		out    soap.Response
-		outEnv soap.Envelope
+	resp, abandoned, err := invoke(ctx, h, nil, ns, method, decoded, raw)
+	if !abandoned {
+		svc.Stream.ReleaseStream(decoded, raw)
 	}
-	cx.ctx = Context{
-		Operation:   method,
-		ServiceNS:   ns,
-		Envelope:    &cx.env,
-		HTTPRequest: httpReq,
-		Decoded:     decoded,
-		Ctx:         ctx,
+	return resp, true, err
+}
+
+// request is one dispatched request's storage: its Context, the empty
+// request envelope view the fast path hands middleware, the response and
+// the streamed response envelope share one allocation.
+type request struct {
+	ctx    Context
+	env    soap.Envelope
+	out    soap.Response
+	outEnv soap.Envelope
+}
+
+// invoke runs the composed chain h on one decoded request and builds its
+// response envelope, whose operation element and typed return values are
+// written straight to the output buffer when Serve serialises it. env is
+// the parsed request envelope, or nil on the headerless fast path, whose
+// middleware sees an empty one: SAML header checks see the same absence
+// either way. abandoned reports that the chain was given up on mid-flight
+// (Context.Abandon), so the caller must leak rather than recycle the
+// request's pooled storage.
+func invoke(ctx context.Context, h HandlerFunc, env *soap.Envelope, ns, method string,
+	decoded interface{}, args []soap.Value) (resp *soap.Envelope, abandoned bool, err error) {
+	rq := new(request)
+	if env == nil {
+		env = &rq.env
 	}
-	returns, err := h(&cx.ctx, soap.Args(raw))
+	rq.ctx = Context{Operation: method, ServiceNS: ns, Envelope: env, Decoded: decoded, Ctx: ctx}
+	returns, err := h(&rq.ctx, soap.Args(args))
+	abandoned = atomic.LoadUint32(&rq.ctx.abandoned) != 0
 	if err != nil {
-		// An abandoned handler may still read the decoded args, so their
-		// pooled scratch must leak to the garbage collector, not recycle.
-		if !cx.ctx.Abandoned() {
-			release()
-		}
-		return nil, true, err
+		return nil, abandoned, err
 	}
-	cx.out = soap.Response{ServiceNS: ns, Method: method, Returns: returns}
-	cx.out.WireEnvelopeInto(&cx.outEnv)
-	release()
-	return &cx.outEnv, true, nil
+	rq.out = soap.Response{ServiceNS: ns, Method: method, Returns: returns}
+	rq.out.WireEnvelopeInto(&rq.outEnv)
+	return &rq.outEnv, abandoned, nil
 }
 
-// Loopback returns the in-process transport for this provider, answering
-// through Serve exactly as ServeHTTP does.
-func (p *Provider) Loopback() *soap.LoopbackTransport {
-	return &soap.LoopbackTransport{Serve: p.Serve}
+// handlerFor returns the fully composed middleware chain for one
+// operation, composing and memoizing it on first use (Use invalidates the
+// memo, so wiring-time changes still apply); nil when the operation has no
+// handler.
+func (p *Provider) handlerFor(svc *Service, method string) HandlerFunc {
+	p.mu.RLock()
+	h := svc.composed[method]
+	p.mu.RUnlock()
+	if h != nil {
+		return h
+	}
+	base, ok := svc.handlers[method]
+	if !ok {
+		return nil
+	}
+	p.mu.Lock()
+	h = chain(base, p.middleware, svc.middleware)
+	if svc.composed == nil {
+		svc.composed = make(map[string]HandlerFunc, len(svc.handlers))
+	}
+	svc.composed[method] = h
+	p.mu.Unlock()
+	return h
 }
 
-// Chain composes middleware groups around a handler. Groups are applied in
+// chain composes middleware groups around a handler. Groups are applied in
 // order with earlier groups outermost, and within a group earlier
-// middlewares are outermost, so Chain(h, provider, service) runs provider
+// middlewares are outermost, so chain(h, provider, service) runs provider
 // middlewares first on the way in and last on the way out.
-func Chain(h HandlerFunc, groups ...[]Middleware) HandlerFunc {
+func chain(h HandlerFunc, groups ...[]Middleware) HandlerFunc {
 	for g := len(groups) - 1; g >= 0; g-- {
 		mws := groups[g]
 		for i := len(mws) - 1; i >= 0; i-- {
@@ -581,6 +521,12 @@ func Chain(h HandlerFunc, groups ...[]Middleware) HandlerFunc {
 		}
 	}
 	return h
+}
+
+// Loopback returns the in-process transport for this provider, answering
+// through Serve exactly as ServeHTTP does.
+func (p *Provider) Loopback() *soap.LoopbackTransport {
+	return &soap.LoopbackTransport{Serve: p.Serve}
 }
 
 // ServeHTTP implements http.Handler: POST dispatches SOAP; GET with ?wsdl

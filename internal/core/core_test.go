@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http/httptest"
@@ -153,7 +154,6 @@ func TestMiddlewareOrderAndRejection(t *testing.T) {
 	p.Use(func(next HandlerFunc) HandlerFunc {
 		return func(ctx *Context, args soap.Args) ([]soap.Value, error) {
 			order = append(order, "provider")
-			ctx.Set("token", "t-123")
 			vals, err := next(ctx, args)
 			order = append(order, "provider-out")
 			return vals, err
@@ -162,9 +162,6 @@ func TestMiddlewareOrderAndRejection(t *testing.T) {
 	svc := echoService().Use(func(next HandlerFunc) HandlerFunc {
 		return func(ctx *Context, args soap.Args) ([]soap.Value, error) {
 			order = append(order, "service")
-			if ctx.Value("token") != "t-123" {
-				t.Error("context value not propagated")
-			}
 			ctx.Principal = "cyoun"
 			return next(ctx, args)
 		}
@@ -343,5 +340,93 @@ func TestProviderServicesSorted(t *testing.T) {
 	}
 	if got := p.EndpointFor(svcs[0]); got != "http://x/Alpha" {
 		t.Errorf("endpoint = %q", got)
+	}
+}
+
+// countingDecoder stream-decodes any operation's scalar parameters and
+// counts the decodes it hands out against the releases it gets back.
+type countingDecoder struct{ decodes, releases int }
+
+func (d *countingDecoder) DecodeCallStream(op string, r *soap.BodyReader) (interface{}, []soap.Value, bool) {
+	var raw []soap.Value
+	for {
+		var v soap.Value
+		done, ok := r.ReadValueInto(&v)
+		if !ok {
+			return nil, nil, false
+		}
+		if done {
+			break
+		}
+		raw = append(raw, v)
+	}
+	d.decodes++
+	return op, raw, true
+}
+
+func (d *countingDecoder) ReleaseStream(interface{}, []soap.Value) { d.releases++ }
+
+// TestStreamReleaseContract pins the StreamDecoder release contract: one
+// ReleaseStream per successful DecodeCallStream, whether the handler
+// succeeds or fails and whether the request falls back to the tree path
+// (a malformed tail, an operation without a handler), and none once the
+// chain was abandoned, since a runaway handler may still read the decode
+// products.
+func TestStreamReleaseContract(t *testing.T) {
+	request := func(method, msg string) []byte {
+		var b bytes.Buffer
+		call := soap.Call{ServiceNS: "urn:test:echo", Method: method, Params: []soap.Value{soap.Str("msg", msg)}}
+		call.WireEnvelope().AppendTo(&b)
+		return b.Bytes()
+	}
+	// An extra body entry after the call element passes the decoder but
+	// fails Finish; the tree path still answers from the first entry.
+	malformed := bytes.Replace(request("say", "tail"), []byte("</ns0:Body>"), []byte("<extra/></ns0:Body>"), 1)
+	cases := []struct {
+		name     string
+		body     []byte
+		releases int
+		fault    bool
+		fast     bool // the chain ran on the fast path's decode
+	}{
+		{"success", request("say", "hi"), 1, false, true},
+		{"handler error", request("say", "fail"), 1, true, true},
+		{"malformed tail", malformed, 1, false, false},
+		{"unknown method", request("nosuch", "hi"), 1, true, false},
+		{"abandoned", request("say", "abandon"), 0, true, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dec := &countingDecoder{}
+			svc := echoService()
+			svc.Stream = dec
+			p := NewProvider("ssp", "loopback://x")
+			var fast bool
+			p.Use(func(next HandlerFunc) HandlerFunc {
+				return func(ctx *Context, args soap.Args) ([]soap.Value, error) {
+					fast = ctx.Decoded != nil
+					switch args.String("msg") {
+					case "fail":
+						return nil, errors.New("handler failed")
+					case "abandon":
+						ctx.Abandon()
+						return nil, errors.New("gave up")
+					}
+					return next(ctx, args)
+				}
+			})
+			p.MustRegister(svc)
+			var out bytes.Buffer
+			err := p.Serve(context.Background(), tc.body, &out)
+			if (err != nil) != tc.fault {
+				t.Fatalf("err = %v, want fault %v", err, tc.fault)
+			}
+			if fast != tc.fast {
+				t.Errorf("fast path = %v, want %v", fast, tc.fast)
+			}
+			if dec.decodes != 1 || dec.releases != tc.releases {
+				t.Errorf("decodes = %d, releases = %d; want 1 and %d", dec.decodes, dec.releases, tc.releases)
+			}
+		})
 	}
 }

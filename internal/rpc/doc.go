@@ -72,9 +72,13 @@
 // bytes — and rejection is always transparent. The request re-runs
 // through the pooled tree parse and the tree codecs, which remain the
 // semantic authority (exact fault texts included). Handlers cannot tell
-// the paths apart: both deliver the same typed Args, the same
-// core.Context shape (the fast path sets Context.Decoded), and encode
-// responses identically. Equivalence is enforced differentially by
+// the paths apart: both end in the provider's one invoke step, which
+// delivers the same typed Args and the same core.Context (the fast path
+// sets Context.Decoded and hands an empty, headerless request envelope;
+// request-scoped values ride Context.Ctx) and encodes responses
+// identically. The codecs' pooled decode scratch goes back through
+// StreamDecoder.ReleaseStream once per successful decode, unless the
+// chain was abandoned. Equivalence is enforced differentially by
 // FuzzStreamVsTreeDispatch, which requires byte-identical HTTP responses
 // from a fast-path server and a tree-only server (Service.Stream = nil)
 // for arbitrary bodies; the fast-path/tree-path split is observable at
@@ -91,14 +95,16 @@
 // abandoning the runaway handler safely; LoadShed(limit, queue)
 // admits limit concurrent requests, queues a bounded overflow, and
 // rejects the rest immediately with a ServerBusy fault carrying
-// Retry-After advice. Client side, core.Client gains a RetryPolicy
-// (pre-execution rejections always retry; ambiguous failures —
-// timeouts, transport errors — retry only ops flagged Idempotent in the
-// Def table) and a per-endpoint circuit BreakerSet that fails fast while
-// an endpoint is down and probes it half-open. Server.Shutdown drains
-// in-flight requests before returning (ListenAndServeGraceful wires this
-// to SIGTERM/SIGINT for the binaries); requests arriving mid-drain get
-// an Unavailable fault.
+// one-second Retry-After advice (counted by Stats as resilience.shed).
+// Neither is wired by the cmd/ binaries, which run only the graceful
+// drain and, at the gateway, per-backend breakers. Client side,
+// core.Client gains a RetryPolicy (pre-execution rejections always
+// retry; ambiguous failures — timeouts, transport errors — retry only
+// ops flagged Idempotent in the Def table) and a per-endpoint circuit
+// BreakerSet that fails fast while an endpoint is down and probes it
+// half-open. Server.Shutdown drains in-flight requests before returning
+// (ListenAndServeGraceful wires this to SIGTERM/SIGINT for the
+// binaries); requests arriving mid-drain get an Unavailable fault.
 //
 //	srv := rpc.NewServer("portal", "http://localhost:8080")
 //	ssp := srv.Provider("/ssp", rpc.Deadline(2*time.Second), rpc.LoadShed(64, 128))

@@ -195,7 +195,7 @@ func goldenCases() []goldenCase {
 
 // resilienceGoldenDef probes the two degradation fault shapes: hang never
 // answers (its Deadline middleware does), reject answers with the same
-// ServerBusy fault the LoadShedder emits at capacity.
+// ServerBusy fault LoadShed emits at capacity.
 func resilienceGoldenDef() *rpc.Def {
 	return &rpc.Def{
 		Name: "ResilienceGolden",

@@ -146,66 +146,45 @@ func ServerBusyError(service string, limit, queue int, retryAfter time.Duration)
 	return f
 }
 
-// LoadShedder bounds concurrent execution to limit requests with a
-// bounded wait queue: when limit requests are executing and queue more
-// are waiting, further requests are rejected immediately with a ServerBusy
-// fault instead of queueing unboundedly — under overload it is better to
-// tell callers to back off than to let latency grow without bound.
-type LoadShedder struct {
-	limit, queue int
-	retryAfter   time.Duration
-	sem          chan struct{}
-	waiting      atomic.Int64
-	shed         atomic.Uint64
-}
+// loadShedRetryAfter is the retry advice LoadShed's ServerBusy faults carry.
+const loadShedRetryAfter = time.Second
 
-// NewLoadShedder creates a shedder admitting limit concurrent requests
-// with at most queue waiters; rejections advise retrying after retryAfter.
-func NewLoadShedder(limit, queue int, retryAfter time.Duration) *LoadShedder {
+// LoadShed bounds concurrent execution to limit requests with a bounded
+// wait queue of queue more: when limit requests are executing and queue
+// more are waiting, further requests are rejected immediately with a
+// ServerBusy fault advising a retry after one second, instead of queueing
+// unboundedly — under overload it is better to tell callers to back off
+// than to let latency grow without bound. Queued requests still honour
+// their deadlines. Rejections are counted by Stats as resilience.shed.
+func LoadShed(limit, queue int) core.Middleware {
 	if limit <= 0 {
 		limit = 1
 	}
 	if queue < 0 {
 		queue = 0
 	}
-	if retryAfter <= 0 {
-		retryAfter = time.Second
-	}
-	return &LoadShedder{limit: limit, queue: queue, retryAfter: retryAfter, sem: make(chan struct{}, limit)}
-}
-
-// LoadShed is the one-line wiring: admit limit concurrent requests, queue
-// up to queue more, shed the rest with one-second retry advice.
-func LoadShed(limit, queue int) core.Middleware {
-	return NewLoadShedder(limit, queue, time.Second).Middleware()
-}
-
-// Shed reports how many requests were rejected at capacity.
-func (l *LoadShedder) Shed() uint64 { return l.shed.Load() }
-
-// Middleware returns the shedding middleware.
-func (l *LoadShedder) Middleware() core.Middleware {
+	sem := make(chan struct{}, limit)
+	var waiting atomic.Int64
 	return func(next core.HandlerFunc) core.HandlerFunc {
 		return func(ctx *core.Context, args soap.Args) ([]soap.Value, error) {
 			select {
-			case l.sem <- struct{}{}:
+			case sem <- struct{}{}:
 			default:
 				// At the execution limit: join the bounded queue or shed.
-				if int(l.waiting.Add(1)) > l.queue {
-					l.waiting.Add(-1)
-					l.shed.Add(1)
-					return nil, ServerBusyError(ctx.ServiceNS, l.limit, l.queue, l.retryAfter)
+				if int(waiting.Add(1)) > queue {
+					waiting.Add(-1)
+					return nil, ServerBusyError(ctx.ServiceNS, limit, queue, loadShedRetryAfter)
 				}
 				select {
-				case l.sem <- struct{}{}:
-					l.waiting.Add(-1)
+				case sem <- struct{}{}:
+					waiting.Add(-1)
 				case <-ctx.Context().Done():
-					l.waiting.Add(-1)
+					waiting.Add(-1)
 					return nil, soap.NewPortalError(ctx.ServiceNS, soap.ErrCodeTimeout,
 						"operation %s cancelled while queued", ctx.Operation)
 				}
 			}
-			defer func() { <-l.sem }()
+			defer func() { <-sem }()
 			return next(ctx, args)
 		}
 	}

@@ -427,9 +427,9 @@ func (sc *streamCodecs) DecodeCallStream(op string, r *soap.BodyReader) (interfa
 	return in, raw, true
 }
 
-// ReleaseStream implements core.StreamReleaser: the provider hands back
-// the decode products once the dispatch is over (or abandoned for the
-// tree fallback) and the pooled scratch behind them is recycled.
+// ReleaseStream hands back the decode products once the dispatch is over
+// (or the request fell back to the tree path), recycling the pooled
+// scratch behind them.
 func (sc *streamCodecs) ReleaseStream(decoded interface{}, _ []soap.Value) {
 	if in, ok := decoded.(Args); ok && in.scratch != nil {
 		in.scratch.release()

@@ -84,3 +84,64 @@ func TestUnparseableRequestSameFaultEveryTransport(t *testing.T) {
 		})
 	}
 }
+
+// TestFastAndTreePathsSeeSameContext pins that middleware cannot tell the
+// decode paths apart: for the same call, a fast-path server and a
+// tree-only server (Service.Stream = nil) hand it the same operation,
+// namespace and principal, a request envelope without headers, and
+// differ only in Decoded, which the fast path alone sets.
+func TestFastAndTreePathsSeeSameContext(t *testing.T) {
+	def := &Def{
+		Name: "Echo",
+		NS:   "urn:test:echo",
+		Ops: []Op{{
+			Name: "echo",
+			In:   []wsdl.Param{Str("s")},
+			Out:  []wsdl.Param{Str("s")},
+			Handle: func(_ *core.Context, in Args) ([]interface{}, error) {
+				return Ret(in.Str("s")), nil
+			},
+		}},
+	}
+	seen := func(stream bool) core.Context {
+		var got core.Context
+		p := core.NewProvider("ctx-ssp", "loopback://ctx")
+		p.Use(func(next core.HandlerFunc) core.HandlerFunc {
+			return func(ctx *core.Context, args soap.Args) ([]soap.Value, error) {
+				ctx.Principal = "cyoun"
+				return next(ctx, args)
+			}
+		})
+		p.Use(func(next core.HandlerFunc) core.HandlerFunc {
+			return func(ctx *core.Context, args soap.Args) ([]soap.Value, error) {
+				got = core.Context{Operation: ctx.Operation, ServiceNS: ctx.ServiceNS,
+					Envelope: ctx.Envelope, Principal: ctx.Principal, Decoded: ctx.Decoded}
+				return next(ctx, args)
+			}
+		})
+		svc := def.MustBuild()
+		if !stream {
+			svc.Stream = nil
+		}
+		p.MustRegister(svc)
+		cl := core.NewClient(p.Loopback(), "loopback://ctx/Echo", def.Interface())
+		if s, err := cl.CallText("echo", soap.Str("s", "hi")); err != nil || s != "hi" {
+			t.Fatalf("stream=%v: echo = %q, %v", stream, s, err)
+		}
+		return got
+	}
+	fast, tree := seen(true), seen(false)
+	if fast.Operation != "echo" || fast.Operation != tree.Operation ||
+		fast.ServiceNS != def.NS || fast.ServiceNS != tree.ServiceNS ||
+		fast.Principal != "cyoun" || fast.Principal != tree.Principal {
+		t.Errorf("fast path saw %+v, tree path %+v", fast, tree)
+	}
+	for name, c := range map[string]core.Context{"fast": fast, "tree": tree} {
+		if c.Envelope == nil || len(c.Envelope.Header) != 0 {
+			t.Errorf("%s path: envelope %+v, want non-nil without headers", name, c.Envelope)
+		}
+	}
+	if fast.Decoded == nil || tree.Decoded != nil {
+		t.Errorf("Decoded: fast %v, tree %v; want set on the fast path only", fast.Decoded, tree.Decoded)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net/http"
 	"testing"
 	"time"
 )
@@ -12,7 +11,7 @@ import (
 // chaosEcho is a loopback inner transport answering every request with a
 // fixed, parseable envelope.
 func chaosEcho() *LoopbackTransport {
-	return &LoopbackTransport{Serve: func(_ context.Context, _ []byte, _ *http.Request, out *bytes.Buffer) error {
+	return &LoopbackTransport{Serve: func(_ context.Context, _ []byte, out *bytes.Buffer) error {
 		resp := &Response{Method: "echo", ServiceNS: "urn:test:chaos",
 			Returns: []Value{Str("s", "ok")}}
 		resp.WireEnvelope().AppendTo(out)

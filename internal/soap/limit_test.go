@@ -85,7 +85,7 @@ func TestOversizeResponseClientPath(t *testing.T) {
 // Content-Length fast path and the chunked read path.
 func TestOversizeRequestServerPath(t *testing.T) {
 	withMessageLimit(t, 4096)
-	h := Handler(func(_ context.Context, _ []byte, _ *http.Request, out *bytes.Buffer) error {
+	h := Handler(func(_ context.Context, _ []byte, out *bytes.Buffer) error {
 		(&Response{ServiceNS: "urn:x", Method: "ping"}).WireEnvelope().AppendTo(out)
 		return nil
 	})
@@ -235,7 +235,7 @@ func TestReadMessageFalseDeclaration(t *testing.T) {
 func TestHandlerContentLength(t *testing.T) {
 	withMessageLimit(t, 256<<10)
 	big := strings.Repeat("<&", 16<<10) // far past net/http's own buffering
-	h := Handler(func(_ context.Context, body []byte, _ *http.Request, out *bytes.Buffer) error {
+	h := Handler(func(_ context.Context, body []byte, out *bytes.Buffer) error {
 		if bytes.Contains(body, []byte("fail")) {
 			f := &Fault{Code: FaultServer, String: big}
 			(&Response{Fault: f}).WireEnvelope().AppendTo(out)

@@ -182,7 +182,7 @@ func TestHeaderEntries(t *testing.T) {
 // faults, handler errors Server faults, and the error is returned exactly
 // when a fault was written.
 func serveEnvelope(h func(req *Envelope) (*Envelope, error)) ServeFunc {
-	return func(_ context.Context, body []byte, _ *http.Request, out *bytes.Buffer) error {
+	return func(_ context.Context, body []byte, out *bytes.Buffer) error {
 		req, err := ParseEnvelopeBytes(body)
 		if err != nil {
 			FaultEnvelope(err, FaultClient).AppendTo(out)

@@ -236,10 +236,11 @@ func (l *lentBuffer) release() {
 // response envelope to out and returns nil, or appends a fault envelope
 // and returns the error the fault was made from. ctx is the request's
 // lifetime (the HTTP request context on the wire path, the caller's
-// context in-process); httpReq is nil in-process. The function must not
+// context in-process); nothing else of an HTTP request reaches it, so
+// both bindings below serve a request alike. The function must not
 // retain body past the call. core.Provider.Serve is the implementation
-// both bindings below are wired with.
-type ServeFunc func(ctx context.Context, body []byte, httpReq *http.Request, out *bytes.Buffer) error
+// both bindings are wired with.
+type ServeFunc func(ctx context.Context, body []byte, out *bytes.Buffer) error
 
 // Handler adapts a ServeFunc into an http.Handler implementing the SOAP
 // 1.1 HTTP binding: POST only, bodies bounded by the message limit, and
@@ -265,7 +266,7 @@ func Handler(serve ServeFunc) http.Handler {
 		out := xmlutil.GetBuffer()
 		defer xmlutil.PutBuffer(out)
 		status := http.StatusOK
-		if err := serve(r.Context(), body.Bytes(), r, out); err != nil {
+		if err := serve(r.Context(), body.Bytes(), out); err != nil {
 			setRetryAfter(w, err)
 			status = http.StatusInternalServerError
 		}
@@ -344,11 +345,7 @@ func (t *LoopbackTransport) RoundTripRawCtx(ctx context.Context, endpoint, actio
 	buf := xmlutil.GetBuffer()
 	defer xmlutil.PutBuffer(buf)
 	req.AppendTo(buf)
-	// Serve receives a nil *http.Request in-process: Context.HTTPRequest
-	// is documented as HTTP-only, and synthesising one per call (URL parse,
-	// header map) would dominate the loopback overhead the benchmarks are
-	// built to isolate.
-	_ = t.Serve(ctx, buf.Bytes(), nil, respBuf)
+	_ = t.Serve(ctx, buf.Bytes(), respBuf)
 	return nil
 }
 

@@ -71,6 +71,9 @@ type Context struct {
 	// given up on mid-flight, so dispatch must not recycle pooled request
 	// storage the runaway handler may still read.
 	abandoned uint32
+	// raw is the serialised response envelope a middleware answered with
+	// (Respond); nil when the chain's returns are to be encoded.
+	raw []byte
 }
 
 // Context returns the request's context.Context, never nil.
@@ -87,6 +90,15 @@ func (c *Context) Context() context.Context {
 // collector instead of recycling it under the still-running goroutine.
 func (c *Context) Abandon() { atomic.StoreUint32(&c.abandoned, 1) }
 
+// Respond answers the request with raw, a complete serialised response
+// envelope (XML declaration included), which the provider sends verbatim
+// instead of encoding the chain's returns. A middleware that answers this
+// way returns nil values and a nil error, so middleware outside it sees nil
+// returns; an error returned further out still turns the answer into a
+// fault. raw is shared, not copied: it must never be modified afterwards.
+// The response cache answers every cacheable operation this way.
+func (c *Context) Respond(raw []byte) { c.raw = raw }
+
 // Detach returns a copy of the context for running the inner handler chain
 // on a goroutine that may outlive the request, so a runaway handler
 // mutating the copy cannot race with outer middleware reading the
@@ -96,10 +108,18 @@ func (c *Context) Detach(ctx context.Context) *Context {
 		Principal: c.Principal, Decoded: c.Decoded, Ctx: ctx}
 }
 
-// Adopt copies the one mutable outcome of a detached run, the Principal,
-// back onto the original context. Only call it after the detached chain
-// has returned in time (never after Abandon).
-func (c *Context) Adopt(d *Context) { c.Principal = d.Principal }
+// Adopt copies the mutable outcomes of a detached run back onto the
+// original context: the Principal, a Respond answer, and an Abandon from a
+// middleware inside the run (a nested deadline), so dispatch still keeps
+// its pooled storage away from the handler that one gave up on. Only call
+// it after the detached chain has returned in time (never after Abandon).
+func (c *Context) Adopt(d *Context) {
+	c.Principal = d.Principal
+	c.raw = d.raw
+	if atomic.LoadUint32(&d.abandoned) != 0 {
+		c.Abandon()
+	}
+}
 
 // HandlerFunc implements one operation: it receives the decoded arguments
 // and returns the out parameters or an error. Errors that are (or wrap)
@@ -449,19 +469,23 @@ func (p *Provider) dispatchStream(ctx context.Context, body []byte) (resp *soap.
 	return resp, true, err
 }
 
-// request is one dispatched request's storage: its Context, the empty
-// request envelope view the fast path hands middleware, the response and
-// the streamed response envelope share one allocation.
+// request is one dispatched request's storage: its Context, the response
+// and the response envelope share one allocation. On the fast path the
+// response envelope is also the empty request envelope view middleware
+// sees: it stays zero while the chain runs, and invoke fills it in only
+// after the chain has returned an answer. A chain that was abandoned
+// returns a fault (Deadline's Timeout), so a runaway handler never sees
+// the view change.
 type request struct {
 	ctx    Context
-	env    soap.Envelope
 	out    soap.Response
 	outEnv soap.Envelope
 }
 
 // invoke runs the composed chain h on one decoded request and builds its
 // response envelope, whose operation element and typed return values are
-// written straight to the output buffer when Serve serialises it. env is
+// written straight to the output buffer when Serve serialises it, or which
+// relays the bytes a middleware answered with (Context.Respond). env is
 // the parsed request envelope, or nil on the headerless fast path, whose
 // middleware sees an empty one: SAML header checks see the same absence
 // either way. abandoned reports that the chain was given up on mid-flight
@@ -471,13 +495,17 @@ func invoke(ctx context.Context, h HandlerFunc, env *soap.Envelope, ns, method s
 	decoded interface{}, args []soap.Value) (resp *soap.Envelope, abandoned bool, err error) {
 	rq := new(request)
 	if env == nil {
-		env = &rq.env
+		env = &rq.outEnv
 	}
 	rq.ctx = Context{Operation: method, ServiceNS: ns, Envelope: env, Decoded: decoded, Ctx: ctx}
 	returns, err := h(&rq.ctx, soap.Args(args))
 	abandoned = atomic.LoadUint32(&rq.ctx.abandoned) != 0
 	if err != nil {
 		return nil, abandoned, err
+	}
+	if rq.ctx.raw != nil {
+		soap.RawEnvelopeInto(&rq.outEnv, rq.ctx.raw)
+		return &rq.outEnv, abandoned, nil
 	}
 	rq.out = soap.Response{ServiceNS: ns, Method: method, Returns: returns}
 	rq.out.WireEnvelopeInto(&rq.outEnv)

@@ -11,13 +11,22 @@ import (
 	"repro/internal/core"
 	"repro/internal/shardmap"
 	"repro/internal/soap"
+	"repro/internal/xmlutil"
 )
 
-// ResponseCache memoises the out parameters of idempotent operations, keyed
-// by service namespace, operation, and the canonicalised call parameters.
+// ResponseCache memoises the answers of idempotent operations, keyed by
+// service namespace, operation, and the canonicalised call parameters.
 // Repeated discovery traffic — UDDI find*/get* inquiries, xmlregistry
 // queries — short-circuits before the handler (and before any decode work
 // below the middleware) runs.
+//
+// An answer is stored once, as its complete serialised response envelope:
+// on a miss the middleware encodes the handler's returns with the encoder
+// the provider itself responds through and keeps an exact-size copy of the
+// bytes; a hit relays those bytes (core.Context.Respond) with no tree and
+// no encode. The bytes are identical to the uncached answer by
+// construction, and they alias nothing: a handler may go on mutating the
+// XML trees it returned.
 //
 // Entries expire after TTL and the cache holds at most MaxEntries values,
 // evicting least-recently-used first. A successful pass through a
@@ -27,8 +36,7 @@ import (
 //
 // Only cache operations whose result depends solely on the operation name
 // and parameters: principal- or time-dependent responses would leak between
-// callers. XML-valued returns are deep-copied at store time so cached trees
-// can never alias a pooled request arena.
+// callers.
 //
 // Internally the cache is split into hash-partitioned segments, each with
 // its own mutex, LRU list, and share of the capacity, so concurrent hits on
@@ -61,7 +69,7 @@ type cacheShard struct {
 
 type cacheEntry struct {
 	key     string
-	vals    []soap.Value
+	raw     []byte // the serialised response envelope
 	expires time.Time
 }
 
@@ -123,6 +131,10 @@ func OpPrefixes(prefixes ...string) func(string) bool {
 // succeeds, flushes the cache (it presumably mutated the state the cached
 // answers were derived from). Attach it per service (Service.Use) so one
 // service's writes do not flush another's cache.
+//
+// A cacheable operation is answered through core.Context.Respond, hit or
+// miss, so middleware outside the cache sees nil returns for it. Faults
+// are never cached.
 func (c *ResponseCache) Middleware(cacheable func(op string) bool) core.Middleware {
 	return func(next core.HandlerFunc) core.HandlerFunc {
 		return func(ctx *core.Context, args soap.Args) ([]soap.Value, error) {
@@ -134,17 +146,32 @@ func (c *ResponseCache) Middleware(cacheable func(op string) bool) core.Middlewa
 				return vals, err
 			}
 			key := cacheKey(ctx.ServiceNS, ctx.Operation, args)
-			if vals, ok := c.get(key); ok {
-				return vals, nil
+			if raw, ok := c.get(key); ok {
+				ctx.Respond(raw)
+				return nil, nil
 			}
 			vals, err := next(ctx, args)
 			if err != nil {
 				return vals, err
 			}
-			c.put(key, vals)
-			return vals, nil
+			raw := encodeResponse(ctx.ServiceNS, ctx.Operation, vals)
+			c.put(key, raw)
+			ctx.Respond(raw)
+			return nil, nil
 		}
 	}
+}
+
+// encodeResponse serialises a response envelope the way core.Provider.Serve
+// would, into an exact-size slice of its own.
+func encodeResponse(ns, op string, vals []soap.Value) []byte {
+	b := xmlutil.GetBuffer()
+	defer xmlutil.PutBuffer(b)
+	resp := soap.Response{ServiceNS: ns, Method: op, Returns: vals}
+	resp.WireEnvelope().AppendTo(b)
+	raw := make([]byte, b.Len())
+	copy(raw, b.Bytes())
+	return raw
 }
 
 // Flush drops every cached entry, one segment at a time. A concurrent
@@ -174,7 +201,7 @@ func (c *ResponseCache) Stats() (hits, misses uint64, entries int) {
 	return c.hits.Load(), c.misses.Load(), entries
 }
 
-func (c *ResponseCache) get(key string) ([]soap.Value, bool) {
+func (c *ResponseCache) get(key string) ([]byte, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	le, ok := s.entries[key]
@@ -192,23 +219,19 @@ func (c *ResponseCache) get(key string) ([]soap.Value, bool) {
 		return nil, false
 	}
 	s.order.MoveToFront(le)
-	vals := e.vals
+	raw := e.raw
 	s.mu.Unlock()
 	c.hits.Add(1)
-	return vals, true
+	return raw, true
 }
 
-func (c *ResponseCache) put(key string, vals []soap.Value) {
-	stored := make([]soap.Value, len(vals))
-	for i, v := range vals {
-		stored[i] = detachValue(v)
-	}
+func (c *ResponseCache) put(key string, raw []byte) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if le, ok := s.entries[key]; ok {
 		e := le.Value.(*cacheEntry)
-		e.vals = stored
+		e.raw = raw
 		e.expires = c.now().Add(c.ttl)
 		s.order.MoveToFront(le)
 		return
@@ -218,33 +241,22 @@ func (c *ResponseCache) put(key string, vals []soap.Value) {
 		s.order.Remove(oldest)
 		delete(s.entries, oldest.Value.(*cacheEntry).key)
 	}
-	e := &cacheEntry{key: key, vals: stored, expires: c.now().Add(c.ttl)}
+	e := &cacheEntry{key: key, raw: raw, expires: c.now().Add(c.ttl)}
 	s.entries[key] = s.order.PushFront(e)
-}
-
-// detachValue deep-copies any XML payloads so a cached value never aliases
-// an element tree owned by someone else (in particular a pooled request
-// arena, should a handler ever echo request XML into its returns).
-func detachValue(v soap.Value) soap.Value {
-	if v.XML != nil {
-		v.XML = v.XML.Clone()
-	}
-	if len(v.Items) > 0 {
-		items := make([]soap.Value, len(v.Items))
-		for i, it := range v.Items {
-			items[i] = detachValue(it)
-		}
-		v.Items = items
-	}
-	return v
 }
 
 // cacheKey canonicalises a call into a collision-free string: parameters are
 // sorted by name (so semantically identical calls share an entry regardless
 // of wire order) and every field is length-prefixed.
 func cacheKey(ns, op string, args soap.Args) string {
+	// Reserve the fields plus room for their length prefixes, so a key
+	// with long scalar values (UDDI keys) is built in one allocation.
+	size := len(ns) + len(op) + 8
+	for _, v := range args {
+		size += len(v.Name) + len(v.Type) + len(v.Text) + 12
+	}
 	var b strings.Builder
-	b.Grow(len(ns) + len(op) + 32*len(args))
+	b.Grow(size)
 	writeField(&b, ns)
 	writeField(&b, op)
 	if len(args) <= 1 {

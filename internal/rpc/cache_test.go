@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -29,36 +31,71 @@ func inquiryCtx(op string) *core.Context {
 	return &core.Context{Operation: op, ServiceNS: "urn:test"}
 }
 
+// cacheProvider serves handler for every operation of a small contract
+// behind mw, so a test sees what a client would: the response bytes.
+func cacheProvider(mw core.Middleware, handler core.HandlerFunc) *core.Provider {
+	contract := &wsdl.Interface{Name: "CacheProbe", TargetNS: "urn:test"}
+	for _, op := range []string{"findService", "getService", "find"} {
+		contract.Operations = append(contract.Operations, wsdl.Operation{Name: op})
+	}
+	svc := core.NewService(contract)
+	for _, op := range contract.Operations {
+		svc.Handle(op.Name, handler)
+	}
+	svc.Use(mw)
+	p := core.NewProvider("ssp", "loopback://x")
+	p.MustRegister(svc)
+	return p
+}
+
+// serveOp serves one call to op through p and returns the response bytes.
+func serveOp(t *testing.T, p *core.Provider, op string, params ...soap.Value) string {
+	t.Helper()
+	var req, out bytes.Buffer
+	call := soap.Call{ServiceNS: "urn:test", Method: op, Params: params}
+	call.WireEnvelope().AppendTo(&req)
+	if err := p.Serve(context.Background(), req.Bytes(), &out); err != nil {
+		t.Fatalf("%s: %v", op, err)
+	}
+	return out.String()
+}
+
+// answer is the uncached response envelope for op returning vals.
+func answer(op string, vals ...soap.Value) string {
+	r := soap.Response{ServiceNS: "urn:test", Method: op, Returns: vals}
+	return r.WireEnvelope().Render()
+}
+
 func TestResponseCacheHitSkipsHandler(t *testing.T) {
 	c := NewResponseCache(time.Minute, 16)
-	h, calls := cacheFixture(c, OpPrefixes("find", "get"))
-	args := soap.Args{soap.Str("q", "a")}
+	calls := 0
+	p := cacheProvider(c.Middleware(OpPrefixes("find", "get")), func(ctx *core.Context, args soap.Args) ([]soap.Value, error) {
+		calls++
+		return []soap.Value{soap.Str("out", "result-"+args.String("q"))}, nil
+	})
 
+	want := answer("findService", soap.Str("out", "result-a"))
 	for i := 0; i < 3; i++ {
-		vals, err := h(inquiryCtx("findService"), args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vals[0].Text != "result-a" {
-			t.Fatalf("vals = %+v", vals)
+		if got := serveOp(t, p, "findService", soap.Str("q", "a")); got != want {
+			t.Fatalf("call %d answered\n%s\nwant\n%s", i, got, want)
 		}
 	}
-	if *calls != 1 {
-		t.Fatalf("handler ran %d times, want 1 (cache must short-circuit)", *calls)
+	if calls != 1 {
+		t.Fatalf("handler ran %d times, want 1 (cache must short-circuit)", calls)
 	}
 	// Different parameters are a different entry.
-	if _, err := h(inquiryCtx("findService"), soap.Args{soap.Str("q", "b")}); err != nil {
-		t.Fatal(err)
+	if got, want := serveOp(t, p, "findService", soap.Str("q", "b")), answer("findService", soap.Str("out", "result-b")); got != want {
+		t.Fatalf("answered\n%s\nwant\n%s", got, want)
 	}
-	if *calls != 2 {
-		t.Fatalf("handler ran %d times, want 2", *calls)
+	if calls != 2 {
+		t.Fatalf("handler ran %d times, want 2", calls)
 	}
 	// Different operation, same params: also a different entry.
-	if _, err := h(inquiryCtx("getService"), args); err != nil {
-		t.Fatal(err)
+	if got, want := serveOp(t, p, "getService", soap.Str("q", "a")), answer("getService", soap.Str("out", "result-a")); got != want {
+		t.Fatalf("answered\n%s\nwant\n%s", got, want)
 	}
-	if *calls != 3 {
-		t.Fatalf("handler ran %d times, want 3", *calls)
+	if calls != 3 {
+		t.Fatalf("handler ran %d times, want 3", calls)
 	}
 	hits, misses, entries := c.Stats()
 	if hits != 2 || misses != 3 || entries != 3 {
@@ -167,22 +204,27 @@ func TestResponseCacheWriteFlushes(t *testing.T) {
 func TestResponseCacheDetachesXML(t *testing.T) {
 	c := NewResponseCache(time.Minute, 16)
 	shared := xmlutil.New("list").AddText("item", "one")
-	handler := func(ctx *core.Context, args soap.Args) ([]soap.Value, error) {
+	calls := 0
+	p := cacheProvider(c.Middleware(OpPrefixes("find")), func(ctx *core.Context, args soap.Args) ([]soap.Value, error) {
+		calls++
 		return []soap.Value{soap.XMLDoc("doc", shared)}, nil
+	})
+	first := serveOp(t, p, "find")
+	if want := answer("find", soap.XMLDoc("doc", xmlutil.New("list").AddText("item", "one"))); first != want {
+		t.Fatalf("first answer\n%s\nwant\n%s", first, want)
 	}
-	h := c.Middleware(OpPrefixes("find"))(handler)
-	if _, err := h(inquiryCtx("find"), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Mutate the handler's tree after it was cached: the cached copy must be
-	// unaffected (it would otherwise alias pooled request arenas too).
+	// Mutate the handler's tree after it returned: the cached answer must
+	// not change with it.
 	shared.Children[0].Text = "corrupted"
-	vals, err := h(inquiryCtx("find"), nil)
-	if err != nil {
-		t.Fatal(err)
+	if got := serveOp(t, p, "find"); got != first {
+		t.Fatalf("cached answer\n%s\nwant the first answer\n%s", got, first)
 	}
-	if got := vals[0].XML.ChildText("item"); got != "one" {
-		t.Fatalf("cached XML = %q, want detached copy %q", got, "one")
+	if calls != 1 {
+		t.Fatalf("handler ran %d times, want 1", calls)
+	}
+	hits, misses, entries := c.Stats()
+	if hits != 1 || misses != 1 || entries != 1 {
+		t.Fatalf("stats = %d hits, %d misses, %d entries", hits, misses, entries)
 	}
 }
 

@@ -33,8 +33,17 @@
 // core.HandlerFunc) core.HandlerFunc — chained provider-wide or
 // per-service via Use. The kernel ships RequireAssertion (GSS/SAML auth
 // enforcement), Logging, Recover (panic to SOAP fault), LoadShed (bounded
-// concurrency with a bounded queue; see Resilience), and Stats (request
-// counts and latency, served at /healthz).
+// concurrency with a bounded queue; see Resilience), Stats (request
+// counts and latency, served at /healthz), and ResponseCache (see Response
+// caching).
+//
+// A middleware normally answers by returning values, which the kernel
+// encodes. It may instead answer with a complete serialised response
+// envelope through core.Context.Respond; it then returns nil values and a
+// nil error, so every middleware outside it sees nil returns (an error
+// returned further out still turns the answer into a fault). Deadline
+// carries such an answer back from its detached run. ResponseCache is the
+// one middleware that answers this way.
 //
 // # Hosting layer
 //
@@ -124,6 +133,26 @@
 // (FaultInjector middleware + soap.ChaosTransport), which asserts no
 // goroutine leaks, no torn store state, and that retries never duplicate
 // non-idempotent writes.
+//
+// # Response caching
+//
+// ResponseCache memoises idempotent inquiries (UDDI find*/get*,
+// xmlregistry queries) per service, keyed by namespace, operation and the
+// canonicalised parameters, under a TTL and a per-segment LRU bound; a
+// successful non-cacheable operation (a write) flushes it, and the
+// gateway's __flush control op (Server.RegisterFlushCache) flushes it
+// fleet-wide. Each entry is the answer's complete serialised response
+// envelope, one flat byte slice: a miss encodes the handler's returns
+// once, with the encoder Provider.Serve uses, and a hit is answered by
+// appending the stored bytes through core.Context.Respond, with no tree
+// and no encode. The bytes
+// are the uncached answer by construction; FuzzCachedVsUncached pins it
+// against an uncached provider over sequences of finds, gets, saves and
+// deletes, faults, XML returns and a Deadline-wrapped chain included.
+//
+//	cache := rpc.NewResponseCache(30*time.Second, 4096)
+//	svc.Use(cache.Middleware(rpc.OpPrefixes("find", "get")))
+//	srv.Stats().RegisterCache("uddi", cache) // hits, misses, entries at /healthz
 //
 // # Response encoding
 //

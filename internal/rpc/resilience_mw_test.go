@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -106,6 +107,63 @@ func TestDeadlineTighterCallerContext(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("caller deadline honoured after %v, want ~10ms", elapsed)
+	}
+}
+
+// releaseCounter wraps a service's StreamDecoder and counts the releases
+// it passes on.
+type releaseCounter struct {
+	core.StreamDecoder
+	releases atomic.Int32
+}
+
+func (r *releaseCounter) ReleaseStream(decoded interface{}, raw []soap.Value) {
+	r.releases.Add(1)
+	r.StreamDecoder.ReleaseStream(decoded, raw)
+}
+
+// TestNestedDeadlinesKeepDecodeScratch nests a per-service Deadline inside
+// a provider-wide one. When the inner budget gives up on a handler, the
+// abandonment must reach the dispatcher through the outer Deadline, so the
+// pooled decode scratch the handler still reads is never released under
+// it.
+func TestNestedDeadlinesKeepDecodeScratch(t *testing.T) {
+	finished := make(chan string, 1)
+	def := &Def{
+		Name: "NestedDeadline", NS: "urn:test:nested",
+		Ops: []Op{{
+			Name: "slow", In: StrParams("s"), Out: []wsdl.Param{Str("s")},
+			Handle: func(_ *core.Context, in Args) ([]interface{}, error) {
+				time.Sleep(200 * time.Millisecond)
+				finished <- in.Str("s") // reads the decode scratch
+				return Ret(in.Str("s")), nil
+			},
+		}},
+	}
+	svc := def.MustBuild()
+	counter := &releaseCounter{StreamDecoder: svc.Stream}
+	svc.Stream = counter
+	svc.Use(Deadline(20 * time.Millisecond))
+	p := core.NewProvider("ssp", "loopback://nested")
+	p.Use(Deadline(time.Second))
+	p.MustRegister(svc)
+
+	var req, out bytes.Buffer
+	call := soap.Call{ServiceNS: "urn:test:nested", Method: "slow", Params: []soap.Value{soap.Str("s", "payload")}}
+	call.WireEnvelope().AppendTo(&req)
+	err := p.Serve(context.Background(), req.Bytes(), &out)
+	if pe := soap.AsPortalError(err); pe == nil || pe.Code != soap.ErrCodeTimeout ||
+		pe.Message != "operation slow exceeded its 20ms deadline" {
+		t.Fatalf("Serve = %v, want the inner Timeout fault", err)
+	}
+	if n := counter.releases.Load(); n != 0 {
+		t.Fatalf("decode scratch released %d times while the handler still runs", n)
+	}
+	if got := <-finished; got != "payload" {
+		t.Errorf("handler read %q from its arguments, want %q", got, "payload")
+	}
+	if n := counter.releases.Load(); n != 0 {
+		t.Fatalf("abandoned request released its decode scratch %d times", n)
 	}
 }
 

@@ -94,6 +94,13 @@ func RawEnvelope(data []byte) *Envelope {
 	return &Envelope{raw: data}
 }
 
+// RawEnvelopeInto is RawEnvelope initialising a caller-provided Envelope
+// in place, for dispatch paths that embed the envelope in one
+// request-scoped allocation.
+func RawEnvelopeInto(env *Envelope, data []byte) {
+	*env = Envelope{raw: data}
+}
+
 // bodyStreamer emits the primary body entry of a streamed envelope
 // through the Writer. *Call and *Response implement it, so WireEnvelope
 // stores the message itself instead of allocating a closure over it.

@@ -75,12 +75,18 @@ const ladderWarmup = 100
 func warm(b *testing.B, op func() error) {
 	b.Helper()
 	b.ReportAllocs()
+	warmUp(b, op)
+	b.ResetTimer()
+}
+
+// warmUp runs op ladderWarmup times.
+func warmUp(tb testing.TB, op func() error) {
+	tb.Helper()
 	for i := 0; i < ladderWarmup; i++ {
 		if err := op(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	b.ResetTimer()
 }
 
 // rung times b.N calls of op after the warm-up.
@@ -121,98 +127,12 @@ func rung(b *testing.B, op func() error) {
 // tax, gateway − http the federation cost, wal-fsync − memory the
 // durability tax.
 func BenchmarkFigure1_Ladder(b *testing.B) {
-	const path = "/ssp/BatchScriptGenerator"
-	hosted := func(mw ...core.Middleware) (*rpc.Server, *core.Provider) {
-		srv := rpc.NewServer("ladder", "loopback://ladder")
-		p := srv.Provider("/ssp", mw...)
-		p.MustRegister(batchscript.NewService(batchscript.NewIUGenerator()))
-		return srv, p
+	for _, r := range ladder {
+		b.Run(r.name, func(b *testing.B) { rung(b, r.op(b)) })
 	}
-	overTCP := func(b *testing.B, srv *rpc.Server) string {
-		hs := httptest.NewServer(srv.Handler())
-		b.Cleanup(hs.Close)
-		srv.SetBaseURL(hs.URL)
-		return hs.URL
-	}
-	generate := func(cl *core.Client) func() error {
-		return func() error {
-			_, err := cl.CallText("generateScript", benchGenerateParams...)
-			return err
-		}
-	}
-	b.Run("direct", func(b *testing.B) {
-		gen := batchscript.NewIUGenerator()
-		rung(b, func() error {
-			_, err := gen.Generate(benchRequest)
-			return err
-		})
-	})
-	b.Run("serve", func(b *testing.B) {
-		_, p := hosted()
-		call := soap.Call{ServiceNS: batchscript.Contract().TargetNS, Method: "generateScript", Params: benchGenerateParams}
-		var req, out bytes.Buffer
-		call.WireEnvelope().AppendTo(&req)
-		rung(b, func() error {
-			out.Reset()
-			return p.Serve(context.Background(), req.Bytes(), &out)
-		})
-	})
-	b.Run("loopback", func(b *testing.B) {
-		srv, _ := hosted()
-		rung(b, generate(core.NewClient(srv.Transport(), "loopback://ladder"+path, batchscript.Contract())))
-	})
-	b.Run("guarded", func(b *testing.B) {
-		srv, _ := hosted(rpc.Deadline(time.Second), rpc.LoadShed(64, 128))
-		rung(b, generate(resilientClient(srv.Transport(), "loopback://ladder"+path,
-			benchRetryPolicy(), benchBreakerSet())))
-	})
-	b.Run("http", func(b *testing.B) {
-		srv, _ := hosted()
-		base := overTCP(b, srv)
-		rung(b, generate(core.NewClient(&soap.HTTPTransport{}, base+path, batchscript.Contract())))
-	})
-	b.Run("gateway", func(b *testing.B) {
-		srv, _ := hosted()
-		gw := gateway.New("gw", "http://gw.ladder")
-		if err := gw.Mount(overTCP(b, srv)); err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(gw.Close)
-		rung(b, generate(core.NewClient(gw.Loopback(), "http://gw.ladder"+path, batchscript.Contract())))
-	})
-
-	// publisher returns a saveBusiness call against a fresh registry,
-	// logged to a WAL with opts unless opts is nil.
-	publisher := func(b *testing.B, opts *wal.Options) func() error {
-		reg := uddi.NewRegistry()
-		if opts != nil {
-			l, err := wal.Open(b.TempDir(), *opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := reg.Persist(l); err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() {
-				if err := reg.ClosePersist(); err != nil {
-					b.Error(err)
-				}
-			})
-		}
-		p := core.NewProvider("ladder-uddi", "loopback://uddi")
-		p.MustRegister(uddi.NewService(reg))
-		cl := core.NewClient(p.Loopback(), "loopback://uddi/UDDIRegistry", uddi.Contract())
-		return func() error {
-			_, err := cl.CallText("saveBusiness", soap.Str("name", "ladder"), soap.Str("description", "write rung"))
-			return err
-		}
-	}
-	b.Run("memory", func(b *testing.B) { rung(b, publisher(b, nil)) })
-	b.Run("wal-nosync", func(b *testing.B) { rung(b, publisher(b, &wal.Options{NoSync: true})) })
-	b.Run("wal-fsync", func(b *testing.B) { rung(b, publisher(b, &wal.Options{})) })
 	for _, p := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("wal-fsync-parallel/p=%d", p), func(b *testing.B) {
-			op := publisher(b, &wal.Options{})
+			op := ladderPublisher(b, &wal.Options{})
 			b.SetParallelism(p)
 			warm(b, op)
 			b.RunParallel(func(pb *testing.PB) {
@@ -225,6 +145,160 @@ func BenchmarkFigure1_Ladder(b *testing.B) {
 			})
 			b.ReportMetric(float64(p*runtime.GOMAXPROCS(0)), "writers")
 		})
+	}
+}
+
+// ladder is BenchmarkFigure1_Ladder's rungs in order, each building the
+// one call it times. allocs is the rung's budget of allocations per call,
+// which TestFigure1_LadderAllocs enforces; it is 0 for the rungs that
+// cross TCP or fsync, whose counts include the network and disk
+// goroutines' own. The test counts 100 calls after the warm-up, so the
+// write rungs' budgets sit below their benchmark figures, which also
+// carry costs that grow with the registry and its log over many more
+// calls.
+var ladder = []struct {
+	name   string
+	op     func(tb testing.TB) func() error
+	allocs float64
+}{
+	{"direct", ladderDirect, 14},
+	{"serve", ladderServe, 29},
+	{"loopback", ladderLoopback, 36},
+	{"guarded", ladderGuarded, 42},
+	{"http", ladderHTTP, 0},
+	{"gateway", ladderGateway, 0},
+	{"memory", func(tb testing.TB) func() error { return ladderPublisher(tb, nil) }, 31},
+	{"wal-nosync", func(tb testing.TB) func() error { return ladderPublisher(tb, &wal.Options{NoSync: true}) }, 36},
+	{"wal-fsync", func(tb testing.TB) func() error { return ladderPublisher(tb, &wal.Options{}) }, 0},
+}
+
+// TestFigure1_LadderAllocs holds every in-process ladder rung to its
+// allocation budget, counted after the same warm-up the benchmark runs.
+// A rise fails; a fall passes with a reminder to lower the budget, so the
+// gain is kept.
+func TestFigure1_LadderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
+	}
+	for _, r := range ladder {
+		if r.allocs == 0 {
+			continue
+		}
+		t.Run(r.name, func(t *testing.T) {
+			op := r.op(t)
+			warmUp(t, op)
+			got := testing.AllocsPerRun(100, func() {
+				if err := op(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			switch {
+			case got > r.allocs:
+				t.Errorf("%s allocates %v times per call, over its budget of %v", r.name, got, r.allocs)
+			case got < r.allocs:
+				t.Logf("%s allocates %v times per call, under its budget of %v: lower the budget", r.name, got, r.allocs)
+			}
+		})
+	}
+}
+
+const ladderPath = "/ssp/BatchScriptGenerator"
+
+// ladderHosted serves BatchScriptGenerator from a fresh server, with mw
+// after the kernel's own middleware.
+func ladderHosted(mw ...core.Middleware) (*rpc.Server, *core.Provider) {
+	srv := rpc.NewServer("ladder", "loopback://ladder")
+	p := srv.Provider("/ssp", mw...)
+	p.MustRegister(batchscript.NewService(batchscript.NewIUGenerator()))
+	return srv, p
+}
+
+// ladderOverTCP puts srv behind an HTTP listener and returns its base URL.
+func ladderOverTCP(tb testing.TB, srv *rpc.Server) string {
+	hs := httptest.NewServer(srv.Handler())
+	tb.Cleanup(hs.Close)
+	srv.SetBaseURL(hs.URL)
+	return hs.URL
+}
+
+// ladderGenerate is the read rungs' generateScript call through cl.
+func ladderGenerate(cl *core.Client) func() error {
+	return func() error {
+		_, err := cl.CallText("generateScript", benchGenerateParams...)
+		return err
+	}
+}
+
+func ladderDirect(testing.TB) func() error {
+	gen := batchscript.NewIUGenerator()
+	return func() error {
+		_, err := gen.Generate(benchRequest)
+		return err
+	}
+}
+
+func ladderServe(testing.TB) func() error {
+	_, p := ladderHosted()
+	call := soap.Call{ServiceNS: batchscript.Contract().TargetNS, Method: "generateScript", Params: benchGenerateParams}
+	var req, out bytes.Buffer
+	call.WireEnvelope().AppendTo(&req)
+	return func() error {
+		out.Reset()
+		return p.Serve(context.Background(), req.Bytes(), &out)
+	}
+}
+
+func ladderLoopback(testing.TB) func() error {
+	srv, _ := ladderHosted()
+	return ladderGenerate(core.NewClient(srv.Transport(), "loopback://ladder"+ladderPath, batchscript.Contract()))
+}
+
+func ladderGuarded(testing.TB) func() error {
+	srv, _ := ladderHosted(rpc.Deadline(time.Second), rpc.LoadShed(64, 128))
+	return ladderGenerate(resilientClient(srv.Transport(), "loopback://ladder"+ladderPath,
+		benchRetryPolicy(), benchBreakerSet()))
+}
+
+func ladderHTTP(tb testing.TB) func() error {
+	srv, _ := ladderHosted()
+	base := ladderOverTCP(tb, srv)
+	return ladderGenerate(core.NewClient(&soap.HTTPTransport{}, base+ladderPath, batchscript.Contract()))
+}
+
+func ladderGateway(tb testing.TB) func() error {
+	srv, _ := ladderHosted()
+	gw := gateway.New("gw", "http://gw.ladder")
+	if err := gw.Mount(ladderOverTCP(tb, srv)); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(gw.Close)
+	return ladderGenerate(core.NewClient(gw.Loopback(), "http://gw.ladder"+ladderPath, batchscript.Contract()))
+}
+
+// ladderPublisher returns a saveBusiness call against a fresh registry,
+// logged to a WAL with opts unless opts is nil.
+func ladderPublisher(tb testing.TB, opts *wal.Options) func() error {
+	reg := uddi.NewRegistry()
+	if opts != nil {
+		l, err := wal.Open(tb.TempDir(), *opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := reg.Persist(l); err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() {
+			if err := reg.ClosePersist(); err != nil {
+				tb.Error(err)
+			}
+		})
+	}
+	p := core.NewProvider("ladder-uddi", "loopback://uddi")
+	p.MustRegister(uddi.NewService(reg))
+	cl := core.NewClient(p.Loopback(), "loopback://uddi/UDDIRegistry", uddi.Contract())
+	return func() error {
+		_, err := cl.CallText("saveBusiness", soap.Str("name", "ladder"), soap.Str("description", "write rung"))
+		return err
 	}
 }
 

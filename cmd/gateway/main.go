@@ -1,9 +1,13 @@
 // Command gateway runs the federated portal front door: it mounts one or
 // more portal backends by reading their WS-Inspection documents, then
-// serves the whole fleet behind a single base URL with health-aware
-// consistent-hash routing, failover for idempotent operations, an
-// aggregated /inspection.wsil, and fleet-wide cache invalidation for
-// forwarded writes.
+// serves the whole fleet behind a single base URL. A service with writes
+// has one owning backend that takes all of its requests, reads included,
+// so a read sees the writes before it; a service whose operations are all
+// idempotent is spread over its replicas by consistent hashing, with
+// failover to a healthy one. It also serves an aggregated
+// /inspection.wsil. The backends are mounted once, at start: mounting
+// another backend later could move a service's owner, and no state moves
+// with it.
 //
 //	gateway -addr :8080 -backends http://node1:8081,http://node2:8082
 //
@@ -33,7 +37,6 @@ func main() {
 	backends := flag.String("backends", "", "comma-separated backend base URLs (required)")
 	baseURL := flag.String("base", "", "externally visible base URL (default http://localhost<addr>)")
 	poll := flag.Duration("poll", 2*time.Second, "health poll interval")
-	flushToken := flag.String("flush-token", "", "shared token for the backends' __flush cache-invalidation op")
 	drain := flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM/SIGINT")
 	flag.Parse()
 	if *backends == "" {
@@ -45,7 +48,6 @@ func main() {
 	}
 
 	gw := gateway.New("gateway", base)
-	gw.FlushToken = *flushToken
 	var fleet []string
 	for _, b := range strings.Split(*backends, ",") {
 		if b = strings.TrimSpace(b); b != "" {

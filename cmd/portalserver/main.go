@@ -64,7 +64,6 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM/SIGINT")
 	user := flag.String("user", "guest", "default portal principal")
 	baseURL := flag.String("base", "", "externally visible base URL (default http://localhost<addr>)")
-	flushToken := flag.String("flush-token", "", "enable the authenticated __flush cache-invalidation op with this shared token")
 	dataDir := flag.String("data", "", "directory for write-ahead logs; empty = in-memory only (state is lost on restart)")
 	flag.Parse()
 	base := *baseURL
@@ -160,14 +159,6 @@ func main() {
 	xregSvc.Use(xregCache.Middleware(rpc.OpPrefixes("find", "get")))
 	srv.Stats().RegisterCache("xmlregistry", xregCache)
 	srv.Provider("/registry").MustRegister(xregSvc)
-
-	// Cross-node cache invalidation: a federating gateway posts the
-	// authenticated __flush control op after forwarding a write elsewhere.
-	if *flushToken != "" {
-		srv.RegisterFlushCache(uddi.ServiceNS, uddiCache)
-		srv.RegisterFlushCache(xmlregistry.ServiceNS, xregCache)
-		srv.EnableCacheFlush(*flushToken)
-	}
 
 	// Authentication Service.
 	kdc := gss.NewKDC("PORTAL.LOCAL")

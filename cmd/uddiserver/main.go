@@ -19,7 +19,6 @@ func main() {
 	addr := flag.String("addr", ":8081", "listen address")
 	drain := flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM/SIGINT")
 	cacheTTL := flag.Duration("cache-ttl", 30*time.Second, "response cache TTL for find*/get* inquiries (0 disables)")
-	flushToken := flag.String("flush-token", "", "enable the authenticated __flush cache-invalidation op with this shared token")
 	dataDir := flag.String("data", "", "directory for the registry's write-ahead log; empty = in-memory only (state is lost on restart)")
 	flag.Parse()
 	registry := uddi.NewRegistry()
@@ -42,12 +41,6 @@ func main() {
 		cache := rpc.NewResponseCache(*cacheTTL, 4096)
 		svc.Use(cache.Middleware(rpc.OpPrefixes("find", "get")))
 		srv.Stats().RegisterCache("uddi", cache)
-		if *flushToken != "" {
-			// Let a federating gateway invalidate this replica's cache when
-			// a write lands on a sibling node.
-			srv.RegisterFlushCache(uddi.ServiceNS, cache)
-			srv.EnableCacheFlush(*flushToken)
-		}
 	}
 	srv.Provider("", rpc.Logging(nil)).MustRegister(svc)
 	log.Printf("UDDI registry listening on %s (endpoint /UDDIRegistry, WSDL at /UDDIRegistry?wsdl, health at /healthz)", *addr)

@@ -1,7 +1,8 @@
 package gateway_test
 
 // Gateway chaos suite: two live backends, a seeded ChaosTransport tearing
-// up one of them (then a kill switch taking it out entirely), and the
+// up one of them (then a kill switch taking it out entirely; both, for the
+// write test, whose writes reach only the registry's owner), and the
 // gateway's invariants checked from the caller's seat:
 //
 //  1. idempotent requests always succeed while one backend is healthy,
@@ -101,16 +102,23 @@ func waitGoroutines(t *testing.T, baseline int) {
 // b stays clean.
 func chaosFleet(t *testing.T, build func(srv *rpc.Server), drop float64) (*gateway.Gateway, *soap.ChaosTransport, *atomic.Bool) {
 	t.Helper()
+	gw, chaos, aDead := chaosFleetDrops(t, build, drop, 0)
+	return gw, chaos[0], aDead
+}
+
+// chaosFleetDrops is chaosFleet with a seeded ChaosTransport on each
+// backend's wire (seeds 7 and 8), dropping responses at the given rates.
+func chaosFleetDrops(t *testing.T, build func(srv *rpc.Server), dropA, dropB float64) (*gateway.Gateway, [2]*soap.ChaosTransport, *atomic.Bool) {
+	t.Helper()
 	srvA := rpc.NewServer("a", "http://a.test")
 	build(srvA)
 	srvB := rpc.NewServer("b", "http://b.test")
 	build(srvB)
 
 	var aDead atomic.Bool
-	chaos := &soap.ChaosTransport{
-		Inner:    srvA.Transport(),
-		Seed:     7,
-		DropRate: drop,
+	chaos := [2]*soap.ChaosTransport{
+		{Inner: srvA.Transport(), Seed: 7, DropRate: dropA},
+		{Inner: srvB.Transport(), Seed: 8, DropRate: dropB},
 	}
 
 	gw := gateway.New("gw", "http://gw.local")
@@ -122,8 +130,8 @@ func chaosFleet(t *testing.T, build func(srv *rpc.Server), drop float64) (*gatew
 		map[string]*atomic.Bool{"http://a.test": &aDead},
 	)
 	gw.Forward = &routingForwarder{m: map[string]gateway.Forwarder{
-		"http://a.test": &gateway.TransportForwarder{RT: &killableRT{inner: chaos, dead: &aDead}},
-		"http://b.test": &gateway.TransportForwarder{RT: srvB.Transport()},
+		"http://a.test": &gateway.TransportForwarder{RT: &killableRT{inner: chaos[0], dead: &aDead}},
+		"http://b.test": &gateway.TransportForwarder{RT: chaos[1]},
 	}}
 	if err := gw.Mount("http://a.test", "http://b.test"); err != nil {
 		t.Fatal(err)
@@ -235,7 +243,9 @@ func TestChaosGatewayWritesNotDuplicated(t *testing.T) {
 		svc.Use(c.mw)
 		srv.Provider("/uddi").MustRegister(svc)
 	}
-	gw, chaos, _ := chaosFleet(t, register, 0.4)
+	// Every saveBusiness goes to the route's one owner, so both wires
+	// burn: whichever backend owns the registry, its responses drop.
+	gw, chaos, _ := chaosFleetDrops(t, register, 0.4, 0.4)
 	gw.StartHealth(10 * time.Millisecond)
 	defer waitGoroutines(t, baseline)
 	defer gw.Close()
@@ -280,7 +290,9 @@ func TestChaosGatewayWritesNotDuplicated(t *testing.T) {
 		t.Error("chaos never surfaced a fault: drop rate had no effect")
 	}
 	t.Logf("calls=%d successes=%d faults=%d executions=%d", calls, successes, faults, execs)
-	if _, _, drops, _ := chaos.Injected(); drops == 0 {
+	_, _, dropsA, _ := chaos[0].Injected()
+	_, _, dropsB, _ := chaos[1].Injected()
+	if dropsA+dropsB == 0 {
 		t.Error("chaos transport never dropped a response")
 	}
 }

@@ -20,18 +20,38 @@
 // pointing at the gateway's own WSDL republication, plus links to every
 // backend) so discovery composes transitively.
 //
-// # Health-aware consistent-hash routing
+// # Ownership and routing
 //
-// Each request routes by consistent hashing: the request path and body
-// hash to a point on a virtual-node ring over the mounted backends, and
-// the request goes to the first replica clockwise whose circuit breaker
-// admits it. The same inquiry therefore lands on the same replica —
-// keeping that node's rpc.ResponseCache warm — while a node loss remaps
-// only the keys that hashed into its arcs. Health comes from two feeds
-// into one resilience.BreakerSet: a background /healthz prober
-// (StartHealth) and the live outcome of every forwarded call. An open
-// circuit removes the node from the healthy set; after the open window a
-// half-open probe readmits it.
+// A route is stateful when its first-mounted contract has an operation
+// not marked idempotent (UDDI, the XML registry, the context stores);
+// it is stateless when every operation is (BatchScriptGenerator). The
+// class is fixed when the route is added.
+//
+// A stateful route has one owner: the first of its replicas on the ring
+// sequence of the route path's hash, chosen without regard to health.
+// Every request of the service goes to the owner, reads included, so a
+// read through the gateway sees every write before it, and only the
+// owner's rpc.ResponseCache fills; the cache middleware flushes it on the
+// owner's own writes, and nothing else needs flushing. There is no
+// failover: if the owner's circuit is open or the forward fails, the
+// caller gets a typed Unavailable fault with Retry-After and keeps the
+// retry decision. Idempotent is no guide here, because it also marks
+// absolute writes (setProperty): one landing on another replica would
+// vanish when the owner came back. Mounting another backend later can
+// move a route's owner, and no state moves with it; the gateway binary
+// mounts its fleet once, at start.
+//
+// A stateless route spreads by consistent hashing: the path and request
+// body hash to a point on a virtual-node ring over the mounted backends,
+// and the request goes to the first replica clockwise whose circuit
+// breaker admits it, walking on to the next if the forward fails. The
+// same inquiry therefore lands on the same replica, keeping its cache
+// warm, while a node loss remaps only the keys that hashed into its arcs.
+//
+// Health comes from two feeds into one resilience.BreakerSet: a
+// background /healthz prober (StartHealth) and the live outcome of every
+// forwarded call. An open circuit removes the node from the healthy set;
+// after the open window a half-open probe readmits it.
 //
 // # Relay semantics
 //
@@ -39,18 +59,8 @@
 // HTTP status, and Retry-After unchanged — a fault raised by a backend
 // arrives at the caller exactly as the backend wrote it, so end-to-end
 // byte-identity with a direct connection holds (the golden suite and the
-// chaos tests pin this). Failover retries are attempted only for
-// operations the contract marks idempotent: a transport error on any
-// other operation may mean an executed write, so the gateway returns a
-// typed Unavailable fault with Retry-After and leaves the retry decision
-// with the caller instead of risking a duplicate.
-//
-// # Write-through cache invalidation
-//
-// A successful non-idempotent operation invalidates the service's
-// response caches fleet-wide: the handling backend flushes its own cache
-// (its cache middleware already does this), and the gateway posts the
-// authenticated __flush control op (rpc.FlushPath) to every other
-// replica before relaying the response, so a read-after-write through
-// the gateway never observes a stale cached answer.
+// chaos tests pin this). Only a stateless route, whose operations are all
+// idempotent, retries a failed forward on another replica; a stateful
+// route's lost response may mean an executed write, so the gateway
+// returns a typed Unavailable fault instead of risking a duplicate.
 package gateway

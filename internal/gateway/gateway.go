@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"net/http"
 	"net/url"
 	"sort"
@@ -24,11 +22,12 @@ import (
 )
 
 // Gateway is the federated portal front door: it mounts remote providers
-// by consuming their published WSIL/WSDL, routes each request to a
-// backend chosen by consistent hashing over the healthy node set, relays
-// responses (faults and Retry-After included) byte-for-byte, aggregates
-// the fleet's WS-Inspection documents, and propagates cache invalidation
-// for forwarded writes. See doc.go for the architecture.
+// by consuming their published WSIL/WSDL, sends every request of a
+// stateful service to its one owning backend and spreads a stateless
+// service's requests by consistent hashing over the healthy node set,
+// relays responses (faults and Retry-After included) byte-for-byte, and
+// aggregates the fleet's WS-Inspection documents. See doc.go for the
+// architecture.
 type Gateway struct {
 	// Name identifies the gateway in its own faults and logs.
 	Name string
@@ -40,19 +39,10 @@ type Gateway struct {
 	// Forward posts one serialised request envelope to a backend.
 	// HTTPForwarder over the client pool by default.
 	Forward Forwarder
-	// Flush posts the __flush cache-invalidation control op to one
-	// backend. HTTP POST with the token header by default.
-	Flush func(backend, serviceNS string) error
-	// FlushToken authenticates __flush ops on the backends; empty
-	// disables cross-node cache invalidation.
-	FlushToken string
 	// Breakers holds one circuit per backend, fed by both the health
 	// prober and live forwarding outcomes; an open circuit removes the
 	// backend from the healthy ring until its open window elapses.
 	Breakers *resilience.BreakerSet
-	// Replicas is the virtual-node count per backend on the ring
-	// (defaultVnodes when 0).
-	Replicas int
 
 	pool  *soap.ClientPool
 	stats *rpc.Stats
@@ -70,12 +60,15 @@ type Gateway struct {
 
 // route is one federated service: the path it occupies on the gateway
 // (identical to its path on every backend), the agreed contract, and the
-// replica set serving it.
+// replica set serving it. A route is stateful when its contract has an
+// operation not marked idempotent: such a service holds state that its
+// writes change, so all of its requests go to one owner.
 type route struct {
 	path     string
 	svcName  string
 	abstract string
 	contract *wsdl.Interface
+	stateful bool
 	backends []string
 }
 
@@ -89,7 +82,7 @@ func New(name, baseURL string) *Gateway {
 		stats:   rpc.NewStats(),
 		mux:     http.NewServeMux(),
 		routes:  map[string]*route{},
-		ring:    buildRing(nil, 0),
+		ring:    buildRing(nil),
 		Breakers: &resilience.BreakerSet{Config: resilience.BreakerConfig{
 			FailureThreshold: 3,
 			OpenFor:          2 * time.Second,
@@ -97,7 +90,6 @@ func New(name, baseURL string) *Gateway {
 	}
 	g.Fetch = g.fetchHTTP
 	g.Forward = &HTTPForwarder{Pool: g.pool}
-	g.Flush = g.flushHTTP
 	g.stats.RegisterBreakers("backends", g.Breakers)
 	g.mux.Handle("/healthz", g.stats)
 	g.mux.HandleFunc(wsil.WellKnownPath, g.serveWSIL)
@@ -170,7 +162,7 @@ func (g *Gateway) mountBackend(base string) error {
 	g.mu.Lock()
 	if !containsNode(g.backends, base) {
 		g.backends = append(g.backends, base)
-		g.ring = buildRing(g.backends, g.Replicas)
+		g.ring = buildRing(g.backends)
 	}
 	g.mu.Unlock()
 	return nil
@@ -186,6 +178,9 @@ func (g *Gateway) addRoute(path, backend string, entry wsil.ServiceEntry, svc *w
 			svcName:  svc.Name,
 			abstract: entry.Abstract,
 			contract: svc.Interface,
+		}
+		for _, op := range svc.Interface.Operations {
+			rt.stateful = rt.stateful || !op.Idempotent
 		}
 		g.routes[path] = rt
 		g.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
@@ -228,35 +223,42 @@ func (g *Gateway) serveRoute(rt *route, w http.ResponseWriter, r *http.Request) 
 	g.forward(rt, w, r, body.Bytes())
 }
 
-// forward routes one request body to the healthy replica set. Idempotent
-// operations walk the ring's failover sequence; everything else gets
-// exactly one attempt — a lost response may mean an executed write, and
-// replaying it on another replica could duplicate the effect — and then a
-// typed Unavailable fault that leaves the retry decision with the caller.
+// forward sends one request body to its route's backends. A stateful
+// route has one candidate, its owner: the first of its replicas on the
+// ring sequence of the path alone, chosen without regard to health, so
+// every read of the service lands where its writes did. An open circuit
+// or a failed forward there is a typed Unavailable fault with
+// Retry-After; no other replica is tried, since a write it took would
+// vanish once the owner returned. A stateless route has only idempotent
+// operations: the path and body pick the replica, so repeats of the same
+// inquiry hit the same cache, and a failure walks on to the next healthy
+// replica.
 func (g *Gateway) forward(rt *route, w http.ResponseWriter, r *http.Request, body []byte) {
 	start := time.Now()
 	ns, op, _ := soap.SniffBody(body)
 	opKey := ns + "#" + op
-	idempotent := false
-	if o := rt.contract.Operation(op); o != nil && ns == rt.contract.TargetNS {
-		idempotent = o.Idempotent
-	}
 
-	// The routing key mixes the path with the request bytes, so repeats
-	// of the same inquiry land on the same replica and hit its cache.
-	key := hashBytes(hashBytes(fnvOffset64, []byte(rt.path)), body)
+	key := hashBytes(fnvOffset64, []byte(rt.path))
+	if !rt.stateful {
+		key = hashBytes(key, body)
+	}
 	g.mu.Lock()
-	seq := g.ring.sequence(key, make([]string, 0, len(g.backends)))
-	replicas := append([]string(nil), rt.backends...)
+	nodes := g.ring.sequence(key, make([]string, 0, len(g.backends)))
+	replicas := nodes[:0]
+	for _, node := range nodes {
+		if containsNode(rt.backends, node) {
+			replicas = append(replicas, node)
+		}
+	}
 	g.mu.Unlock()
+	if rt.stateful && len(replicas) > 1 {
+		replicas = replicas[:1]
+	}
 
 	resp := xmlutil.GetBuffer()
 	defer xmlutil.PutBuffer(resp)
 	var lastErr error
-	for _, node := range seq {
-		if !containsNode(replicas, node) {
-			continue // backend does not serve this service
-		}
+	for _, node := range replicas {
 		br := g.Breakers.For(node)
 		if br.Allow() != nil {
 			continue // open circuit: out of the healthy set
@@ -266,16 +268,10 @@ func (g *Gateway) forward(rt *route, w http.ResponseWriter, r *http.Request, bod
 		br.Record(err != nil)
 		if err == nil {
 			g.relay(w, res, resp.Bytes())
-			if !idempotent && res.Status == http.StatusOK {
-				g.invalidate(rt, node)
-			}
 			g.stats.Record(opKey, time.Since(start), nil)
 			return
 		}
 		lastErr = err
-		if !idempotent {
-			break
-		}
 	}
 
 	var pe *soap.PortalError
@@ -313,36 +309,6 @@ func (g *Gateway) relay(w http.ResponseWriter, res ForwardResult, body []byte) {
 	if n, err := w.Write(body); err != nil || n < len(body) {
 		g.stats.AddCounter("relay.write_errors", 1)
 	}
-}
-
-// invalidate propagates a forwarded write through the fleet: the handling
-// backend has already flushed its own response cache (its cache
-// middleware does so on any successful non-cacheable op), and every other
-// replica of the service receives the authenticated __flush control op so
-// stale inquiry answers disappear fleet-wide. Flushes run concurrently
-// but are awaited before the response returns, so a caller that issues a
-// read-after-write through the gateway cannot observe a stale cache.
-func (g *Gateway) invalidate(rt *route, handled string) {
-	if g.FlushToken == "" || g.Flush == nil {
-		return
-	}
-	g.mu.Lock()
-	replicas := append([]string(nil), rt.backends...)
-	g.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, b := range replicas {
-		if b == handled {
-			continue
-		}
-		wg.Add(1)
-		go func(b string) {
-			defer wg.Done()
-			if err := g.Flush(b, rt.contract.TargetNS); err != nil {
-				log.Printf("gateway %s: flush %s on %s: %v", g.Name, rt.contract.TargetNS, b, err)
-			}
-		}(b)
-	}
-	wg.Wait()
 }
 
 // serveWSIL publishes the aggregated WS-Inspection document: one entry
@@ -462,27 +428,6 @@ func (g *Gateway) fetchHTTP(u string) (string, error) {
 		return "", err
 	}
 	return buf.String(), nil
-}
-
-// flushHTTP is the production Flush: an authenticated POST to the
-// backend's __flush control endpoint.
-func (g *Gateway) flushHTTP(backend, serviceNS string) error {
-	req, err := http.NewRequest(http.MethodPost,
-		backend+rpc.FlushPath+"?ns="+url.QueryEscape(serviceNS), nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(rpc.FlushTokenHeader, g.FlushToken)
-	resp, err := g.pool.For(backend).Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("flush %s on %s: HTTP %d", serviceNS, backend, resp.StatusCode)
-	}
-	return nil
 }
 
 // baseOf reduces a URL to its scheme://host base, the client-pool key.

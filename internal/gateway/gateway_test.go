@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -341,98 +340,6 @@ func TestMountRejectsDivergentReplica(t *testing.T) {
 	}
 	if got := gw.Backends(); len(got) != 1 {
 		t.Errorf("divergent backend joined the ring: %v", got)
-	}
-}
-
-// kvDef is a cacheable read / invalidating write pair for the fleet-wide
-// flush test.
-func kvDef(v *string, mu *sync.Mutex) *rpc.Def {
-	return &rpc.Def{
-		Name: "KVStore", NS: "urn:test:kv",
-		Ops: []rpc.Op{
-			{
-				Name: "getValue", Out: []wsdl.Param{rpc.Str("value")}, Idempotent: true,
-				Handle: func(_ *core.Context, _ rpc.Args) ([]interface{}, error) {
-					mu.Lock()
-					defer mu.Unlock()
-					return rpc.Ret(*v), nil
-				},
-			},
-			{
-				Name: "setValue", In: []wsdl.Param{rpc.Str("value")}, Out: []wsdl.Param{rpc.Str("ok")},
-				Handle: func(_ *core.Context, in rpc.Args) ([]interface{}, error) {
-					mu.Lock()
-					defer mu.Unlock()
-					*v = in.Str("value")
-					return rpc.Ret("ok"), nil
-				},
-			},
-		},
-	}
-}
-
-// TestWriteFlushesFleetCaches: a write forwarded to one replica must
-// empty the response caches of every replica before the response returns
-// — the handling backend via its own cache middleware, the siblings via
-// the authenticated __flush control op.
-func TestWriteFlushesFleetCaches(t *testing.T) {
-	const token = "fleet-secret"
-	var mu sync.Mutex
-	vals := [2]string{"a0", "b0"}
-	caches := make([]*rpc.ResponseCache, 2)
-	servers := make([]*rpc.Server, 2)
-	urls := make([]string, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		srv, ts := newBackend(t, "kv", func(srv *rpc.Server) {
-			svc := kvDef(&vals[i], &mu).MustBuild()
-			caches[i] = rpc.NewResponseCache(time.Minute, 64)
-			svc.Use(caches[i].Middleware(rpc.OpPrefixes("get")))
-			srv.Provider("").MustRegister(svc)
-			srv.RegisterFlushCache("urn:test:kv", caches[i])
-			srv.EnableCacheFlush(token)
-		})
-		servers[i], urls[i] = srv, ts.URL
-	}
-
-	gw := gateway.New("gw", "http://gw.local")
-	gw.FlushToken = token
-	if err := gw.Mount(urls[0], urls[1]); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-
-	// Warm every replica's cache with a direct read.
-	iface := widgetContract(t, urls[0])
-	for i := 0; i < 2; i++ {
-		cl := core.NewClient(&soap.HTTPTransport{}, urls[i]+"/KVStore", iface)
-		if _, err := cl.CallText("getValue"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cl.CallText("getValue"); err != nil {
-			t.Fatal(err)
-		}
-		hits, _, entries := caches[i].Stats()
-		if hits != 1 || entries != 1 {
-			t.Fatalf("replica %d cache not warm: hits=%d entries=%d", i, hits, entries)
-		}
-	}
-
-	// One write through the gateway, to whichever replica the ring picks.
-	gwClient := core.NewClient(gw.Loopback(), "http://gw.local/KVStore", iface)
-	if _, err := gwClient.CallText("setValue", soap.Str("value", "new")); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 2; i++ {
-		if _, _, entries := caches[i].Stats(); entries != 0 {
-			t.Errorf("replica %d cache still has %d entries after a fleet write", i, entries)
-		}
-	}
-	// Exactly one replica handled the write (flushing itself); the other
-	// was flushed through the control op.
-	if total := servers[0].Flushes() + servers[1].Flushes(); total != 1 {
-		t.Errorf("control-op flushes = %d, want 1", total)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // ring is a consistent-hash ring over backend base URLs. Each backend is
-// placed at `replicas` pseudo-random points (virtual nodes) on a 64-bit
+// placed at defaultVnodes pseudo-random points (virtual nodes) on a 64-bit
 // circle; a request key routes to the first backend clockwise from its
 // hash. Adding or removing one backend therefore remaps only the keys
 // that hashed into its arcs — the property that keeps each replica's
@@ -32,15 +32,11 @@ type ringPoint struct {
 // for the single-digit fleets a portal federation runs.
 const defaultVnodes = 64
 
-// buildRing places each node at `replicas` points (defaultVnodes when
-// replicas is not positive).
-func buildRing(nodes []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultVnodes
-	}
-	r := &ring{points: make([]ringPoint, 0, len(nodes)*replicas)}
+// buildRing places each node at defaultVnodes points.
+func buildRing(nodes []string) *ring {
+	r := &ring{points: make([]ringPoint, 0, len(nodes)*defaultVnodes)}
 	for _, n := range nodes {
-		for i := 0; i < replicas; i++ {
+		for i := 0; i < defaultVnodes; i++ {
 			r.points = append(r.points, ringPoint{
 				hash: shardmap.Hash(n + "#" + strconv.Itoa(i)),
 				node: n,

@@ -9,7 +9,7 @@ import (
 // each mounted node exactly once, primary first.
 func TestRingSequenceCoversAllNodes(t *testing.T) {
 	nodes := []string{"http://a", "http://b", "http://c"}
-	r := buildRing(nodes, 0)
+	r := buildRing(nodes)
 	for i := 0; i < 50; i++ {
 		key := hashBytes(fnvOffset64, []byte(fmt.Sprintf("key-%d", i)))
 		seq := r.sequence(key, nil)
@@ -29,8 +29,8 @@ func TestRingSequenceCoversAllNodes(t *testing.T) {
 // TestRingDeterministic: two rings built from the same nodes route every
 // key identically — routing must not depend on construction order.
 func TestRingDeterministic(t *testing.T) {
-	r1 := buildRing([]string{"http://a", "http://b", "http://c"}, 16)
-	r2 := buildRing([]string{"http://c", "http://a", "http://b"}, 16)
+	r1 := buildRing([]string{"http://a", "http://b", "http://c"})
+	r2 := buildRing([]string{"http://c", "http://a", "http://b"})
 	for i := 0; i < 100; i++ {
 		key := hashBytes(fnvOffset64, []byte(fmt.Sprintf("key-%d", i)))
 		if got, want := r1.sequence(key, nil)[0], r2.sequence(key, nil)[0]; got != want {
@@ -43,8 +43,8 @@ func TestRingDeterministic(t *testing.T) {
 // response caches depend on: removing one node must remap only the keys
 // that routed to it; every other key keeps its primary.
 func TestRingStabilityOnNodeLoss(t *testing.T) {
-	full := buildRing([]string{"http://a", "http://b", "http://c"}, 0)
-	reduced := buildRing([]string{"http://a", "http://c"}, 0)
+	full := buildRing([]string{"http://a", "http://b", "http://c"})
+	reduced := buildRing([]string{"http://a", "http://c"})
 	moved := 0
 	for i := 0; i < 500; i++ {
 		key := hashBytes(fnvOffset64, []byte(fmt.Sprintf("key-%d", i)))
@@ -67,8 +67,8 @@ func TestRingStabilityOnNodeLoss(t *testing.T) {
 // must also be stable, so retries of an idempotent op land on the same
 // secondary a fresh reduced ring would pick.
 func TestRingFailoverSkipsLostNode(t *testing.T) {
-	full := buildRing([]string{"http://a", "http://b", "http://c"}, 0)
-	reduced := buildRing([]string{"http://a", "http://c"}, 0)
+	full := buildRing([]string{"http://a", "http://b", "http://c"})
+	reduced := buildRing([]string{"http://a", "http://c"})
 	for i := 0; i < 200; i++ {
 		key := hashBytes(fnvOffset64, []byte(fmt.Sprintf("key-%d", i)))
 		seq := full.sequence(key, nil)
@@ -89,7 +89,7 @@ func TestRingFailoverSkipsLostNode(t *testing.T) {
 
 // TestRingEmpty: an empty ring yields an empty sequence, not a panic.
 func TestRingEmpty(t *testing.T) {
-	if seq := buildRing(nil, 0).sequence(42, nil); len(seq) != 0 {
+	if seq := buildRing(nil).sequence(42, nil); len(seq) != 0 {
 		t.Fatalf("sequence = %v", seq)
 	}
 }

@@ -139,11 +139,14 @@
 // ResponseCache memoises idempotent inquiries (UDDI find*/get*,
 // xmlregistry queries) per service, keyed by namespace, operation and the
 // canonicalised parameters, under a TTL and a per-segment LRU bound; a
-// successful non-cacheable operation (a write) flushes it, and the
-// gateway's __flush control op (Server.RegisterFlushCache) flushes it
-// fleet-wide. Each entry is the answer's complete serialised response
-// envelope, one flat byte slice: a miss encodes the handler's returns
-// once, with the encoder Provider.Serve uses, and a hit is answered by
+// successful non-cacheable operation (a write) flushes it. The cache is
+// local to its node and nothing flushes it from outside: behind the
+// gateway, every request of a service with writes goes to one owning
+// backend, so the node that takes a write is the only one that caches
+// the service's answers (see package gateway). Each entry is the
+// answer's complete serialised response envelope, one flat byte slice:
+// a miss encodes the handler's returns once, with the encoder
+// Provider.Serve uses, and a hit is answered by
 // appending the stored bytes through core.Context.Respond, with no tree
 // and no encode. The bytes
 // are the uncached answer by construction; FuzzCachedVsUncached pins it

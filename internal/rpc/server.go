@@ -3,7 +3,6 @@ package rpc
 import (
 	"bytes"
 	"context"
-	"crypto/subtle"
 	"fmt"
 	"log"
 	"net/http"
@@ -43,13 +42,6 @@ type Server struct {
 	// httpMu guards the live http.Server handle Shutdown needs.
 	httpMu  sync.Mutex
 	httpSrv *http.Server
-
-	// flushMu guards the cache-flush registry and token (wiring-time
-	// writes, per-flush reads).
-	flushMu    sync.Mutex
-	flushToken string
-	flushable  map[string][]*ResponseCache
-	flushes    atomic.Uint64
 
 	mu      sync.Mutex
 	baseURL string
@@ -154,84 +146,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // ServeHTTP makes the server itself mountable.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-// FlushPath is the kernel's cache-invalidation control endpoint: an
-// authenticated POST here drops the response caches registered for a
-// service namespace. A federating gateway uses it to invalidate every
-// replica's cache after forwarding a write to one of them, so stale
-// inquiry answers disappear fleet-wide, not just on the node that took
-// the write.
-const FlushPath = "/__flush"
-
-// FlushTokenHeader carries the shared-secret token authenticating flush
-// control ops.
-const FlushTokenHeader = "X-Portal-Flush-Token"
-
-// RegisterFlushCache associates a response cache with the service
-// namespace whose write operations invalidate it, making the cache
-// reachable through the __flush control op. Callers normally also
-// Stats().RegisterCache the same cache for /healthz visibility.
-func (s *Server) RegisterFlushCache(serviceNS string, c *ResponseCache) {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	if s.flushable == nil {
-		s.flushable = make(map[string][]*ResponseCache)
-	}
-	s.flushable[serviceNS] = append(s.flushable[serviceNS], c)
-}
-
-// EnableCacheFlush mounts the __flush control op, authenticated by the
-// shared token: POST /__flush?ns=<serviceNS> drops every cache registered
-// for that namespace (every registered cache when ns is empty).
-// Cross-node invalidation stays off unless a deployment opts in with a
-// non-empty token.
-func (s *Server) EnableCacheFlush(token string) {
-	if token == "" {
-		panic("rpc: EnableCacheFlush requires a non-empty token")
-	}
-	s.flushMu.Lock()
-	already := s.flushToken != ""
-	s.flushToken = token
-	s.flushMu.Unlock()
-	if !already {
-		s.mux.HandleFunc(FlushPath, s.serveFlush)
-	}
-}
-
-// Flushes reports how many __flush control ops the server has honoured.
-func (s *Server) Flushes() uint64 { return s.flushes.Load() }
-
-func (s *Server) serveFlush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "flush: POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	s.flushMu.Lock()
-	token := s.flushToken
-	s.flushMu.Unlock()
-	got := r.Header.Get(FlushTokenHeader)
-	if token == "" || subtle.ConstantTimeCompare([]byte(got), []byte(token)) != 1 {
-		http.Error(w, "flush: invalid token", http.StatusForbidden)
-		return
-	}
-	ns := r.URL.Query().Get("ns")
-	s.flushMu.Lock()
-	var caches []*ResponseCache
-	if ns == "" {
-		for _, cs := range s.flushable {
-			caches = append(caches, cs...)
-		}
-	} else {
-		caches = append(caches, s.flushable[ns]...)
-	}
-	s.flushMu.Unlock()
-	for _, c := range caches {
-		c.Flush()
-	}
-	s.flushes.Add(1)
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "flushed %d\n", len(caches))
 }
 
 // DrainingError is the fault new requests are refused with while the

@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocbudget"
 	"repro/internal/appws"
 	"repro/internal/authsvc"
 	"repro/internal/batchscript"
@@ -66,27 +67,18 @@ var benchGenerateParams = []soap.Value{
 	soap.Int("nodes", 4), soap.Int("wallTimeSeconds", 3600),
 }
 
-// ladderWarmup untimed calls precede every rung's clock, so no rung pays
-// a one-time fill (the global intern table, the buffer pools, a TCP
-// connection) on behalf of the rungs after it.
-const ladderWarmup = 100
-
-// warm runs op ladderWarmup times and then resets the clock.
+// warm runs op allocbudget.Warmup times and then resets the clock, so no
+// rung pays a one-time fill (the global intern table, the buffer pools, a
+// TCP connection) on behalf of the rungs after it.
 func warm(b *testing.B, op func() error) {
 	b.Helper()
 	b.ReportAllocs()
-	warmUp(b, op)
-	b.ResetTimer()
-}
-
-// warmUp runs op ladderWarmup times.
-func warmUp(tb testing.TB, op func() error) {
-	tb.Helper()
-	for i := 0; i < ladderWarmup; i++ {
+	for i := 0; i < allocbudget.Warmup; i++ {
 		if err := op(); err != nil {
-			tb.Fatal(err)
+			b.Fatal(err)
 		}
 	}
+	b.ResetTimer()
 }
 
 // rung times b.N calls of op after the warm-up.
@@ -174,30 +166,18 @@ var ladder = []struct {
 
 // TestFigure1_LadderAllocs holds every in-process ladder rung to its
 // allocation budget, counted after the same warm-up the benchmark runs.
-// A rise fails; a fall passes with a reminder to lower the budget, so the
-// gain is kept.
 func TestFigure1_LadderAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
-	}
 	for _, r := range ladder {
 		if r.allocs == 0 {
 			continue
 		}
 		t.Run(r.name, func(t *testing.T) {
 			op := r.op(t)
-			warmUp(t, op)
-			got := testing.AllocsPerRun(100, func() {
+			allocbudget.Check(t, r.allocs, func() {
 				if err := op(); err != nil {
 					t.Fatal(err)
 				}
 			})
-			switch {
-			case got > r.allocs:
-				t.Errorf("%s allocates %v times per call, over its budget of %v", r.name, got, r.allocs)
-			case got < r.allocs:
-				t.Logf("%s allocates %v times per call, under its budget of %v: lower the budget", r.name, got, r.allocs)
-			}
 		})
 	}
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package repro
+package allocbudget
 
 const raceEnabled = false

@@ -2,6 +2,7 @@ package uddi
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -43,7 +44,8 @@ func dumpText(t *testing.T, r *Registry) string {
 
 // TestFailedAppendChangesNothing pins log-then-apply: when the durability
 // log refuses a record, the mutation reports the error and leaves the
-// registry exactly as it was, for every mutating operation.
+// registry, its tModel index included, exactly as it was, for every
+// mutating operation.
 func TestFailedAppendChangesNothing(t *testing.T) {
 	st := &brokenStore{}
 	r := NewRegistry()
@@ -71,18 +73,23 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 		{"save business", func() error { _, err := r.SaveBusiness(BusinessEntity{Name: "SDSC"}); return err }},
 		{"save tModel", func() error { _, err := r.SaveTModel(TModel{Name: "gce:Other"}); return err }},
 		{"save service", func() error {
-			_, err := r.SaveService(BusinessService{BusinessKey: biz.Key, Name: "more"})
+			_, err := r.SaveService(BusinessService{BusinessKey: biz.Key, Name: "more",
+				Bindings: []BindingTemplate{{AccessPoint: "http://iu/more", TModelKeys: []string{tm.Key}}}})
 			return err
 		}},
 		{"delete service", func() error { return r.DeleteService(svc.Key) }},
 	}
 	for _, c := range ops {
-		before := dumpText(t, r)
+		before, foundBefore := dumpText(t, r), r.FindServiceByTModel(tm.Key)
 		if err := c.op(); err == nil || !strings.Contains(err.Error(), "disk gone") {
 			t.Errorf("%s: error = %v, want the append failure", c.name, err)
 		}
 		if after := dumpText(t, r); after != before {
 			t.Errorf("%s: a failed append changed the registry:\nbefore %s\nafter  %s", c.name, before, after)
+		}
+		if found := r.FindServiceByTModel(tm.Key); !reflect.DeepEqual(values(found), values(foundBefore)) {
+			t.Errorf("%s: a failed append changed the tModel index: before %v, after %v",
+				c.name, serviceKeys(foundBefore), serviceKeys(found))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package uddi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -20,6 +21,7 @@ func TestRegistryConcurrentMixedWorkload(t *testing.T) {
 	const iters = 100
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
+	survivors := make([][]string, workers) // each worker's surviving service keys
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -62,6 +64,7 @@ func TestRegistryConcurrentMixedWorkload(t *testing.T) {
 					}
 				}
 			}
+			survivors[g] = mine
 			// Everything this worker kept must be retrievable and intact.
 			for _, k := range mine {
 				s, err := r.GetServiceDetail(k)
@@ -102,5 +105,27 @@ func TestRegistryConcurrentMixedWorkload(t *testing.T) {
 	_, services, _ := r.Counts()
 	if want := perWorker * workers; services != want {
 		t.Fatalf("services = %d, want %d", services, want)
+	}
+
+	// The tModel index lists exactly the surviving services, in order.
+	var want []string
+	for _, keys := range survivors {
+		want = append(want, keys...)
+	}
+	found := r.FindServiceByTModel(tm.Key)
+	got := make([]string, len(found))
+	for i, s := range found {
+		got[i] = s.Key
+	}
+	if !slices.IsSortedFunc(found, compareServices) {
+		t.Fatalf("index answer out of (Name, Key) order: %v", got)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("index lists %d services, survivors are %d:\nindex %v\nwant  %v", len(got), len(want), got, want)
+	}
+	if scan := scanByTModel(r, tm.Key); !slices.Equal(r.servicesByTModel(tm.Key), scan) {
+		t.Fatalf("index and scan disagree: %v, %v", serviceKeys(r.servicesByTModel(tm.Key)), serviceKeys(scan))
 	}
 }

@@ -56,7 +56,9 @@ func (r *Registry) CompactPersist() error {
 
 // apply is the replay function: stored entities are upserted by key, so
 // replaying a record that is also reflected in a snapshot is harmless, and
-// the recovered sequence is the max over every record seen.
+// the recovered sequence is the max over every record seen. A service
+// upsert replaces the key's old tModel index entries, and a service delete
+// removes them, so the index rebuilt on replay matches the services.
 func (r *Registry) apply(op string, data []byte) error {
 	var rec record
 	if err := json.Unmarshal(data, &rec); err != nil {
@@ -76,10 +78,16 @@ func (r *Registry) apply(op string, data []byte) error {
 		}
 	case opService:
 		if rec.Service != nil {
-			r.services.Store(rec.Service.Key, rec.Service)
+			sh := r.services.ShardFor(rec.Service.Key)
+			sh.Lock()
+			r.putService(sh, rec.Service)
+			sh.Unlock()
 		}
 	case opDelService:
-		r.services.Delete(rec.Key)
+		sh := r.services.ShardFor(rec.Key)
+		sh.Lock()
+		r.removeService(sh, rec.Key)
+		sh.Unlock()
 	case opSeq:
 		// Sequence handled above.
 	default:

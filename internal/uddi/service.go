@@ -119,7 +119,9 @@ func def(r *Registry) *rpc.Def {
 				In:         []wsdl.Param{rpc.Str("tModelKey")},
 				Out:        []wsdl.Param{rpc.XML("serviceList")},
 				Handle: func(_ *core.Context, in rpc.Args) ([]interface{}, error) {
-					return rpc.Ret(serviceList(r.FindServiceByTModel(in.Str("tModelKey")))), nil
+					// The index's records are immutable, so the answer is
+					// rendered from them without copying.
+					return rpc.Ret(serviceList(r.servicesByTModel(in.Str("tModelKey")))), nil
 				},
 			},
 			{

@@ -16,10 +16,11 @@
 package uddi
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -82,20 +83,33 @@ type BusinessEntity struct {
 // entity kind lives in its own sharded map, so publishes and inquiries
 // touching different keys never contend on a common lock; published records
 // are immutable once stored (Save* stores a fresh copy, readers copy out),
-// which is what makes the per-key locking sufficient. Find* iterate the
-// shards one at a time and therefore observe a weakly consistent view: a
-// concurrently published service may or may not appear, but no result is
-// ever torn.
+// which is what makes the per-key locking sufficient.
+//
+// byTModel indexes services by tModel key: each list holds the stored
+// service records themselves, in (Name, Key) order, each service once per
+// tModel however many of its bindings name it. The index is written only
+// inside the owning service shard's write lock (the index shard lock is
+// taken inside it, never the other way round): a save adds the record to
+// the service map and then to the index, a delete removes it from the index
+// and then from the map. FindServiceByTModel reads one index shard and
+// copies out an answer that is already in order, so it never waits on a
+// service shard held across a log append. The other finds iterate the
+// service shards one at a time. Every find observes a weakly consistent
+// view: a save acknowledged before the find began is seen, a delete
+// acknowledged before it is not, a concurrent one may or may not be, and no
+// result is ever torn.
 //
 // With Persist attached, every mutation is appended to the write-ahead log
 // and the shard-lock critical section covers both the append and the map
 // update, so per-key log order matches apply order and a compaction dump
 // (which takes each shard's read lock) can never observe a mutation whose
-// record it might lose. Reads never touch the log.
+// record it might lose. Reads never touch the log. The index is derived
+// state: it is never logged, and replay rebuilds it.
 type Registry struct {
 	businesses *shardmap.Map[*BusinessEntity]
 	services   *shardmap.Map[*BusinessService]
 	tmodels    *shardmap.Map[*TModel]
+	byTModel   *shardmap.Map[[]*BusinessService]
 	seq        atomic.Int64
 	persist    *persist.Binding // nil = in-memory only
 }
@@ -106,6 +120,7 @@ func NewRegistry() *Registry {
 		businesses: shardmap.New[*BusinessEntity](0),
 		services:   shardmap.New[*BusinessService](0),
 		tmodels:    shardmap.New[*TModel](0),
+		byTModel:   shardmap.New[[]*BusinessService](0),
 	}
 }
 
@@ -156,7 +171,8 @@ func (r *Registry) SaveTModel(t TModel) (*TModel, error) {
 // SaveService publishes a service under an existing business, assigning the
 // service and binding keys. The referenced business and tModels are
 // validated against the current registry state; businesses are never
-// deleted, so the check cannot be invalidated concurrently.
+// deleted, so the check cannot be invalidated concurrently. The registry
+// keeps its own copy of s, and the result is the caller's.
 func (r *Registry) SaveService(s BusinessService) (*BusinessService, error) {
 	if !r.businesses.Contains(s.BusinessKey) {
 		return nil, fmt.Errorf("uddi: unknown businessKey %q", s.BusinessKey)
@@ -169,20 +185,19 @@ func (r *Registry) SaveService(s BusinessService) (*BusinessService, error) {
 		}
 	}
 	s.Key = r.newKey("service", s.Name)
-	s.Bindings = append([]BindingTemplate(nil), s.Bindings...)
-	for i := range s.Bindings {
-		s.Bindings[i].Key = r.newKey("binding", s.Name+"/"+s.Bindings[i].AccessPoint)
+	stored := copyService(&s)
+	for i := range stored.Bindings {
+		stored.Bindings[i].Key = r.newKey("binding", s.Name+"/"+stored.Bindings[i].AccessPoint)
 	}
-	stored := s
 	sh := r.services.ShardFor(s.Key)
 	sh.Lock()
 	defer sh.Unlock()
-	if err := r.persist.Commit(opService, record{Seq: r.seq.Load(), Service: &stored}, func() {
-		sh.Put(s.Key, &stored)
+	if err := r.persist.Commit(opService, record{Seq: r.seq.Load(), Service: stored}, func() {
+		r.putService(sh, stored)
 	}); err != nil {
 		return nil, err
 	}
-	return &stored, nil
+	return copyService(stored), nil
 }
 
 // DeleteService removes a published service.
@@ -193,7 +208,50 @@ func (r *Registry) DeleteService(key string) error {
 	if _, ok := sh.Get(key); !ok {
 		return fmt.Errorf("uddi: unknown serviceKey %q", key)
 	}
-	return r.persist.Commit(opDelService, record{Key: key}, func() { sh.Delete(key) })
+	return r.persist.Commit(opDelService, record{Key: key}, func() { r.removeService(sh, key) })
+}
+
+// putService stores s in sh, its service shard, and then files it in the
+// tModel index, first dropping the index entries of any record the key
+// held before. The caller holds sh for writing.
+func (r *Registry) putService(sh *shardmap.Shard[*BusinessService], s *BusinessService) {
+	if old, ok := sh.Get(s.Key); ok {
+		r.index(old, false)
+	}
+	sh.Put(s.Key, s)
+	r.index(s, true)
+}
+
+// removeService drops key's record from the tModel index and then from sh,
+// its service shard. The caller holds sh for writing.
+func (r *Registry) removeService(sh *shardmap.Shard[*BusinessService], key string) {
+	if old, ok := sh.Get(key); ok {
+		r.index(old, false)
+		sh.Delete(key)
+	}
+}
+
+// index adds s to (add) or removes it from the list of every tModel its
+// bindings name. A tModel named twice finds s already listed, or already
+// gone, the second time. The caller holds s's service shard for writing.
+func (r *Registry) index(s *BusinessService, add bool) {
+	for _, b := range s.Bindings {
+		for _, tk := range b.TModelKeys {
+			sh := r.byTModel.ShardFor(tk)
+			sh.Lock()
+			list, _ := sh.Get(tk)
+			i, listed := slices.BinarySearchFunc(list, s, compareServices)
+			switch {
+			case add && !listed:
+				sh.Put(tk, slices.Insert(list, i, s))
+			case !add && listed && len(list) == 1:
+				sh.Delete(tk)
+			case !add && listed:
+				sh.Put(tk, slices.Delete(list, i, i+1))
+			}
+			sh.Unlock()
+		}
+	}
 }
 
 // GetBusiness returns a business entity by key.
@@ -225,17 +283,54 @@ func (r *Registry) GetTModel(key string) (*TModel, error) {
 	return &cp, nil
 }
 
-// copyService detaches a stored record for a caller: stored services are
-// immutable, so a shallow copy plus a fresh bindings slice is a full
-// defensive copy.
+// copyService detaches a stored record for a caller, or a caller's
+// record for storing: a fresh bindings slice and fresh tModel key slices,
+// so neither side can change the other's.
 func copyService(s *BusinessService) *BusinessService {
 	cp := *s
-	cp.Bindings = append([]BindingTemplate(nil), s.Bindings...)
+	cp.Bindings = slices.Clone(s.Bindings)
+	for i := range cp.Bindings {
+		cp.Bindings[i].TModelKeys = slices.Clone(cp.Bindings[i].TModelKeys)
+	}
 	return &cp
 }
 
+// copyServices deep-copies a find's answer for a caller.
+func copyServices(services []*BusinessService) []*BusinessService {
+	for i, s := range services {
+		services[i] = copyService(s)
+	}
+	return services
+}
+
+// compareNameKey is the one order of every find's answer: by name, then by
+// key. Keys are unique, so the order is total and repeated finds over the
+// same entries give the same answer, byte for byte on the wire.
+func compareNameKey(aName, aKey, bName, bKey string) int {
+	return cmp.Or(strings.Compare(aName, bName), strings.Compare(aKey, bKey))
+}
+
+func compareServices(a, b *BusinessService) int {
+	return compareNameKey(a.Name, a.Key, b.Name, b.Key)
+}
+
+// findServices returns copies of the stored services that match, in
+// (Name, Key) order.
+func (r *Registry) findServices(match func(*BusinessService) bool) []*BusinessService {
+	var out []*BusinessService
+	r.services.Range(func(_ string, s *BusinessService) bool {
+		if match(s) {
+			out = append(out, s)
+		}
+		return true
+	})
+	slices.SortFunc(out, compareServices)
+	return copyServices(out)
+}
+
 // FindBusiness returns businesses whose names contain the pattern
-// (case-insensitive), sorted by name. A UDDI find_business analog.
+// (case-insensitive), sorted by name and then key. A UDDI find_business
+// analog.
 func (r *Registry) FindBusiness(namePattern string) []*BusinessEntity {
 	var out []*BusinessEntity
 	r.businesses.Range(func(_ string, b *BusinessEntity) bool {
@@ -245,7 +340,7 @@ func (r *Registry) FindBusiness(namePattern string) []*BusinessEntity {
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *BusinessEntity) int { return compareNameKey(a.Name, a.Key, b.Name, b.Key) })
 	return out
 }
 
@@ -253,37 +348,28 @@ func (r *Registry) FindBusiness(namePattern string) []*BusinessEntity {
 // case-insensitive; empty matches all), optionally restricted to one
 // business. A UDDI find_service analog.
 func (r *Registry) FindService(businessKey, namePattern string) []*BusinessService {
-	var out []*BusinessService
-	r.services.Range(func(_ string, s *BusinessService) bool {
-		if businessKey != "" && s.BusinessKey != businessKey {
-			return true
-		}
-		if namePattern != "" && !containsFold(s.Name, namePattern) {
-			return true
-		}
-		out = append(out, copyService(s))
-		return true
+	return r.findServices(func(s *BusinessService) bool {
+		return (businessKey == "" || s.BusinessKey == businessKey) &&
+			(namePattern == "" || containsFold(s.Name, namePattern))
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // FindServiceByTModel returns services with a binding implementing the
 // given tModel (interface) key — how a portal client finds every provider
-// of the agreed BatchScriptGenerator interface.
+// of the agreed BatchScriptGenerator interface. UDDI v2's find_service by
+// tModelBag; it answers from the tModel index.
 func (r *Registry) FindServiceByTModel(tModelKey string) []*BusinessService {
-	var out []*BusinessService
-	r.services.Range(func(_ string, s *BusinessService) bool {
-		for _, b := range s.Bindings {
-			if containsKey(b.TModelKeys, tModelKey) {
-				out = append(out, copyService(s))
-				break
-			}
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return copyServices(r.servicesByTModel(tModelKey))
+}
+
+// servicesByTModel returns the stored records filed under tModelKey, in
+// (Name, Key) order: a fresh slice of shared, immutable records.
+func (r *Registry) servicesByTModel(tModelKey string) []*BusinessService {
+	sh := r.byTModel.ShardFor(tModelKey)
+	sh.RLock()
+	defer sh.RUnlock()
+	list, _ := sh.Get(tModelKey)
+	return slices.Clone(list)
 }
 
 // TModelByName finds a tModel by exact name.
@@ -307,15 +393,6 @@ func (r *Registry) Counts() (businesses, services, tmodels int) {
 
 func containsFold(haystack, needle string) bool {
 	return strings.Contains(strings.ToLower(haystack), strings.ToLower(needle))
-}
-
-func containsKey(keys []string, key string) bool {
-	for _, k := range keys {
-		if k == key {
-			return true
-		}
-	}
-	return false
 }
 
 // --- The string-description capability convention (Section 3.4) ----------
@@ -365,15 +442,7 @@ func ParseCapabilities(description string) []string {
 // positives (e.g. "NQS" matching a description that says "migrating away
 // from NQS") an inherent risk the discovery experiment quantifies.
 func (r *Registry) FindByConvention(scheduler string) []*BusinessService {
-	var out []*BusinessService
-	r.services.Range(func(_ string, s *BusinessService) bool {
-		if containsFold(s.Description, scheduler) {
-			out = append(out, copyService(s))
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return r.findServices(func(s *BusinessService) bool { return containsFold(s.Description, scheduler) })
 }
 
 // FindByParsedConvention searches by parsing the capability convention and
@@ -382,16 +451,9 @@ func (r *Registry) FindByConvention(scheduler string) []*BusinessService {
 // which FindByConvention tolerates; the two together bracket the UDDI
 // approach in the discovery experiment.
 func (r *Registry) FindByParsedConvention(scheduler string) []*BusinessService {
-	var out []*BusinessService
-	r.services.Range(func(_ string, s *BusinessService) bool {
-		for _, cap := range ParseCapabilities(s.Description) {
-			if strings.EqualFold(cap, scheduler) {
-				out = append(out, copyService(s))
-				break
-			}
-		}
-		return true
+	return r.findServices(func(s *BusinessService) bool {
+		return slices.ContainsFunc(ParseCapabilities(s.Description), func(cap string) bool {
+			return strings.EqualFold(cap, scheduler)
+		})
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -2,10 +2,13 @@ package xmlutil
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/allocbudget"
 )
 
 // Independent references for the escape kernel: strings.Replacer works
@@ -133,43 +136,76 @@ func benchText(alphabet string, n int) string {
 	return string(b)
 }
 
-// BenchmarkTextKernels measures the three bulk-path kernels — escape
-// (encode), scan (character-data validation) and decode (unescape into a
-// string) — in MB/s of their input, on a clean payload and on one drawn
-// from the SRB transfer workload's alphabet, which is dense in '<' and '&'.
-func BenchmarkTextKernels(b *testing.B) {
+// textKernel is one BenchmarkTextKernels case: a call over n input bytes
+// and its budget of allocations per call, which TestTextKernelAllocs
+// enforces.
+type textKernel struct {
+	name   string
+	n      int
+	op     func() error
+	allocs float64
+}
+
+// textKernels returns the three bulk-path kernels — escape (encode), scan
+// (character-data validation) and decode (unescape into a string) — on a
+// clean payload and on one drawn from the SRB transfer workload's
+// alphabet, which is dense in '<' and '&'.
+func textKernels() []textKernel {
 	payloads := []struct{ name, alphabet string }{
 		{"clean", "abcdefghijklmnopqrstuvwxyz ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789\n"},
 		{"dense", "<&<&>\"' \n\tabcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"},
 	}
+	var out []textKernel
 	for _, p := range payloads {
 		text := benchText(p.alphabet, 256<<10)
-		var escaped bytes.Buffer
+		var escaped, buf bytes.Buffer
 		escapeTo(&escaped, text, &escText)
 		wire := escaped.Bytes()
-		b.Run("escape/"+p.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			b.SetBytes(int64(len(text)))
-			for b.Loop() {
+		out = append(out,
+			textKernel{"escape/" + p.name, len(text), func() error {
 				buf.Reset()
 				escapeTo(&buf, text, &escText)
-			}
-		})
-		b.Run("scan/"+p.name, func(b *testing.B) {
-			b.SetBytes(int64(len(wire)))
-			for b.Loop() {
+				return nil
+			}, 0},
+			textKernel{"scan/" + p.name, len(wire), func() error {
 				if end, _, msg := scanCharData(wire, 0); end != len(wire) || msg != "" {
-					b.Fatalf("scan stopped at %d: %s", end, msg)
+					return fmt.Errorf("scan stopped at %d: %s", end, msg)
+				}
+				return nil
+			}, 0},
+			textKernel{"decode/" + p.name, len(wire), func() error {
+				if s, msg := unescapeString(wire, true); len(s) != len(text) || msg != "" {
+					return fmt.Errorf("decode: %q, %d bytes", msg, len(s))
+				}
+				return nil
+			}, 1})
+	}
+	return out
+}
+
+// BenchmarkTextKernels measures textKernels in MB/s of their input.
+func BenchmarkTextKernels(b *testing.B) {
+	for _, k := range textKernels() {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(int64(k.n))
+			for b.Loop() {
+				if err := k.op(); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
-		b.Run("decode/"+p.name, func(b *testing.B) {
-			b.SetBytes(int64(len(wire)))
-			for b.Loop() {
-				if s, msg := unescapeString(wire, true); len(s) != len(text) || msg != "" {
-					b.Fatalf("decode: %q, %d bytes", msg, len(s))
+	}
+}
+
+// TestTextKernelAllocs holds each text kernel to its allocation budget.
+func TestTextKernelAllocs(t *testing.T) {
+	for _, k := range textKernels() {
+		t.Run(k.name, func(t *testing.T) {
+			allocbudget.Check(t, k.allocs, func() {
+				if err := k.op(); err != nil {
+					t.Fatal(err)
 				}
-			}
+			})
 		})
 	}
 }

@@ -7,19 +7,25 @@ import (
 
 	"repro/internal/allocbudget"
 	"repro/internal/soap"
+	"repro/internal/xmlutil"
 )
 
 // serveAllocs is the budget of allocations per Provider.Serve call of each
-// request path, which TestServeAllocs enforces. The echo service has no
-// StreamDecoder, so its requests take the tree path: a pooled parse, the
-// tree dispatch and the encode.
+// request shape, which TestServeAllocs enforces: a flat echo, whose
+// parameters the streaming reader decodes without a tree; a literal-XML
+// parameter and a SAML-style header entry, the two shapes it carves into a
+// pooled arena.
 var serveAllocs = []struct {
 	name    string
 	call    soap.Call
+	header  *xmlutil.Element
 	allocs  float64
 	wantOut string
 }{
-	{"tree", soap.Call{ServiceNS: "urn:test:echo", Method: "say", Params: []soap.Value{soap.Str("msg", "hello")}}, 7, ">hello<"},
+	{"flat", soap.Call{ServiceNS: "urn:test:echo", Method: "say", Params: []soap.Value{soap.Str("msg", "hello")}}, nil, 2, ">hello<"},
+	{"xml", soap.Call{ServiceNS: "urn:test:echo", Method: "say", Params: []soap.Value{soap.XMLDoc("msg", xmlutil.New("doc").AddText("q", "x"))}}, nil, 3, "sayResponse"},
+	{"header", soap.Call{ServiceNS: "urn:test:echo", Method: "say", Params: []soap.Value{soap.Str("msg", "hello")}},
+		xmlutil.NewNS("urn:oasis:names:tc:SAML:1.0:assertion", "Assertion").SetAttr("Issuer", "authsvc"), 6, ">hello<"},
 }
 
 // TestServeAllocs holds Provider.Serve to its allocation budget on each
@@ -30,7 +36,11 @@ func TestServeAllocs(t *testing.T) {
 	for _, c := range serveAllocs {
 		t.Run(c.name, func(t *testing.T) {
 			var req, out bytes.Buffer
-			c.call.WireEnvelope().AppendTo(&req)
+			env := c.call.WireEnvelope()
+			if c.header != nil {
+				env.AddHeader(c.header)
+			}
+			env.AppendTo(&req)
 			allocbudget.Check(t, c.allocs, func() {
 				out.Reset()
 				if err := p.Serve(context.Background(), req.Bytes(), &out); err != nil {

@@ -47,20 +47,13 @@ type Context struct {
 	Operation string
 	// ServiceNS is the service namespace of the call.
 	ServiceNS string
-	// Envelope is the full request envelope, giving handlers access to
-	// header entries such as SAML assertions. On the streaming fast path,
-	// which only takes headerless requests, it is an empty view.
+	// Envelope is the request envelope, giving handlers access to header
+	// entries such as SAML assertions. It carries the first Header's
+	// entries only: the body entry arrives decoded as the handler's args.
 	Envelope *soap.Envelope
 	// Principal is the authenticated identity, set by a verification
 	// interceptor; empty for unauthenticated calls.
 	Principal string
-	// Decoded carries the kernel-typed arguments when Provider.Serve took
-	// the streaming decode fast path: the service's StreamDecoder produced
-	// it straight from the wire tokens, and the kernel handler consumes it
-	// instead of re-decoding the raw args. Nil on the tree path. Middleware
-	// may read it as a fast-path marker but should treat its dynamic type
-	// as the kernel's business.
-	Decoded interface{}
 	// Ctx is the request's lifetime: cancelled when the client goes away,
 	// the deadline middleware's budget expires, or the server drains.
 	// Handlers doing slow work should watch it; it also carries any other
@@ -105,7 +98,7 @@ func (c *Context) Respond(raw []byte) { c.raw = raw }
 // original. ctx becomes the copy's lifetime.
 func (c *Context) Detach(ctx context.Context) *Context {
 	return &Context{Operation: c.Operation, ServiceNS: c.ServiceNS, Envelope: c.Envelope,
-		Principal: c.Principal, Decoded: c.Decoded, Ctx: ctx}
+		Principal: c.Principal, Ctx: ctx}
 }
 
 // Adopt copies the mutable outcomes of a detached run back onto the
@@ -141,29 +134,6 @@ type Middleware func(next HandlerFunc) HandlerFunc
 // that need to inspect the outgoing parameters should read call.Params.
 type ClientInterceptor func(call *soap.Call, env *soap.Envelope) error
 
-// StreamDecoder decodes request parameters straight from the streaming
-// body reader — the treeless fast path the rpc kernel compiles per
-// operation at build time. DecodeCallStream is called with the reader
-// positioned after the operation element's start tag; it returns the
-// kernel-typed argument value (delivered to handlers via Context.Decoded),
-// the raw wire values for middleware that inspects or keys off them
-// (identical to what soap.ParseCall would have produced), and ok=false
-// when the operation cannot be stream-decoded — unknown operation,
-// xml-typed parameters, a wire shape outside the streaming subset, or a
-// value that fails validation (the tree path then reproduces the exact
-// fault). On !ok nothing may have been committed anywhere.
-//
-// ReleaseStream recycles whatever pooled scratch a successful decode
-// handed out inside decoded and raw. The provider calls it exactly once
-// per successful DecodeCallStream: once the handler chain has returned
-// (success or error), or when the request falls back to the tree path
-// after all. It is skipped only when the chain was abandoned mid-flight,
-// since the runaway handler may still read the decode products.
-type StreamDecoder interface {
-	DecodeCallStream(op string, r *soap.BodyReader) (decoded interface{}, raw []soap.Value, ok bool)
-	ReleaseStream(decoded interface{}, raw []soap.Value)
-}
-
 // Service couples a WSDL contract with its operation handlers.
 type Service struct {
 	// Contract is the abstract interface this service implements.
@@ -171,9 +141,6 @@ type Service struct {
 	// Path is the HTTP path the provider mounts the service at, defaulting
 	// to "/" + Contract.Name.
 	Path string
-	// Stream, when non-nil, lets the provider decode requests for this
-	// service through the streaming fast path (set by rpc.Def.Build).
-	Stream StreamDecoder
 	// handlers maps operation name to implementation.
 	handlers map[string]HandlerFunc
 	// middleware wraps this service's handlers only.
@@ -363,119 +330,48 @@ func (p *Provider) wsdlBytesFor(s *Service) []byte {
 // path, caller's context in-process) and is surfaced to handlers as
 // Context.Ctx.
 //
-// The streaming decode path is tried first; a request outside its subset
-// is parsed into a pooled element arena and dispatched through the tree
-// path, which is the semantic authority. Both paths end in the same
-// invoke step. The response or fault envelope is appended to out, and the
-// returned error is non-nil exactly when out holds a fault. The arena is
-// recycled once the response is rendered, unless the handler chain was
-// abandoned mid-flight (deadline middleware): a runaway goroutine may
-// still read the request tree, so it is left to the garbage collector.
+// Serve is one straight path: the pooled soap.BodyReader decodes the
+// request in one pass, Serve looks up the service and the operation's
+// handler chain, and invoke runs it. The response or fault envelope is
+// appended to out, and the returned error is non-nil exactly when out
+// holds a fault. The decoded request is recycled once the response is
+// rendered, unless the handler chain was abandoned mid-flight (deadline
+// middleware): a runaway goroutine may still read its arguments, so it is
+// left to the garbage collector.
 func (p *Provider) Serve(ctx context.Context, body []byte, out *bytes.Buffer) error {
-	resp, handled, err := p.dispatchStream(ctx, body)
-	if !handled {
-		env, doc, perr := soap.ParseEnvelopeBytesPooled(body)
-		if perr != nil {
-			soap.FaultEnvelope(perr, soap.FaultClient).AppendTo(out)
-			return perr
-		}
-		var abandoned bool
-		resp, abandoned, err = p.dispatch(ctx, env)
-		if !abandoned {
-			defer doc.Release()
-		}
+	r := soap.AcquireBodyReader()
+	ns, method, err := r.Decode(body)
+	if err != nil {
+		r.Release()
+		soap.FaultEnvelope(err, soap.FaultClient).AppendTo(out)
+		return err
+	}
+	var resp *soap.Envelope
+	abandoned := false
+	p.mu.RLock()
+	svc := p.byNS[ns]
+	p.mu.RUnlock()
+	if svc == nil {
+		err = &soap.Fault{Code: soap.FaultClient, Actor: p.Name,
+			String: fmt.Sprintf("no service for namespace %q", ns)}
+	} else if h := p.handlerFor(svc, method); h == nil {
+		err = soap.NewPortalError(svc.Contract.Name, soap.ErrCodeNoSuchMethod,
+			"operation %q not implemented", method)
+	} else {
+		resp, abandoned, err = invoke(ctx, h, r.Envelope(), ns, method, r.Params())
 	}
 	if err != nil {
 		resp = soap.FaultEnvelope(err, soap.FaultServer)
 	}
 	resp.AppendTo(out)
+	if !abandoned {
+		r.Release()
+	}
 	return err
 }
 
-// dispatch runs one parsed request envelope through the tree path.
-// abandoned reports that the handler chain was given up on mid-flight, so
-// the caller must not recycle the request tree.
-func (p *Provider) dispatch(ctx context.Context, env *soap.Envelope) (resp *soap.Envelope, abandoned bool, err error) {
-	call, err := soap.ParseCall(env)
-	if err != nil {
-		return nil, false, err
-	}
-	p.mu.RLock()
-	svc := p.byNS[call.ServiceNS]
-	p.mu.RUnlock()
-	if svc == nil {
-		return nil, false, &soap.Fault{Code: soap.FaultClient, Actor: p.Name,
-			String: fmt.Sprintf("no service for namespace %q", call.ServiceNS)}
-	}
-	h := p.handlerFor(svc, call.Method)
-	if h == nil {
-		return nil, false, soap.NewPortalError(svc.Contract.Name, soap.ErrCodeNoSuchMethod,
-			"operation %q not implemented", call.Method)
-	}
-	return invoke(ctx, h, env, call.ServiceNS, call.Method, nil, call.Params)
-}
-
-// dispatchStream is the streaming decode fast path: it dispatches a
-// request straight from its serialised bytes, walking envelope tokens into
-// typed arguments through the target service's StreamDecoder without
-// building an element tree. handled=false means the request is outside
-// the streaming subset (headers present, xml-typed or malformed
-// parameters, unknown service or operation, foreign envelope shapes ...)
-// and Serve re-dispatches it through the tree path, the semantic
-// authority for every such case. The decision is made before the handler
-// runs: once handled is true the operation has executed and the result is
-// final.
-func (p *Provider) dispatchStream(ctx context.Context, body []byte) (resp *soap.Envelope, handled bool, err error) {
-	r := soap.AcquireBodyReader(body)
-	cursorHeld := true
-	defer func() {
-		if cursorHeld {
-			r.Release()
-		}
-	}()
-	ns, method, ok := r.Begin()
-	if !ok {
-		return nil, false, nil
-	}
-	p.mu.RLock()
-	svc := p.byNS[ns]
-	p.mu.RUnlock()
-	if svc == nil || svc.Stream == nil {
-		return nil, false, nil
-	}
-	decoded, raw, ok := svc.Stream.DecodeCallStream(method, r)
-	if !ok {
-		return nil, false, nil
-	}
-	var h HandlerFunc
-	if r.Finish() {
-		h = p.handlerFor(svc, method)
-	}
-	if h == nil {
-		// A malformed tail or a method without a handler: the tree path
-		// answers it (NoSuchMethod, say), so the decode products go back.
-		svc.Stream.ReleaseStream(decoded, raw)
-		return nil, false, nil
-	}
-	// Decode is complete and its products are copies: the cursor and
-	// scanner go back to their pools now, before the handler runs, so a
-	// slow or cancelled handler never pins them.
-	cursorHeld = false
-	r.Release()
-	resp, abandoned, err := invoke(ctx, h, nil, ns, method, decoded, raw)
-	if !abandoned {
-		svc.Stream.ReleaseStream(decoded, raw)
-	}
-	return resp, true, err
-}
-
 // request is one dispatched request's storage: its Context, the response
-// and the response envelope share one allocation. On the fast path the
-// response envelope is also the empty request envelope view middleware
-// sees: it stays zero while the chain runs, and invoke fills it in only
-// after the chain has returned an answer. A chain that was abandoned
-// returns a fault (Deadline's Timeout), so a runaway handler never sees
-// the view change.
+// and the response envelope share one allocation.
 type request struct {
 	ctx    Context
 	out    soap.Response
@@ -485,19 +381,13 @@ type request struct {
 // invoke runs the composed chain h on one decoded request and builds its
 // response envelope, whose operation element and typed return values are
 // written straight to the output buffer when Serve serialises it, or which
-// relays the bytes a middleware answered with (Context.Respond). env is
-// the parsed request envelope, or nil on the headerless fast path, whose
-// middleware sees an empty one: SAML header checks see the same absence
-// either way. abandoned reports that the chain was given up on mid-flight
-// (Context.Abandon), so the caller must leak rather than recycle the
-// request's pooled storage.
+// relays the bytes a middleware answered with (Context.Respond). abandoned
+// reports that the chain was given up on mid-flight (Context.Abandon), so
+// the caller must leak rather than recycle the request's pooled storage.
 func invoke(ctx context.Context, h HandlerFunc, env *soap.Envelope, ns, method string,
-	decoded interface{}, args []soap.Value) (resp *soap.Envelope, abandoned bool, err error) {
+	args []soap.Value) (resp *soap.Envelope, abandoned bool, err error) {
 	rq := new(request)
-	if env == nil {
-		env = &rq.outEnv
-	}
-	rq.ctx = Context{Operation: method, ServiceNS: ns, Envelope: env, Decoded: decoded, Ctx: ctx}
+	rq.ctx = Context{Operation: method, ServiceNS: ns, Envelope: env, Ctx: ctx}
 	returns, err := h(&rq.ctx, soap.Args(args))
 	abandoned = atomic.LoadUint32(&rq.ctx.abandoned) != 0
 	if err != nil {

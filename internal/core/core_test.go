@@ -343,35 +343,13 @@ func TestProviderServicesSorted(t *testing.T) {
 	}
 }
 
-// countingDecoder stream-decodes any operation's scalar parameters and
-// counts the decodes it hands out against the releases it gets back.
-type countingDecoder struct{ decodes, releases int }
-
-func (d *countingDecoder) DecodeCallStream(op string, r *soap.BodyReader) (interface{}, []soap.Value, bool) {
-	var raw []soap.Value
-	for {
-		var v soap.Value
-		done, ok := r.ReadValueInto(&v)
-		if !ok {
-			return nil, nil, false
-		}
-		if done {
-			break
-		}
-		raw = append(raw, v)
-	}
-	d.decodes++
-	return op, raw, true
-}
-
-func (d *countingDecoder) ReleaseStream(interface{}, []soap.Value) { d.releases++ }
-
-// TestStreamReleaseContract pins the StreamDecoder release contract: one
-// ReleaseStream per successful DecodeCallStream, whether the handler
-// succeeds or fails and whether the request falls back to the tree path
-// (a malformed tail, an operation without a handler), and none once the
-// chain was abandoned, since a runaway handler may still read the decode
-// products.
+// TestStreamReleaseContract pins when Serve recycles the streaming
+// reader's decoded request: once the response is rendered, whether the
+// handler succeeds or fails, and never once the chain was abandoned, since
+// a runaway handler may still read its arguments. Release zeroes the
+// pooled parameters, so the arguments a middleware saw read empty after
+// Serve exactly when the request was recycled. An unknown method never
+// reaches the chain and is answered on the same path.
 func TestStreamReleaseContract(t *testing.T) {
 	request := func(method, msg string) []byte {
 		var b bytes.Buffer
@@ -379,32 +357,29 @@ func TestStreamReleaseContract(t *testing.T) {
 		call.WireEnvelope().AppendTo(&b)
 		return b.Bytes()
 	}
-	// An extra body entry after the call element passes the decoder but
-	// fails Finish; the tree path still answers from the first entry.
-	malformed := bytes.Replace(request("say", "tail"), []byte("</ns0:Body>"), []byte("<extra/></ns0:Body>"), 1)
+	// An extra body entry after the call element is read past: the first
+	// entry is the call, as in ParseCall.
+	tail := bytes.Replace(request("say", "tail"), []byte("</ns0:Body>"), []byte("<extra/></ns0:Body>"), 1)
 	cases := []struct {
 		name     string
 		body     []byte
-		releases int
+		released bool
 		fault    bool
-		fast     bool // the chain ran on the fast path's decode
+		ran      bool // the chain ran
 	}{
-		{"success", request("say", "hi"), 1, false, true},
-		{"handler error", request("say", "fail"), 1, true, true},
-		{"malformed tail", malformed, 1, false, false},
-		{"unknown method", request("nosuch", "hi"), 1, true, false},
-		{"abandoned", request("say", "abandon"), 0, true, true},
+		{"success", request("say", "hi"), true, false, true},
+		{"handler error", request("say", "fail"), true, true, true},
+		{"malformed tail", tail, true, false, true},
+		{"unknown method", request("nosuch", "hi"), true, true, false},
+		{"abandoned", request("say", "abandon"), false, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dec := &countingDecoder{}
-			svc := echoService()
-			svc.Stream = dec
 			p := NewProvider("ssp", "loopback://x")
-			var fast bool
+			var seen soap.Args
 			p.Use(func(next HandlerFunc) HandlerFunc {
 				return func(ctx *Context, args soap.Args) ([]soap.Value, error) {
-					fast = ctx.Decoded != nil
+					seen = args
 					switch args.String("msg") {
 					case "fail":
 						return nil, errors.New("handler failed")
@@ -415,17 +390,19 @@ func TestStreamReleaseContract(t *testing.T) {
 					return next(ctx, args)
 				}
 			})
-			p.MustRegister(svc)
+			p.MustRegister(echoService())
 			var out bytes.Buffer
 			err := p.Serve(context.Background(), tc.body, &out)
 			if (err != nil) != tc.fault {
 				t.Fatalf("err = %v, want fault %v", err, tc.fault)
 			}
-			if fast != tc.fast {
-				t.Errorf("fast path = %v, want %v", fast, tc.fast)
+			if ran := seen != nil; ran != tc.ran {
+				t.Fatalf("chain ran = %v, want %v", ran, tc.ran)
 			}
-			if dec.decodes != 1 || dec.releases != tc.releases {
-				t.Errorf("decodes = %d, releases = %d; want 1 and %d", dec.decodes, dec.releases, tc.releases)
+			if tc.ran {
+				if released := seen[0].Name == ""; released != tc.released {
+					t.Errorf("arguments released = %v, want %v", released, tc.released)
+				}
 			}
 		})
 	}

@@ -140,9 +140,8 @@ var (
 
 // cacheFuzzRequest turns one sequence byte into a request. Bits 0-2 pick
 // the operation (find, a faulting find, get, getKeys, save, delete, and a
-// get and a find carrying a header entry, which the streaming decoder
-// declines, so they take the tree path); bits 3-4 pick the key; bits 5-6
-// the saved value.
+// get and a find carrying a header entry, which the decoder carves into
+// an arena); bits 3-4 pick the key; bits 5-6 the saved value.
 func cacheFuzzRequest(b byte) []byte {
 	key := cacheFuzzKeys[b>>3&3]
 	call := &soap.Call{ServiceNS: "urn:test:cachereg"}

@@ -63,35 +63,32 @@
 // and register it on a mounted provider — discovery (WSDL, WSIL, UDDI
 // publication) and operations concerns are inherited from the kernel.
 //
-// # Request decoding — the streaming fast path
+// # Request decoding — one streaming decoder
 //
-// Build compiles, besides the tree-path codecs, a per-Op streaming codec
-// for every operation whose In table is within the streaming subset
-// (string, int, boolean, and strings parameters; an xml-typed parameter
-// makes the operation tree-only). The compiled codecs implement
-// core.StreamDecoder and are installed as Service.Stream, so
 // core.Provider.Serve — the one entry point HTTP and in-process requests
-// share — offers every request body to them first: a soap.BodyReader
-// walks the envelope tokens and the codec decodes each parameter straight
-// into its typed Args slot — no element tree, no arena.
+// share — decodes every request with soap.BodyReader, a one-pass walk
+// over the pooled xmlutil.Cursor. It reads the first Body entry's
+// parameters straight off the wire tokens into pooled soap.Values,
+// carries the first Header's entries as element subtrees for middleware
+// (the SAML assertion RequireAssertion checks), and builds a tree only
+// where a caller navigates one: a parameter outside the flat scalar/array
+// shape (a literal-XML payload, an untyped item array, a typed element
+// with children) is carved into a pooled arena and read by
+// soap.ParseValue. The kernel handler then types the raw values once
+// against the Op's In table, validating scalars through databind, and
+// hands the typed Args to the implementation. Nothing is configured per
+// service: every Def decodes the same way.
 //
-// The fallback contract: the streaming path may reject a request at any
-// depth — a Header entry, a literal-XML parameter, a soapenc:Array
-// nested inside another, a fault body, an unknown operation, malformed
-// bytes — and rejection is always transparent. The request re-runs
-// through the pooled tree parse and the tree codecs, which remain the
-// semantic authority (exact fault texts included). Handlers cannot tell
-// the paths apart: both end in the provider's one invoke step, which
-// delivers the same typed Args and the same core.Context (the fast path
-// sets Context.Decoded and hands an empty, headerless request envelope;
-// request-scoped values ride Context.Ctx) and encodes responses
-// identically. The codecs' pooled decode scratch goes back through
-// StreamDecoder.ReleaseStream once per successful decode, unless the
-// chain was abandoned. Equivalence is enforced differentially by
-// FuzzStreamVsTreeDispatch, which requires byte-identical HTTP responses
-// from a fast-path server and a tree-only server (Service.Stream = nil)
-// for arbitrary bodies; the fast-path/tree-path split is observable at
-// /healthz under "decode".
+// The decoder accepts exactly what the tree parser accepts and faults as
+// the tree dispatch did: a syntax error anywhere in the body wins over
+// the structural, unknown-service, no-such-method and BadRequest faults.
+// The tree dispatch survives as a test oracle (TreeOracle, in the package
+// tests): FuzzStreamVsTreeDispatch requires byte-identical HTTP responses
+// from it and from Serve for arbitrary bodies, and the golden suite runs
+// every service through both. The decoded request — pooled values,
+// header entries, arena — is recycled once the response is rendered,
+// unless the chain was abandoned, and /healthz counts the decoded
+// requests under "decode".
 //
 // # Resilience
 //

@@ -2,9 +2,9 @@ package rpc_test
 
 // Golden wire-format conformance suite: one representative request and
 // response per portal service, round-tripped over HTTP, over the
-// production loopback (Provider.Loopback), and over a loopback whose
-// service has no StreamDecoder (tree path only), with the exact wire bytes
-// diffed against checked-in golden files under testdata/golden/. Together with FuzzWriterVsRender
+// production loopback (Provider.Loopback), and over a loopback through the
+// tree dispatch oracle (TreeOracle), with the exact wire bytes diffed
+// against checked-in golden files under testdata/golden/. Together with FuzzWriterVsRender
 // (which pins the streaming Writer to the tree renderer) this guarantees
 // that future encoder work can never silently change what the eight
 // interoperable services put on the wire — the paper's whole premise is
@@ -216,17 +216,11 @@ func resilienceGoldenDef() *rpc.Def {
 }
 
 // goldenProvider hosts one fresh service fixture on a provider with fixed
-// identity, so faults and WSDL addresses are reproducible. With stream
-// false the service's StreamDecoder is cleared, so every request takes
-// the tree path — the reference the streaming fast path must match.
-func goldenProvider(t *testing.T, tc goldenCase, stream bool) *core.Provider {
+// identity, so faults and WSDL addresses are reproducible.
+func goldenProvider(t *testing.T, tc goldenCase) *core.Provider {
 	t.Helper()
 	p := core.NewProvider("golden-ssp", "http://golden.example")
-	svc := tc.build(t)
-	if !stream {
-		svc.Stream = nil
-	}
-	p.MustRegister(svc)
+	p.MustRegister(tc.build(t))
 	return p
 }
 
@@ -272,21 +266,22 @@ func TestGoldenWireFormat(t *testing.T) {
 
 			action := tc.call.ServiceNS + "#" + tc.call.Method
 
-			// In-process transports, fixtures #1 (production wiring, fast
-			// path first) and #2 (tree path only).
-			loop := func(p *core.Provider) []byte {
+			// In-process transports, fixtures #1 (production wiring) and #2
+			// (the tree dispatch oracle).
+			loop := func(serve soap.ServeFunc) []byte {
 				var out bytes.Buffer
-				if err := p.Loopback().RoundTripRawCtx(context.Background(), "http://golden.example/svc", action, tc.call.WireEnvelope(), &out); err != nil {
+				lb := &soap.LoopbackTransport{Serve: serve}
+				if err := lb.RoundTripRawCtx(context.Background(), "http://golden.example/svc", action, tc.call.WireEnvelope(), &out); err != nil {
 					t.Fatalf("loopback round trip: %v", err)
 				}
 				return out.Bytes()
 			}
-			fastResp := loop(goldenProvider(t, tc, true))
-			treeResp := loop(goldenProvider(t, tc, false))
+			fastResp := loop(goldenProvider(t, tc).Serve)
+			treeResp := loop(rpc.NewTreeOracle(goldenProvider(t, tc)).Serve)
 
 			// HTTP transport, fixture #3 (a fresh, independent instance:
 			// matching bytes also prove the fixture is deterministic).
-			srv := httptest.NewServer(goldenProvider(t, tc, true))
+			srv := httptest.NewServer(goldenProvider(t, tc))
 			defer srv.Close()
 			httpReq, err := http.NewRequest(http.MethodPost, srv.URL+"/svc", bytes.NewReader(reqStream.Bytes()))
 			if err != nil {
@@ -309,7 +304,7 @@ func TestGoldenWireFormat(t *testing.T) {
 					fastResp, httpBody)
 			}
 			if !bytes.Equal(treeResp, httpBody) {
-				t.Fatalf("tree path and fast path disagree on the wire\ntree: %s\nhttp: %s",
+				t.Fatalf("tree dispatch and streaming reader disagree on the wire\ntree: %s\nhttp: %s",
 					treeResp, httpBody)
 			}
 			checkGolden(t, goldenPath(tc.name, "resp"), httpBody)

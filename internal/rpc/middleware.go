@@ -124,17 +124,13 @@ type OpStats struct {
 	MaxNS   int64 `json:"maxNs"`
 }
 
-// DecodeStats counts which decode path served the requests flowing
-// through one Stats collector: the streaming fast path (envelope tokens
-// straight into typed args) or the pooled tree path it falls back to. A
-// fast-path regression — a contract change or middleware that silently
-// forces every request onto the tree path — shows up here instead of only
-// as a latency drift.
+// DecodeStats counts the requests the streaming reader decoded for the
+// chains one Stats collector records. It is the only request decoder, so
+// TreePath, kept for readers of the /healthz shape, is always 0.
 type DecodeStats struct {
-	// FastPath counts requests decoded by the streaming fast path.
+	// FastPath counts requests decoded by the streaming reader.
 	FastPath uint64 `json:"fastPath"`
-	// TreePath counts requests that went through the pooled tree decode,
-	// whether dispatched that way or fallen back from the fast path.
+	// TreePath is always 0: no request is decoded through a tree.
 	TreePath uint64 `json:"treePath"`
 }
 
@@ -166,10 +162,9 @@ func (c *opCounters) snapshot() OpStats {
 // per-operation accumulators live in a sync.Map (populated once per
 // operation, read thereafter) and all counters are atomics.
 type Stats struct {
-	start time.Time
-	ops   sync.Map // "ns#op" -> *opCounters
-	decodeFast,
-	decodeTree atomic.Uint64
+	start   time.Time
+	ops     sync.Map // "ns#op" -> *opCounters
+	decoded atomic.Uint64
 
 	// inFlight gauges requests currently inside the middleware chain;
 	// graceful drain waits on it reaching zero via WaitIdle.
@@ -310,10 +305,8 @@ func (s *Stats) Middleware() core.Middleware {
 			s.inFlight.Add(1)
 			vals, err := next(ctx, args)
 			s.exit()
-			// ctx.Decoded is only ever set by the streaming fast path
-			// of Provider.Serve, so its presence identifies the
-			// decode path that produced this request.
-			s.record(ctx.ServiceNS+"#"+ctx.Operation, time.Since(start), err, ctx.Decoded != nil)
+			s.recordOutcome(ctx.ServiceNS+"#"+ctx.Operation, time.Since(start), err)
+			s.decoded.Add(1)
 			return vals, err
 		}
 	}
@@ -326,15 +319,6 @@ func (s *Stats) Middleware() core.Middleware {
 // counters (a relayed request is never decoded here).
 func (s *Stats) Record(key string, d time.Duration, err error) {
 	s.recordOutcome(key, d, err)
-}
-
-func (s *Stats) record(key string, d time.Duration, err error, fastPath bool) {
-	s.recordOutcome(key, d, err)
-	if fastPath {
-		s.decodeFast.Add(1)
-	} else {
-		s.decodeTree.Add(1)
-	}
 }
 
 func (s *Stats) recordOutcome(key string, d time.Duration, err error) {
@@ -383,9 +367,9 @@ func (s *Stats) Snapshot() map[string]OpStats {
 	return out
 }
 
-// DecodeSnapshot returns the decode-path counters.
+// DecodeSnapshot returns the decode counters.
 func (s *Stats) DecodeSnapshot() DecodeStats {
-	return DecodeStats{FastPath: s.decodeFast.Load(), TreePath: s.decodeTree.Load()}
+	return DecodeStats{FastPath: s.decoded.Load()}
 }
 
 // InFlight reports how many requests are currently inside the middleware
@@ -494,10 +478,9 @@ func (s *Stats) Flush(l *log.Logger) {
 		errs += c.errors.Load()
 		return true
 	})
-	d := s.DecodeSnapshot()
-	l.Printf("rpc stats flush: requests=%d errors=%d timeouts=%d shed=%d drained=%d decodeFast=%d decodeTree=%d uptime=%s",
+	l.Printf("rpc stats flush: requests=%d errors=%d timeouts=%d shed=%d drained=%d decoded=%d uptime=%s",
 		count, errs, s.timeouts.Load(), s.shed.Load(), s.drained.Load(),
-		d.FastPath, d.TreePath, time.Since(s.start).Round(time.Millisecond))
+		s.decoded.Load(), time.Since(s.start).Round(time.Millisecond))
 }
 
 // ServeHTTP serves the health document: status, uptime, and per-operation

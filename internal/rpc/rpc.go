@@ -68,27 +68,21 @@ func (d *Def) Interface() *wsdl.Interface {
 }
 
 // Build compiles the descriptor into a deployable core.Service: the
-// contract is derived from the table, every operation gets a kernel
-// handler that decodes arguments, invokes the typed implementation, and
-// encodes the returns, and each operation's parameter table is compiled
-// into a codec (the ParamDecoder seam) so requests can be decoded straight
-// from the streaming token reader on the fast path.
+// contract is derived from the table, and every operation gets a kernel
+// handler that types its arguments per the In table, invokes the typed
+// implementation, and encodes the returns.
 func (d *Def) Build() (*core.Service, error) {
 	svc := core.NewService(d.Interface())
 	if d.Path != "" {
 		svc.Path = d.Path
 	}
-	codecs := &streamCodecs{byOp: make(map[string]*opCodec, len(d.Ops))}
 	for i := range d.Ops {
 		op := d.Ops[i]
 		if op.Handle == nil {
 			return nil, fmt.Errorf("rpc: %s.%s has no handler", d.Name, op.Name)
 		}
-		c := compileCodec(d.Name, op)
-		codecs.byOp[op.Name] = c
-		svc.Handle(op.Name, kernelHandler(c, op))
+		svc.Handle(op.Name, kernelHandler(&opCodec{service: d.Name, params: op.In}, op))
 	}
-	svc.Stream = codecs
 	return svc, nil
 }
 
@@ -101,25 +95,18 @@ func (d *Def) MustBuild() *core.Service {
 	return svc
 }
 
-// kernelHandler adapts one typed operation into the core handler shape.
-// Arguments normally decode from the raw tree-parsed values; when the
-// request came in through the streaming fast path the provider has already
-// run the codec over the wire tokens and the typed Args ride in on
-// ctx.Decoded, so the tree decode is skipped entirely.
+// kernelHandler adapts one typed operation into the core handler shape:
+// it types the raw wire values once, runs the operation, and encodes its
+// returns.
 func kernelHandler(c *opCodec, op Op) core.HandlerFunc {
 	return func(ctx *core.Context, raw soap.Args) ([]soap.Value, error) {
-		in, ok := ctx.Decoded.(Args)
-		if !ok || in.op != c {
-			var err error
-			in, err = c.decodeTree(raw)
-			if err != nil {
-				return nil, err
-			}
-			// The kernel created this scratch, so the kernel recycles it;
-			// fast-path Args are released by the provider (ReleaseStream)
-			// after the whole dispatch. Handlers must not retain in.
-			defer in.scratch.release()
+		in, err := c.decode(raw)
+		if err != nil {
+			return nil, err
 		}
+		// Handlers must not retain in: its scratch goes back to the pool
+		// when the operation returns.
+		defer in.scratch.release()
 		outs, err := op.Handle(ctx, in)
 		if err != nil {
 			return nil, err
@@ -128,27 +115,11 @@ func kernelHandler(c *opCodec, op Op) core.HandlerFunc {
 	}
 }
 
-// opCodec is one operation's compiled parameter codec — the ParamDecoder
-// seam. Build derives it from the Op's wsdl.Param table once, and both
-// decode paths (streaming tokens and raw tree values) run through it, so
-// their validation semantics cannot drift.
+// opCodec is one operation's parameter codec, built from the Op's
+// wsdl.Param table once.
 type opCodec struct {
 	service string
 	params  []wsdl.Param
-	// streamable is false when any declared In parameter is xml-typed:
-	// literal XML payloads need the element tree, so the whole operation
-	// always takes the tree path.
-	streamable bool
-}
-
-func compileCodec(service string, op Op) *opCodec {
-	c := &opCodec{service: service, params: op.In, streamable: true}
-	for _, p := range op.In {
-		if p.Type == "xml" {
-			c.streamable = false
-		}
-	}
-	return c
 }
 
 // index returns the declared position of a parameter name, or -1.
@@ -166,9 +137,6 @@ func (c *opCodec) index(name string) int {
 // unconditionally and absent or differently-typed parameters fall out as
 // zero values, exactly as the old map-of-interface representation did.
 type argSlot struct {
-	// seen marks that a wire value already claimed this slot: the first
-	// occurrence of a name wins, matching soap.Args.Get.
-	seen bool
 	str  string
 	num  int
 	fl   float64
@@ -178,21 +146,14 @@ type argSlot struct {
 }
 
 // decodeScratch is the pooled per-request decode state: the typed slots
-// both decode paths fill and the raw wire-value slice the streaming path
-// decodes into. Pooling it removes the two per-request slice allocations
-// that parallel load multiplies into GC pressure. The existing
-// handler-retention contract covers it: handlers and middleware must not
-// retain request arguments past their return, so once the dispatch is
-// over the scratch can be zeroed and recycled.
+// the codec fills. Pooling it removes a per-request slice allocation that
+// parallel load multiplies into GC pressure. The handler-retention
+// contract covers it: handlers must not retain request arguments past
+// their return, so once the operation is over the scratch can be zeroed
+// and recycled.
 type decodeScratch struct {
 	slots []argSlot
-	raw   []soap.Value
 }
-
-// maxPooledRawVals bounds the raw capacity a pooled scratch may retain, so
-// one request with an absurd parameter list cannot pin that memory in the
-// pool forever.
-const maxPooledRawVals = 128
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(decodeScratch) }}
 
@@ -202,29 +163,13 @@ func acquireScratch(nparams int) *decodeScratch {
 		sc.slots = make([]argSlot, nparams)
 	}
 	sc.slots = sc.slots[:nparams]
-	if sc.raw == nil {
-		// One spare slot beyond the declared arity: the end-of-entry probe
-		// decodes into a slot before discovering it is the end tag, and the
-		// spare keeps that probe from growing the slice on exact-arity calls.
-		sc.raw = make([]soap.Value, 0, nparams+1)
-	}
-	sc.raw = sc.raw[:0]
 	return sc
 }
 
-// release zeroes every slot and raw value the request decoded into — so
-// the pool never pins request data — and recycles the scratch.
+// release zeroes every slot the request decoded into — so the pool never
+// pins request data — and recycles the scratch.
 func (sc *decodeScratch) release() {
-	for i := range sc.slots {
-		sc.slots[i] = argSlot{}
-	}
-	raw := sc.raw[:cap(sc.raw)]
-	for i := range raw {
-		raw[i] = soap.Value{}
-	}
-	if cap(sc.raw) > maxPooledRawVals {
-		sc.raw = nil
-	}
+	clear(sc.slots)
 	scratchPool.Put(sc)
 }
 
@@ -234,9 +179,8 @@ func (sc *decodeScratch) release() {
 type Args struct {
 	op    *opCodec
 	slots []argSlot
-	// scratch, when non-nil, is the pooled backing store of slots (and on
-	// the streaming path the raw values too); whoever created the Args
-	// releases it after the dispatch completes.
+	// scratch, when non-nil, is the pooled backing store of slots, which
+	// the kernel handler releases once the operation returns.
 	scratch *decodeScratch
 }
 
@@ -298,12 +242,13 @@ func (a Args) XML(name string) *xmlutil.Element {
 	return nil
 }
 
-// decodeTree turns raw tree-parsed wire parameters into typed values,
-// validating each present scalar against its declared XSD type through
-// databind. A malformed value is a caller error and surfaces as a
-// BadRequest portal error; an absent parameter decodes to the zero value,
-// matching the tolerant behaviour of the paper's Python services.
-func (c *opCodec) decodeTree(raw soap.Args) (Args, error) {
+// decode turns the raw wire parameters into typed values, validating
+// each present scalar against its declared XSD type through databind; the
+// first wire occurrence of a name wins, as soap.Args.Get reads it. A
+// malformed value is a caller error and surfaces as a BadRequest portal
+// error; an absent parameter decodes to the zero value, matching the
+// tolerant behaviour of the paper's Python services.
+func (c *opCodec) decode(raw soap.Args) (Args, error) {
 	sc := acquireScratch(len(c.params))
 	slots := sc.slots
 	for i, p := range c.params {
@@ -320,62 +265,8 @@ func (c *opCodec) decodeTree(raw soap.Args) (Args, error) {
 	return Args{op: c, slots: slots, scratch: sc}, nil
 }
 
-// decodeStream runs the codec over the streaming token reader, producing
-// both the typed Args and the raw wire values the middleware chain sees
-// (identical to what the tree path's ParseCall would produce, so caching
-// and stats middleware behave the same on both paths). ok=false — a wire
-// shape outside the streaming subset or a value failing validation —
-// means the caller must fall back; the tree path then reproduces the
-// exact historic fault.
-func (c *opCodec) decodeStream(r *soap.BodyReader) (Args, []soap.Value, bool) {
-	if !c.streamable {
-		return Args{}, nil, false
-	}
-	sc := acquireScratch(len(c.params))
-	slots := sc.slots
-	raw := sc.raw
-	fail := func() (Args, []soap.Value, bool) {
-		sc.raw = raw
-		sc.release()
-		return Args{}, nil, false
-	}
-	for {
-		// Decode into the raw slice in place: the Value never travels
-		// through a return-and-append copy chain.
-		if len(raw) == cap(raw) {
-			raw = append(raw, soap.Value{})
-		} else {
-			raw = raw[:len(raw)+1]
-		}
-		v := &raw[len(raw)-1]
-		done, ok := r.ReadValueInto(v)
-		if !ok {
-			return fail()
-		}
-		if done {
-			raw = raw[:len(raw)-1]
-			break
-		}
-		idx := c.index(v.Name)
-		if idx < 0 {
-			continue // undeclared parameters are carried raw but not typed
-		}
-		s := &slots[idx]
-		if s.seen {
-			continue // first wire occurrence wins, as soap.Args.Get does
-		}
-		if err := decodeParam(c.params[idx].Type, v, s); err != nil {
-			return fail()
-		}
-	}
-	sc.raw = raw
-	return Args{op: c, slots: slots, scratch: sc}, raw, true
-}
-
 // decodeParam decodes one wire value into its slot per the declared type.
-// Both decode paths funnel through here.
 func decodeParam(declaredType string, v *soap.Value, s *argSlot) error {
-	s.seen = true
 	switch declaredType {
 	case "int", "boolean", "double":
 		text := strings.TrimSpace(v.Text)
@@ -407,33 +298,6 @@ func decodeParam(declaredType string, v *soap.Value, s *argSlot) error {
 		s.str = v.Text
 	}
 	return nil
-}
-
-// streamCodecs implements core.StreamDecoder over one service's compiled
-// operation codecs.
-type streamCodecs struct {
-	byOp map[string]*opCodec
-}
-
-func (sc *streamCodecs) DecodeCallStream(op string, r *soap.BodyReader) (interface{}, []soap.Value, bool) {
-	c := sc.byOp[op]
-	if c == nil {
-		return nil, nil, false
-	}
-	in, raw, ok := c.decodeStream(r)
-	if !ok {
-		return nil, nil, false
-	}
-	return in, raw, true
-}
-
-// ReleaseStream hands back the decode products once the dispatch is over
-// (or the request fell back to the tree path), recycling the pooled
-// scratch behind them.
-func (sc *streamCodecs) ReleaseStream(decoded interface{}, _ []soap.Value) {
-	if in, ok := decoded.(Args); ok && in.scratch != nil {
-		in.scratch.release()
-	}
 }
 
 // encodeReturns binds the handler's ordered return values to the declared

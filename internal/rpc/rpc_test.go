@@ -249,10 +249,10 @@ func TestStatsAndHealthz(t *testing.T) {
 	if op := snap["urn:test:typedecho#boom"]; op.Count != 1 || op.Errors != 1 {
 		t.Errorf("boom stats = %+v", op)
 	}
-	// describe carries an xml-typed parameter, so it is tree-only; boom
-	// has no parameters and decodes on the streaming fast path.
-	if dec := srv.Stats().DecodeSnapshot(); dec.FastPath != 1 || dec.TreePath != 1 {
-		t.Errorf("decode split = %+v, want FastPath:1 TreePath:1", dec)
+	// The streaming reader decodes both, describe's xml-typed parameter
+	// included; no request is decoded through a tree.
+	if dec := srv.Stats().DecodeSnapshot(); dec.FastPath != 2 || dec.TreePath != 0 {
+		t.Errorf("decode counts = %+v, want FastPath:2 TreePath:0", dec)
 	}
 
 	resp, err := hs.Client().Get(hs.URL + "/healthz")
@@ -277,8 +277,8 @@ func TestStatsAndHealthz(t *testing.T) {
 	if doc.Status != "ok" || len(doc.Operations) != 2 {
 		t.Errorf("healthz = %+v", doc)
 	}
-	if doc.Decode.FastPath != 1 || doc.Decode.TreePath != 1 {
-		t.Errorf("healthz decode = %+v, want fastPath:1 treePath:1", doc.Decode)
+	if doc.Decode.FastPath != 2 || doc.Decode.TreePath != 0 {
+		t.Errorf("healthz decode = %+v, want fastPath:2 treePath:0", doc.Decode)
 	}
 }
 

@@ -232,11 +232,8 @@ func ParseEnvelopeBytesPooled(data []byte) (*Envelope, *xmlutil.Doc, error) {
 }
 
 func envelopeFromRoot(root *xmlutil.Element) (*Envelope, error) {
-	if root.Name != "Envelope" {
-		return nil, fmt.Errorf("soap: root element %q is not Envelope", root.Name)
-	}
-	if root.Space != EnvelopeNS {
-		return nil, &Fault{Code: FaultVersionMismatch, String: fmt.Sprintf("soap: unsupported envelope namespace %q", root.Space)}
+	if err := rootError(root.Space, root.Name); err != nil {
+		return nil, err
 	}
 	env := NewEnvelope()
 	if hdr := root.ChildNS(EnvelopeNS, "Header"); hdr != nil {
@@ -244,11 +241,28 @@ func envelopeFromRoot(root *xmlutil.Element) (*Envelope, error) {
 	}
 	body := root.ChildNS(EnvelopeNS, "Body")
 	if body == nil {
-		return nil, errors.New("soap: envelope has no Body")
+		return nil, errNoBody
 	}
 	env.Body = body.Children
 	return env, nil
 }
+
+// rootError is the fault of a document whose root is not a SOAP 1.1
+// Envelope, or nil.
+func rootError(space, name string) error {
+	if name != "Envelope" {
+		return fmt.Errorf("soap: root element %q is not Envelope", name)
+	}
+	if space != EnvelopeNS {
+		return &Fault{Code: FaultVersionMismatch, String: fmt.Sprintf("soap: unsupported envelope namespace %q", space)}
+	}
+	return nil
+}
+
+var errNoBody = errors.New("soap: envelope has no Body")
+
+// emptyBodyFault is the fault of a request whose Body has no entry.
+func emptyBodyFault() error { return &Fault{Code: FaultClient, String: "empty request body"} }
 
 // Fault is a SOAP 1.1 Fault. It doubles as a Go error so transport and
 // dispatch layers can return it directly.
@@ -579,7 +593,7 @@ func (c *Call) streamBody(w *xmlutil.Writer) {
 // ParseCall extracts the RPC call from a request envelope.
 func ParseCall(env *Envelope) (*Call, error) {
 	if len(env.Body) == 0 {
-		return nil, &Fault{Code: FaultClient, String: "empty request body"}
+		return nil, emptyBodyFault()
 	}
 	op := env.Body[0]
 	c := &Call{ServiceNS: op.Space, Method: op.Name}

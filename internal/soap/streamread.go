@@ -1,60 +1,106 @@
-// streamread.go is the decode half of the streaming hot path: a reader
-// that walks envelope tokens straight off the wire bytes — Envelope, Body,
-// the operation element, and each RPC parameter — without constructing an
-// element tree, feeding per-operation codecs (rpc kernel) on the server
-// and the pooled client's response parse.
+// streamread.go is the decode half of the streaming wire path. BodyReader
+// reads a serialised envelope in one pass over an xmlutil.Cursor: it is
+// the server's only request decoder, and the client's response parse and
+// the gateway's routing sniff run the same walk.
 //
-// The reader is deliberately narrower than the tree parser. It handles
-// exactly the shapes the portal dialects put on the wire: a headerless
-// envelope whose first Body entry is the operation element, parameters
-// that are typed scalars or flat arrays of scalar items. Anything else —
-// Header entries middleware may inspect, literal-XML parameters, Fault
-// bodies, comments/CDATA, foreign envelope layouts, or malformed input —
-// makes it report "not handled", and the caller re-runs the request
-// through the pooled tree path, which stays the semantic authority
-// (including exact fault texts). For everything the reader does handle it
-// must produce byte-identical Values to ParseValue over the parsed tree;
-// FuzzStreamVsTreeDispatch in the rpc package enforces that differentially.
+// The walk carries the first Header's entries wherever that Header sits,
+// skips foreign Envelope children, and reads the first Body entry's
+// parameters straight off the tokens into pooled Values. Only what a
+// caller navigates as a tree is built as one: header entries (a SAML
+// assertion) and any parameter outside the flat scalar/array shape are
+// carved into a pooled arena, the parameters then read by ParseValue
+// itself, so value semantics live in one place. Everything the walk does
+// not read it still lexes, so it accepts exactly the documents the tree
+// parser accepts and faults the way ParseEnvelopeBytes and ParseCall
+// together do. FuzzStreamVsTreeDispatch in the rpc package holds it to the
+// tree dispatch it replaced.
 package soap
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 
 	"repro/internal/xmlutil"
 )
 
-// BodyReader streams the primary body entry of a serialised envelope. The
-// usage protocol is Begin, then ReadValueInto until done, then Finish; any
-// step reporting !ok means the document is outside the streaming subset
-// and the caller must fall back to the tree path. Release must always be
-// called, exactly once.
+// BodyReader decodes one serialised envelope. Acquire it, Decode once,
+// read Params and Envelope, and Release it exactly once when nothing reads
+// them any more.
 type BodyReader struct {
 	cur *xmlutil.Cursor
+	// arena holds the carved subtrees; acquired on the first carve.
+	arena  *xmlutil.Doc
+	env    Envelope
+	params []Value
+	mode   readMode
+	// text joins the runs of a scalar split by comments or CDATA.
+	text []byte
 }
+
+// readMode is how far a walk goes and what it builds.
+type readMode uint8
+
+const (
+	// readAll is the server's decode: everything, carving what is not flat.
+	readAll readMode = iota
+	// readFlat fails with errNotFlat where readAll would carve: the
+	// client's response parse, whose tree fallback handles those answers.
+	readFlat
+	// readSniff stops at the first Body entry's start tag.
+	readSniff
+)
+
+var errNotFlat = errors.New("soap: envelope needs an element tree")
+
+// maxPooledParams bounds the parameter capacity a pooled reader may keep,
+// so one request with an absurd parameter list cannot pin that memory.
+const maxPooledParams = 128
+
+// maxPooledText bounds the text-joining buffer a pooled reader may keep.
+const maxPooledText = 64 << 10
 
 var bodyReaderPool = sync.Pool{New: func() interface{} { return new(BodyReader) }}
 
-// AcquireBodyReader returns a pooled reader over the serialised envelope
-// bytes. The reader aliases data until Release; strings it returns do not.
-func AcquireBodyReader(data []byte) *BodyReader {
-	r := bodyReaderPool.Get().(*BodyReader)
-	r.cur = xmlutil.AcquireCursor(data)
-	return r
+// AcquireBodyReader returns a pooled reader.
+func AcquireBodyReader() *BodyReader {
+	return bodyReaderPool.Get().(*BodyReader)
 }
 
-// Release recycles the reader and its cursor.
+// Release zeroes the decoded request, so the pool pins none of it,
+// recycles the carve arena, and returns the reader to the pool. No Value,
+// header entry or element from the reader may be used afterwards.
 func (r *BodyReader) Release() {
-	r.cur.Release()
-	r.cur = nil
+	clear(r.params)
+	r.params = r.params[:0]
+	if cap(r.params) > maxPooledParams {
+		r.params = nil
+	}
+	r.env = Envelope{}
+	if cap(r.text) > maxPooledText {
+		r.text = nil
+	}
+	if r.arena != nil {
+		r.arena.Release()
+		r.arena = nil
+	}
+	r.mode = readAll
 	bodyReaderPool.Put(r)
 }
+
+// Params returns the parameters of the decoded body entry, in wire order.
+func (r *BodyReader) Params() []Value { return r.params }
+
+// Envelope returns the decoded request envelope, which carries the first
+// Header's entries only: the body entry is read out as Params.
+func (r *BodyReader) Envelope() *Envelope { return &r.env }
 
 // envelopePrologue is the byte-exact envelope opening our own encoder
 // emits for every headerless message (Envelope.AppendTo assigns ns0 to the
 // envelope namespace first). Messages from this portal's own clients —
 // the overwhelmingly common case in portal-to-portal composition — match
-// it with one memcmp, letting Begin skip tokenising the opening tags.
+// it with one memcmp, letting the walk skip tokenising the opening tags.
 // Foreign peers that serialise differently just take the general scan.
 var envelopePrologue = xmlutil.PrologueSeed{
 	Text:     []byte(xmlDecl + `<ns0:Envelope xmlns:ns0="` + EnvelopeNS + `"><ns0:Body>`),
@@ -63,278 +109,205 @@ var envelopePrologue = xmlutil.PrologueSeed{
 	Open:     [][]byte{[]byte("ns0:Envelope"), []byte("ns0:Body")},
 }
 
-// Begin matches the envelope prolog — Envelope, then Body as its first
-// child element, then the first body entry — and returns that entry's
-// resolved namespace and local name, leaving the reader positioned on its
-// content. Headers, foreign roots, and empty bodies all report !ok.
-func (r *BodyReader) Begin() (space, name string, ok bool) {
-	if r.cur.SkipPrologue(&envelopePrologue) {
-		if !r.nextElem(2) {
-			return "", "", false
-		}
-		return r.cur.Space(), r.cur.Name(), true
+// Decode reads the serialised envelope in data and returns the namespace
+// and local name of its first Body entry, whose parameters Params then
+// holds. Its errors are the tree path's: a syntax error anywhere in data
+// comes first, then the structural faults of ParseEnvelopeBytes (root
+// element, envelope namespace, missing Body) and ParseCall's empty body.
+// The reader does not alias data once Decode returns.
+func (r *BodyReader) Decode(data []byte) (space, name string, err error) {
+	c := xmlutil.AcquireCursor(data)
+	r.cur = c
+	defer func() {
+		r.cur = nil
+		c.Release()
+	}()
+	var rootSpace, rootName string
+	var envelope, inBody, sawBody, sawHeader, sawEntry bool
+	if c.SkipPrologue(&envelopePrologue) {
+		rootSpace, rootName = EnvelopeNS, "Envelope"
+		envelope, inBody, sawBody = true, true, true
 	}
-	// Prolog: whitespace, the XML declaration (skipped inside the cursor),
-	// and stray character data outside the root, which the tree parser
-	// validates and discards.
-	if !r.nextElem(0) {
-		return "", "", false
-	}
-	if r.cur.Space() != EnvelopeNS || r.cur.Name() != "Envelope" {
-		return "", "", false
-	}
-	// First child element must be Body: a Header (or any foreign entry)
-	// routes to the tree path, which middleware-visible headers require.
-	if !r.nextElem(1) {
-		return "", "", false
-	}
-	if r.cur.Space() != EnvelopeNS || r.cur.Name() != "Body" {
-		return "", "", false
-	}
-	// The primary body entry (operation element on requests, wrapper
-	// element on responses). An empty Body is the tree path's fault.
-	if !r.nextElem(2) {
-		return "", "", false
-	}
-	return r.cur.Space(), r.cur.Name(), true
-}
-
-// nextElem advances to the next element start at the given depth,
-// discarding character data exactly as the tree path does for container
-// elements (ParseCall and envelopeFromRoot never read it). Anything else
-// — the container closing, EOF, an error — reports false.
-func (r *BodyReader) nextElem(depth int) bool {
 	for {
-		tok, err := r.cur.Next()
+		tok, err := c.Next()
 		if err != nil {
-			return false
-		}
-		switch tok {
-		case xmlutil.TokStart:
-			return r.cur.Depth() == depth+1
-		case xmlutil.TokText:
-			// Validated and ignored: text in Envelope/Body/outside the
-			// root never reaches tree-path consumers either.
-			continue
-		default:
-			return false
-		}
-	}
-}
-
-// ReadValueInto reads the next parameter element of the primary body
-// entry into *v, reproducing ParseValue's result for the streaming subset:
-// typed scalars, soapenc:Array containers of scalar items, and untyped
-// text values. done reports the entry's end tag; !ok means fall back
-// (literal-XML payloads, nested arrays, mixed content, malformed input).
-// Filling in place lets the rpc codecs decode straight into their
-// pre-sized raw slice. On done or !ok, *v is meaningless.
-func (r *BodyReader) ReadValueInto(v *Value) (done, ok bool) {
-	cur := r.cur
-	for {
-		tok, err := cur.Next()
-		if err != nil {
-			return false, false
-		}
-		switch tok {
-		case xmlutil.TokEnd:
-			return true, true
-		case xmlutil.TokText:
-			// Text between parameters lands in the operation element's
-			// Text field on the tree path and is never read; discard.
-			continue
-		case xmlutil.TokStart:
-			return r.readParam(v)
-		default:
-			return false, false
-		}
-	}
-}
-
-// readParam consumes one parameter element (the cursor is on its start
-// tag) and fills its Value.
-func (r *BodyReader) readParam(v *Value) (done, ok bool) {
-	cur := r.cur
-	v.Name = cur.Name()
-	typeAttr, _ := cur.Attr("type")
-	if typeAttr == "soapenc:Array" {
-		v.Type = "Array"
-		items, ok := r.readItems()
-		if !ok {
-			return false, false
-		}
-		v.Items = items
-		v.Text = ""
-		return false, true
-	}
-	// Scalar: at most one text token, then the end tag. A child element
-	// here is either a literal-XML payload (untyped) or a shape ParseValue
-	// would flatten oddly (typed with children) — tree path either way.
-	text, ok := r.readScalarContent()
-	if !ok {
-		return false, false
-	}
-	v.Type = strings.TrimPrefix(typeAttr, "xsd:")
-	if v.Type == "" {
-		v.Type = "string"
-	}
-	v.Text = text
-	v.Items = nil
-	return false, true
-}
-
-// readScalarContent consumes the content of a scalar element up to its end
-// tag. Leaf text is preserved verbatim (no trimming), matching the tree
-// parser's leaf-text rule.
-func (r *BodyReader) readScalarContent() (string, bool) {
-	cur := r.cur
-	text := ""
-	sawText := false
-	for {
-		tok, err := cur.Next()
-		if err != nil {
-			return "", false
-		}
-		switch tok {
-		case xmlutil.TokEnd:
-			return text, true
-		case xmlutil.TokText:
-			if sawText {
-				// Two text runs with nothing between them cannot happen
-				// without a construct the cursor already rejects; be safe.
-				return "", false
-			}
-			s, terr := cur.Text()
-			if terr != nil {
-				return "", false
-			}
-			text = s
-			sawText = true
-		default:
-			return "", false
-		}
-	}
-}
-
-// readItems consumes the items of a soapenc:Array container. The tree
-// path ignores container text entirely for arrays, but only after
-// trimming proves it whitespace; non-space text falls back rather than
-// replicating that edge. Nested containers (items with children) fall
-// back too.
-func (r *BodyReader) readItems() ([]Value, bool) {
-	cur := r.cur
-	var items []Value
-	for {
-		tok, err := cur.Next()
-		if err != nil {
-			return nil, false
-		}
-		switch tok {
-		case xmlutil.TokEnd:
-			return items, true
-		case xmlutil.TokText:
-			if !cur.TextIsSpace() {
-				return nil, false
-			}
-		case xmlutil.TokStart:
-			name := cur.Name()
-			typeAttr, _ := cur.Attr("type")
-			if typeAttr == "soapenc:Array" {
-				return nil, false
-			}
-			text, ok := r.readScalarContent()
-			if !ok {
-				return nil, false
-			}
-			it := Value{Name: name, Type: strings.TrimPrefix(typeAttr, "xsd:"), Text: text}
-			if it.Type == "" {
-				it.Type = "string"
-			}
-			items = append(items, it)
-		default:
-			return nil, false
-		}
-	}
-}
-
-// Finish verifies the envelope tail after the primary body entry closed:
-// Body and Envelope must close with no further entries (a trailing Header
-// or extra body entry routes to the tree path, which knows what to do
-// with them), then only discardable character data until EOF.
-func (r *BodyReader) Finish() bool {
-	for {
-		tok, err := r.cur.Next()
-		if err != nil {
-			return false
+			return "", "", fmt.Errorf("soap: %w", err)
 		}
 		switch tok {
 		case xmlutil.TokEOF:
-			return true
-		case xmlutil.TokEnd, xmlutil.TokText:
-			continue
-		default:
-			return false
+			if err := rootError(rootSpace, rootName); err != nil {
+				return "", "", err
+			}
+			if !sawBody {
+				return "", "", errNoBody
+			}
+			if !sawEntry {
+				return "", "", emptyBodyFault()
+			}
+			return space, name, nil
+		case xmlutil.TokEnd:
+			if c.Depth() == 1 {
+				inBody = false
+			}
+		case xmlutil.TokStart:
+			switch c.Depth() {
+			case 1:
+				rootSpace, rootName = c.Space(), c.Name()
+				envelope = rootSpace == EnvelopeNS && rootName == "Envelope"
+			case 2:
+				if !envelope || c.Space() != EnvelopeNS {
+					break
+				}
+				switch {
+				case c.Name() == "Body" && !sawBody:
+					sawBody, inBody = true, true
+				case c.Name() == "Header" && !sawHeader && r.mode != readSniff:
+					sawHeader = true
+					hdr, err := r.carve(c.Mark())
+					if err != nil {
+						return "", "", err
+					}
+					r.env.Header = hdr.Children
+				}
+			case 3:
+				if !inBody || sawEntry {
+					break
+				}
+				sawEntry = true
+				space, name = c.Space(), c.Name()
+				if r.mode == readSniff {
+					return space, name, nil
+				}
+				if err := r.readParams(); err != nil {
+					return "", "", err
+				}
+			}
 		}
 	}
 }
 
-// ParseResponseStream decodes an RPC response envelope through the
-// streaming reader: no element tree, no arena. It handles the common
-// shape — headerless envelope, scalar/array return values — and reports
-// !ok for everything else (faults included, so error relay always flows
-// through the tree path's exact semantics). The result is identical to
-// ParseResponse over the parsed envelope.
-func ParseResponseStream(data []byte) (*Response, bool) {
-	r := AcquireBodyReader(data)
-	defer r.Release()
-	space, name, ok := r.Begin()
-	if !ok {
-		return nil, false
-	}
-	if space == EnvelopeNS && name == "Fault" {
-		return nil, false
-	}
-	resp := &Response{ServiceNS: space, Method: strings.TrimSuffix(name, "Response")}
-	resp.Returns = make([]Value, 0, 4)
+// readParams reads the parameters of the body entry the cursor is on,
+// through the entry's end tag. Character data between them is lexed but
+// never read, as ParseCall never reads it.
+func (r *BodyReader) readParams() error {
 	for {
-		if len(resp.Returns) == cap(resp.Returns) {
-			resp.Returns = append(resp.Returns, Value{})
-		} else {
-			resp.Returns = resp.Returns[:len(resp.Returns)+1]
+		tok, err := r.cur.Next()
+		if err != nil {
+			return fmt.Errorf("soap: %w", err)
 		}
-		done, ok := r.ReadValueInto(&resp.Returns[len(resp.Returns)-1])
-		if !ok {
-			return nil, false
-		}
-		if done {
-			resp.Returns = resp.Returns[:len(resp.Returns)-1]
-			break
+		switch tok {
+		case xmlutil.TokEnd:
+			return nil
+		case xmlutil.TokStart:
+			r.params = append(r.params, Value{})
+			if err := r.readValue(&r.params[len(r.params)-1]); err != nil {
+				return err
+			}
 		}
 	}
-	if !r.Finish() {
+}
+
+// readValue reads the element the cursor is on into *v, as ParseValue
+// reads its tree: a scalar is its text runs joined, a soapenc:Array its
+// children read the same way. An element with a child anywhere else (a
+// literal-XML payload, an untyped item array, a typed element with
+// children) is carved and handed to ParseValue.
+func (r *BodyReader) readValue(v *Value) error {
+	c := r.cur
+	m := c.Mark()
+	typeAttr, _ := c.Attr("type")
+	*v = Value{Name: c.Name()}
+	array := typeAttr == "soapenc:Array"
+	if array {
+		v.Type = "Array"
+	} else if v.Type = strings.TrimPrefix(typeAttr, "xsd:"); v.Type == "" {
+		v.Type = "string"
+	}
+	runs := 0 // text runs; more than one are joined in r.text
+	for {
+		tok, err := c.Next()
+		if err != nil {
+			return fmt.Errorf("soap: %w", err)
+		}
+		switch {
+		case tok == xmlutil.TokEnd:
+			if runs > 1 {
+				v.Text = string(r.text)
+			}
+			return nil
+		case tok == xmlutil.TokText && !array:
+			s, err := c.Text()
+			if err != nil {
+				return fmt.Errorf("soap: %w", err)
+			}
+			switch runs++; runs {
+			case 1:
+				v.Text = s
+			case 2:
+				r.text = append(append(r.text[:0], v.Text...), s...)
+			default:
+				r.text = append(r.text, s...)
+			}
+		case tok == xmlutil.TokStart && array:
+			v.Items = append(v.Items, Value{})
+			if err := r.readValue(&v.Items[len(v.Items)-1]); err != nil {
+				return err
+			}
+		case tok == xmlutil.TokStart:
+			el, err := r.carve(m)
+			if err != nil {
+				return err
+			}
+			*v = ParseValue(el)
+			return nil
+		}
+	}
+}
+
+// carve re-reads the element at m as a tree in the reader's arena.
+func (r *BodyReader) carve(m xmlutil.Mark) (*xmlutil.Element, error) {
+	if r.mode != readAll {
+		return nil, errNotFlat
+	}
+	if r.arena == nil {
+		r.arena = xmlutil.AcquireArena()
+	}
+	el, err := r.cur.Carve(m, r.arena)
+	if err != nil {
+		return nil, fmt.Errorf("soap: %w", err)
+	}
+	return el, nil
+}
+
+// ParseResponseStream decodes an RPC response envelope without an element
+// tree. It handles the common shape, scalar and array return values, and
+// reports !ok for everything else: faults, XML-valued returns, headers and
+// malformed input all go to the tree path, whose result it otherwise
+// equals.
+func ParseResponseStream(data []byte) (*Response, bool) {
+	r := AcquireBodyReader()
+	defer r.Release()
+	r.mode = readFlat
+	space, name, err := r.Decode(data)
+	if err != nil || space == EnvelopeNS && name == "Fault" {
 		return nil, false
 	}
-	return resp, true
+	return &Response{ServiceNS: space, Method: strings.TrimSuffix(name, "Response"),
+		Returns: append([]Value(nil), r.params...)}, true
 }
 
 // SniffBody reports the namespace and local name of the primary body entry
-// of serialised envelope bytes without building an element tree, falling
-// back to a full parse for envelopes outside the streaming subset (ones
-// carrying headers, say). Unparseable bytes yield ok=false. The gateway
-// uses it to identify the operation a request targets — and whether a
-// relayed response is a fault — from raw bytes alone.
+// of serialised envelope bytes without building an element tree. It reads
+// only as far as that entry's start tag, so the bytes after it go
+// unchecked; a document that breaks off or errs before it yields ok=false.
+// The gateway uses it to identify the operation a request targets — and
+// whether a relayed response is a fault — from raw bytes alone.
 func SniffBody(data []byte) (space, name string, ok bool) {
-	r := AcquireBodyReader(data)
-	space, name, ok = r.Begin()
+	r := AcquireBodyReader()
+	r.mode = readSniff
+	space, name, err := r.Decode(data)
 	r.Release()
-	if ok {
-		return space, name, true
-	}
-	env, err := ParseEnvelopeBytes(data)
-	if err != nil || len(env.Body) == 0 {
-		return "", "", false
-	}
-	return env.Body[0].Space, env.Body[0].Name, true
+	return space, name, err == nil
 }
 
 // IsFaultBytes reports whether serialised envelope bytes carry a Fault as

@@ -1,41 +1,97 @@
 package soap
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/xmlutil"
 )
 
-// drainBody walks a BodyReader over a serialised envelope and returns the
-// values it produced, or ok=false on any fallback signal — the same
-// protocol the rpc codecs follow.
-func drainBody(data []byte) (space, name string, vals []Value, ok bool) {
-	r := AcquireBodyReader(data)
+// decodeBody runs the request decoder over a serialised envelope and
+// renders what it produced: the body entry, each parameter, and each
+// header entry.
+func decodeBody(data []byte) (space, name string, vals []string, err error) {
+	r := AcquireBodyReader()
 	defer r.Release()
-	space, name, ok = r.Begin()
-	if !ok {
-		return "", "", nil, false
+	space, name, err = r.Decode(data)
+	if err != nil {
+		return "", "", nil, err
 	}
-	for {
-		var v Value
-		done, vok := r.ReadValueInto(&v)
-		if !vok {
-			return "", "", nil, false
-		}
-		if done {
-			break
-		}
-		vals = append(vals, v)
-	}
-	if !r.Finish() {
-		return "", "", nil, false
-	}
-	return space, name, vals, true
+	return space, name, renderRequest(r.Params(), r.Envelope().Header), nil
 }
 
-// TestBodyReaderMatchesTreeParse pins the streaming decode to ParseCall
-// over the tree parse for in-subset envelopes — including one built by our
-// own encoder (the prologue-seed fast path) and a foreign serialisation of
-// the same infoset (the general scan).
+// renderRequest flattens decoded parameters and header entries into
+// comparable strings; literal XML is compared by its rendering, since the
+// two decoders build it in different storage.
+func renderRequest(params []Value, header []*xmlutil.Element) []string {
+	var out []string
+	var value func(v Value) string
+	value = func(v Value) string {
+		s := fmt.Sprintf("%s|%s|%q", v.Name, v.Type, v.Text)
+		if v.XML != nil {
+			s += "|xml:" + v.XML.Render()
+		}
+		if v.Items != nil {
+			s += "|items:"
+			for _, it := range v.Items {
+				s += "(" + value(it) + ")"
+			}
+		}
+		return s
+	}
+	for _, v := range params {
+		out = append(out, value(v))
+	}
+	for _, h := range header {
+		out = append(out, "header:"+h.Render())
+	}
+	return out
+}
+
+const (
+	envOpen  = `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body>`
+	envClose = `</e:Body></e:Envelope>`
+	xsiNS    = ` xmlns:x="http://www.w3.org/2001/XMLSchema-instance"`
+)
+
+func envelope(body string) string { return envOpen + body + envClose }
+
+// checkTreeParity decodes each document with the request decoder and with
+// ParseEnvelopeBytes plus ParseCall, the tree decode it replaced, and
+// requires the same operation, parameters and header entries, or the same
+// fault text.
+func checkTreeParity(t *testing.T, cases map[string]string) {
+	t.Helper()
+	for label, doc := range cases {
+		wire := []byte(doc)
+		var want *Call
+		env, wantErr := ParseEnvelopeBytes(wire)
+		if wantErr == nil {
+			want, wantErr = ParseCall(env)
+		}
+		space, name, vals, err := decodeBody(wire)
+		if wantErr != nil || err != nil {
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("%s: error %v, tree path %v", label, err, wantErr)
+			}
+			continue
+		}
+		if space != want.ServiceNS || name != want.Method {
+			t.Errorf("%s: op = %s|%s, want %s|%s", label, space, name, want.ServiceNS, want.Method)
+		}
+		if wantVals := renderRequest(want.Params, env.Header); !reflect.DeepEqual(vals, wantVals) {
+			t.Errorf("%s: request diverges\n got: %q\nwant: %q", label, vals, wantVals)
+		}
+	}
+}
+
+// TestBodyReaderMatchesTreeParse pins the request decoder to the tree
+// decode on the shapes our own encoder writes (the prologue-seed fast
+// path), on a foreign serialisation of the same infoset (the general
+// scan), and on headers after the Body, foreign Envelope children, untyped
+// arrays, typed elements with children, and broken envelopes, syntax
+// first.
 func TestBodyReaderMatchesTreeParse(t *testing.T) {
 	call := &Call{ServiceNS: "urn:svc", Method: "submit", Params: []Value{
 		Str("host", "grid.example"),
@@ -44,66 +100,55 @@ func TestBodyReaderMatchesTreeParse(t *testing.T) {
 		StrArray("args", []string{"-l", "walltime=2h"}),
 		Str("empty", ""),
 	}}
-	ours := []byte(call.WireEnvelope().Render())
-	foreign := []byte(`<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/">` +
-		"\n  <soap:Body>\n    " +
-		`<m:submit xmlns:m="urn:svc" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">` +
-		`<host xsi:type="xsd:string">grid.example</host>` +
-		`<count xsi:type="xsd:int">3</count>` +
-		`<fast xsi:type="xsd:boolean">true</fast>` +
-		`<args xsi:type="soapenc:Array"><item xsi:type="xsd:string">-l</item><item xsi:type="xsd:string">walltime=2h</item></args>` +
-		`<empty xsi:type="xsd:string"/>` +
-		`</m:submit></soap:Body></soap:Envelope>`)
-	for label, wire := range map[string][]byte{"own-encoder": ours, "foreign": foreign} {
-		env, err := ParseEnvelopeBytes(wire)
-		if err != nil {
-			t.Fatalf("%s: tree parse: %v", label, err)
-		}
-		want, err := ParseCall(env)
-		if err != nil {
-			t.Fatalf("%s: ParseCall: %v", label, err)
-		}
-		space, name, vals, ok := drainBody(wire)
-		if !ok {
-			t.Fatalf("%s: streaming reader fell back on an in-subset envelope", label)
-		}
-		if space != want.ServiceNS || name != want.Method {
-			t.Errorf("%s: op = %s|%s, want %s|%s", label, space, name, want.ServiceNS, want.Method)
-		}
-		if !reflect.DeepEqual(vals, want.Params) {
-			t.Errorf("%s: params diverge\n got: %+v\nwant: %+v", label, vals, want.Params)
-		}
-	}
+	checkTreeParity(t, map[string]string{
+		"own encoder": call.WireEnvelope().Render(),
+		"foreign": `<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/">` +
+			"\n  <soap:Body>\n    " +
+			`<m:submit xmlns:m="urn:svc" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">` +
+			`<host xsi:type="xsd:string">grid.example</host>` +
+			`<count xsi:type="xsd:int">3</count>` +
+			`<fast xsi:type="xsd:boolean">true</fast>` +
+			`<args xsi:type="soapenc:Array"><item xsi:type="xsd:string">-l</item><item xsi:type="xsd:string">walltime=2h</item></args>` +
+			`<empty xsi:type="xsd:string"/>` +
+			`</m:submit></soap:Body></soap:Envelope>`,
+		"header after body, second header": `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/">` +
+			`<e:Body><m:op xmlns:m="urn:s"><p>v</p></m:op></e:Body><e:Header><first/></e:Header>` +
+			`<e:Header><second/></e:Header></e:Envelope>`,
+		"foreign envelope children": `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/">` +
+			`<f:x xmlns:f="urn:f"><e:Body><m:no xmlns:m="urn:s"/></e:Body></f:x><Header/>` +
+			`<e:Body><m:op xmlns:m="urn:s"/></e:Body><e:Body><m:late xmlns:m="urn:s"/></e:Body></e:Envelope>`,
+		"untyped item array":  envelope(`<m:op xmlns:m="urn:s"><a><item>1</item><item>2</item></a></m:op>`),
+		"typed with children": envelope(`<m:op xmlns:m="urn:s"` + xsiNS + `><n x:type="xsd:int"> 4 <c/> 2 </n></m:op>`),
+		"no body":             `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Header/></e:Envelope>`,
+		"other version":       `<Envelope xmlns="urn:not-soap"><Body><m:op xmlns:m="urn:s"/></Body></Envelope>`,
+		"late syntax":         `<r/><!DOCTYPE r>`,
+		"error in tail":       envelope(`<m:op xmlns:m="urn:s"><p>1</p></m:op>`) + `&bogus;`,
+		"error in param":      envelope(`<m:op xmlns:m="urn:s"><doc><i>&bogus;</i></doc></m:op>`),
+	})
 }
 
-// TestBodyReaderFallsBack enumerates the shapes the reader must refuse so
-// the tree path keeps its authority over them.
+// TestBodyReaderFallsBack covers the shapes the request decoder used to
+// hand back to the tree decode: headers, an empty Body, a foreign root,
+// literal XML, nested arrays, arrays with stray text, a trailing body
+// entry, comments and CDATA, and truncation. None falls back any more;
+// each must decode as the tree decode does, or fail with its fault.
 func TestBodyReaderFallsBack(t *testing.T) {
-	envelope := func(body string) string {
-		return `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body>` +
-			body + `</e:Body></e:Envelope>`
-	}
-	cases := map[string]string{
+	checkTreeParity(t, map[string]string{
 		"header": `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/">` +
-			`<e:Header><tok>x</tok></e:Header><e:Body><m:op xmlns:m="urn:s"/></e:Body></e:Envelope>`,
-		"empty body":   `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body/></e:Envelope>`,
-		"foreign root": `<r/>`,
-		"literal xml param": envelope(
-			`<m:op xmlns:m="urn:s"><doc><inner>payload</inner></doc></m:op>`),
-		"nested array": envelope(`<m:op xmlns:m="urn:s" xmlns:x="http://www.w3.org/2001/XMLSchema-instance">` +
-			`<a x:type="soapenc:Array"><item x:type="soapenc:Array"/></a></m:op>`),
-		"array with stray text": envelope(`<m:op xmlns:m="urn:s" xmlns:x="http://www.w3.org/2001/XMLSchema-instance">` +
-			`<a x:type="soapenc:Array">stray<item>v</item></a></m:op>`),
-		"trailing body entry": `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body>` +
-			`<m:op xmlns:m="urn:s"/><m:extra xmlns:m="urn:s"/></e:Body></e:Envelope>`,
-		"comment":   envelope(`<m:op xmlns:m="urn:s"><!-- c --></m:op>`),
-		"truncated": `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body><m:op xmlns:m="urn:s">`,
-	}
-	for label, doc := range cases {
-		if _, _, _, ok := drainBody([]byte(doc)); ok {
-			t.Errorf("%s: reader accepted an out-of-subset envelope", label)
-		}
-	}
+			`<e:Header><tok>x</tok><s:Assertion xmlns:s="urn:saml" e:mustUnderstand="1" issuer="a"/></e:Header>` +
+			`<e:Body><m:op xmlns:m="urn:s"/></e:Body></e:Envelope>`,
+		"empty body":        `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body/></e:Envelope>`,
+		"foreign root":      `<r/>`,
+		"literal xml param": envelope(`<m:op xmlns:m="urn:s"><doc><inner a="b">payload</inner><two/></doc></m:op>`),
+		"nested array": envelope(`<m:op xmlns:m="urn:s"` + xsiNS + `>` +
+			`<a x:type="soapenc:Array"><item x:type="soapenc:Array"><item>in</item></item><item><d>x</d></item></a></m:op>`),
+		"array with stray text": envelope(`<m:op xmlns:m="urn:s"` + xsiNS + `>` +
+			`<a x:type="soapenc:Array">stray<item>v</item> &amp; </a></m:op>`),
+		"trailing body entry": envelope(`<m:op xmlns:m="urn:s"><p>1</p></m:op><m:extra xmlns:m="urn:s"><p>2</p></m:extra>`),
+		"comments and cdata": envelope(`<m:op xmlns:m="urn:s"><!-- c --><p>a<!-- c -->b<![CDATA[<&>]]>` +
+			"\r\n" + `</p><q><![CDATA[]]></q></m:op>`),
+		"truncated": envelope(`<m:op xmlns:m="urn:s">`)[:len(envOpen)+21],
+	})
 }
 
 // TestParseResponseStreamParity checks the streamed response parse against
@@ -141,18 +186,20 @@ func TestParseResponseStreamParity(t *testing.T) {
 }
 
 // TestBodyReaderPoolReuse runs acquire/decode/release cycles over
-// different envelopes to prove no state survives recycling.
+// different envelopes, one with a carved header and literal XML, to prove
+// no state survives recycling.
 func TestBodyReaderPoolReuse(t *testing.T) {
 	a := []byte((&Call{ServiceNS: "urn:a", Method: "one", Params: []Value{Str("p", "x")}}).WireEnvelope().Render())
-	b := []byte((&Call{ServiceNS: "urn:b", Method: "two", Params: []Value{Int("q", 9)}}).WireEnvelope().Render())
+	b := []byte(`<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Header><h/></e:Header>` +
+		`<e:Body><m:two xmlns:m="urn:b"><q><doc/></q></m:two></e:Body></e:Envelope>`)
 	for i := 0; i < 6; i++ {
-		wire, wantNS, wantOp := a, "urn:a", "one"
+		wire, wantNS, wantOp, want := a, "urn:a", "one", `p|string|"x"`
 		if i%2 == 1 {
-			wire, wantNS, wantOp = b, "urn:b", "two"
+			wire, wantNS, wantOp, want = b, "urn:b", "two", `q||""|xml:<doc/>`
 		}
-		space, name, vals, ok := drainBody(wire)
-		if !ok || space != wantNS || name != wantOp || len(vals) != 1 {
-			t.Fatalf("cycle %d: %s|%s vals=%d ok=%v", i, space, name, len(vals), ok)
+		space, name, vals, err := decodeBody(wire)
+		if err != nil || space != wantNS || name != wantOp || len(vals) == 0 || vals[0] != want {
+			t.Fatalf("cycle %d: %s|%s vals=%q err=%v", i, space, name, vals, err)
 		}
 	}
 }

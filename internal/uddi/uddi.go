@@ -137,7 +137,8 @@ func (r *Registry) newKey(kind, name string) string {
 
 // SaveBusiness publishes a business entity, assigning its key. With
 // persistence attached the entity is durable when SaveBusiness returns; an
-// error means nothing was stored.
+// error means nothing was stored. The registry keeps its own copy of b, and
+// the result is the caller's.
 func (r *Registry) SaveBusiness(b BusinessEntity) (*BusinessEntity, error) {
 	b.Key = r.newKey("business", b.Name)
 	stored := b
@@ -149,11 +150,11 @@ func (r *Registry) SaveBusiness(b BusinessEntity) (*BusinessEntity, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return &stored, nil
+	return &b, nil
 }
 
-// SaveTModel publishes a tModel, assigning its key. Durability as for
-// SaveBusiness.
+// SaveTModel publishes a tModel, assigning its key. Durability and copies
+// as for SaveBusiness.
 func (r *Registry) SaveTModel(t TModel) (*TModel, error) {
 	t.Key = r.newKey("tmodel", t.Name)
 	stored := t
@@ -165,7 +166,7 @@ func (r *Registry) SaveTModel(t TModel) (*TModel, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return &stored, nil
+	return &t, nil
 }
 
 // SaveService publishes a service under an existing business, assigning the

@@ -141,6 +141,29 @@ func TestGetters(t *testing.T) {
 	}
 }
 
+// TestSaveResultIsCallersCopy pins the immutability of published records:
+// editing what SaveBusiness or SaveTModel returned must not reach the
+// registry.
+func TestSaveResultIsCallersCopy(t *testing.T) {
+	r := NewRegistry()
+	b, err := r.SaveBusiness(BusinessEntity{Name: "SDSC", Description: "stored"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := r.SaveTModel(TModel{Name: "gce:Globusrun", OverviewURL: "http://stored/wsdl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Name, b.Description = "edited", "edited"
+	tm.Name, tm.OverviewURL = "edited", "edited"
+	if got, err := r.GetBusiness(b.Key); err != nil || got.Name != "SDSC" || got.Description != "stored" {
+		t.Errorf("GetBusiness after editing the saved result = %+v, %v", got, err)
+	}
+	if got, err := r.GetTModel(tm.Key); err != nil || got.Name != "gce:Globusrun" || got.OverviewURL != "http://stored/wsdl" {
+		t.Errorf("GetTModel after editing the saved result = %+v, %v", got, err)
+	}
+}
+
 func TestCapabilityConvention(t *testing.T) {
 	desc := DescribeCapabilities("Gateway script service.", []string{"PBS", "GRD"})
 	caps := ParseCapabilities(desc)

@@ -1,24 +1,23 @@
-// cursor.go implements a pull-token reader over the tree parser's XML
-// subset minus the constructs the streaming consumers deliberately refuse
-// (comments, CDATA sections, DTDs: anything starting "<!"). It is the
-// foundation of the treeless decode fast path: the soap package walks
-// tokens straight off the wire bytes and hands scalar parameter text to
-// per-operation codecs without ever materialising an *Element tree.
+// cursor.go implements a pull-token reader over the tree parser's whole
+// XML subset. It is the foundation of the server's one request decoder:
+// the soap package walks tokens straight off the wire bytes and reads
+// parameter text without materialising an *Element tree, and where a
+// caller does want a tree for one element (a header, a literal-XML
+// parameter) Carve cuts just that subtree into a pooled arena.
 //
-// Contract with the tree parser: the cursor never accepts input the tree
-// parser rejects, and decodes identical strings for everything it accepts.
-// That holds by construction: names, namespaces, processing instructions,
-// tags, attribute values, end-tag matching and the document rules come from
-// the lexer both embed (lexer.go), character data from the same scan and
-// unescape kernels, and errors carry the parser's text. Only the string
-// policy differs (memoStrings here, interning there). On top of that the
-// cursor refuses "<!", which routes the document to the tree path, the
-// semantic authority; FuzzCursorVsTree checks the whole contract.
+// Contract with the tree parser: the cursor accepts exactly the documents
+// the tree parser accepts, rejects the others with the parser's error
+// text, and decodes identical strings. That holds by construction: names,
+// namespaces, processing instructions, comments, CDATA sections, tags,
+// attribute values, end-tag matching and the document rules come from the
+// lexer both embed (lexer.go), character data from the same scan and
+// unescape kernels, and carved subtrees from the parser itself. Only the
+// string policy differs (memoStrings here, interning there).
+// FuzzCursorVsTree checks the whole contract.
 package xmlutil
 
 import (
 	"bytes"
-	"errors"
 	"sync"
 )
 
@@ -31,17 +30,12 @@ const (
 	TokStart Tok = iota
 	// TokEnd is an element end tag.
 	TokEnd
-	// TokText is one run of character data; Text/TextIsSpace read it.
+	// TokText is one run of character data or one CDATA section; Text
+	// reads it. An element's text is the concatenation of its runs.
 	TokText
 	// TokEOF is the end of the document with all elements closed.
 	TokEOF
 )
-
-// errCursorUnsupported marks a well-formed-so-far construct outside the
-// cursor's streaming subset (comments, CDATA, DTDs). Callers treat it the
-// same as a parse error — fall back to the tree parser — but the distinct
-// value keeps diagnostics honest: the input was not necessarily malformed.
-var errCursorUnsupported = errors.New("xmlutil: cursor: construct outside the streaming subset")
 
 // Cursor is a pooled pull-token reader. Acquire with AcquireCursor, walk
 // with Next, and Release when done (whether or not parsing succeeded).
@@ -54,17 +48,20 @@ type Cursor struct {
 	// interning or namespace resolution.
 	lexer
 
-	// Current TokStart state.
+	// Current TokStart state; tagStart is the offset of the tag's '<'.
 	space, name string
 	selfClose   bool
+	tagStart    int
 
 	// Current TokText state: the raw span (aliasing data), whether it
-	// needs unescaping, and whether Text has decoded it. Next decodes a
-	// span that needs it and that nobody read, since the tree parser
-	// checks the entities of all character data.
-	textSpan  []byte
-	textClean bool
-	textRead  bool
+	// needs unescaping, whether entity references in it are live (false
+	// for CDATA), and whether Text has decoded it. Next decodes a span that
+	// needs it and that nobody read, since the tree parser checks the
+	// entities of all character data.
+	textSpan     []byte
+	textClean    bool
+	textEntities bool
+	textRead     bool
 
 	memo memoStrings
 }
@@ -240,19 +237,6 @@ func (c *Cursor) Attr(name string) (string, bool) {
 	return v, found
 }
 
-// TextIsSpace reports whether the current TokText raw span is entirely XML
-// whitespace. Entity-encoded whitespace reads as non-space, which is the
-// conservative direction: callers treat non-space where they expected
-// formatting as a fallback trigger, never the reverse.
-func (c *Cursor) TextIsSpace() bool {
-	for _, b := range c.textSpan {
-		if !isSpaceByte(b) {
-			return false
-		}
-	}
-	return true
-}
-
 // Text materialises the current TokText token: entities expanded and line
 // endings normalised, identical to the tree parser's text handling. The
 // result is exactly sized: decoding a dirty span allocates only the
@@ -261,14 +245,13 @@ func (c *Cursor) Text() (string, error) {
 	if c.textClean {
 		return c.memo.value(c.textSpan), nil
 	}
-	s, err := c.unescape(c.textSpan, true)
+	s, err := c.unescape(c.textSpan, c.textEntities)
 	c.textRead = err == nil
 	return s, err
 }
 
-// Next advances to the next token. Any error — malformed XML or a
-// construct outside the streaming subset — leaves the cursor unusable
-// except for Release.
+// Next advances to the next token. Comments and processing instructions
+// are skipped. Any error leaves the cursor unusable except for Release.
 func (c *Cursor) Next() (Tok, error) {
 	if c.selfClose {
 		c.selfClose = false
@@ -276,7 +259,7 @@ func (c *Cursor) Next() (Tok, error) {
 		return TokEnd, nil
 	}
 	if c.textSpan != nil && !c.textClean && !c.textRead {
-		if _, err := c.unescape(c.textSpan, true); err != nil {
+		if _, err := c.unescape(c.textSpan, c.textEntities); err != nil {
 			return TokEOF, err
 		}
 	}
@@ -300,9 +283,14 @@ func (c *Cursor) Next() (Tok, error) {
 				return TokEOF, err
 			}
 		case '!':
-			// Comments and CDATA are tree-parser territory; DTDs are
-			// rejected there too, so either way the fast path stops here.
-			return TokEOF, errCursorUnsupported
+			span, clean, cdata, err := c.bang()
+			if err != nil {
+				return TokEOF, err
+			}
+			if cdata {
+				c.setText(span, clean, false)
+				return TokText, nil
+			}
 		case '/':
 			c.pos++
 			if err := c.endTag(); err != nil {
@@ -310,6 +298,7 @@ func (c *Cursor) Next() (Tok, error) {
 			}
 			return TokEnd, nil
 		default:
+			c.tagStart = c.pos - 1
 			var err error
 			if c.space, c.name, c.selfClose, err = c.startTag(); err != nil {
 				return TokEOF, err
@@ -327,9 +316,43 @@ func (c *Cursor) scanText() (Tok, error) {
 		c.pos = end
 		return TokEOF, c.errf("%s", msg)
 	}
-	c.textSpan = c.data[c.pos:end]
-	c.textClean = clean
-	c.textRead = false
+	c.setText(c.data[c.pos:end], clean, true)
 	c.pos = end
 	return TokText, nil
+}
+
+func (c *Cursor) setText(span []byte, clean, entities bool) {
+	c.textSpan, c.textClean, c.textEntities, c.textRead = span, clean, entities, false
+}
+
+// Mark is a position Carve can re-read an element from: where its start
+// tag begins, with the namespace and open-element depths in force there.
+type Mark struct{ pos, ns, open int }
+
+// Mark returns the position of the current TokStart element.
+func (c *Cursor) Mark() Mark {
+	top := len(c.open) - 1
+	return Mark{pos: c.tagStart, ns: c.open[top].nsMark, open: top}
+}
+
+// Carve re-reads the element marked by m, which must still be open or have
+// just closed, as a tree in arena's storage, and leaves the cursor just
+// past its end tag, as if Next had returned the element's TokEnd. A caller
+// that streams an element and only then finds it wants the tree (a child
+// where it expected text) rewinds this way; the bytes between are lexed
+// twice. The tree is the parser's own, so its text, attribute and
+// namespace rules hold, and so do its errors, which leave the cursor
+// unusable except for Release.
+func (c *Cursor) Carve(m Mark, arena *Doc) (*Element, error) {
+	p := arena.p
+	p.data, p.pos, p.rooted = c.data, m.pos, m.open > 0
+	p.ns = append(p.ns[:0], c.ns[:m.ns]...)
+	p.open = append(p.open[:0], c.open[:m.open]...)
+	p.root, p.stack = nil, p.stack[:0]
+	el, err := p.run(true)
+	c.pos = p.pos
+	p.lexer.release()
+	c.ns, c.open = c.ns[:m.ns], c.open[:m.open]
+	c.selfClose, c.textSpan = false, nil
+	return el, err
 }

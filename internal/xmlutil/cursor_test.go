@@ -143,25 +143,69 @@ func TestCursorRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestCursorUnsupportedConstructs verifies subset boundaries report an
-// error (so stream callers fall back) rather than misparse.
+// TestCursorUnsupportedConstructs pins the one construct outside the
+// parsers' subset: DTDs and other directives fail with the tree parser's
+// error, while comments and CDATA sections read as the parser reads them.
 func TestCursorUnsupportedConstructs(t *testing.T) {
-	for _, doc := range []string{
-		`<a><!-- comment --></a>`,
-		`<a><![CDATA[x]]></a>`,
-		`<!DOCTYPE a><a/>`,
-	} {
-		c := AcquireCursor([]byte(doc))
-		var err error
-		for err == nil {
-			var tok Tok
-			tok, err = c.Next()
-			if err == nil && tok == TokEOF {
-				t.Errorf("cursor accepted unsupported construct %q", doc)
-				break
-			}
+	for _, doc := range []string{`<!DOCTYPE a><a/>`, `<a><!ENTITY x "y"></a>`} {
+		_, treeErr := ParseString(doc)
+		if err := cursorWalkError([]byte(doc)); err == nil || treeErr == nil || err.Error() != treeErr.Error() {
+			t.Errorf("%q: cursor error %v, tree parser %v", doc, err, treeErr)
 		}
-		c.Release()
+	}
+	got := strings.Join(walkCursor(t, `<a>x<!-- c -->y<![CDATA[<&>]]><?pi?></a>`), " ")
+	if want := "<|a t:x t:y t:<&> >"; got != want {
+		t.Errorf("trace = %q, want %q", got, want)
+	}
+}
+
+// TestCursorCarve streams into an element, carves it once a child shows
+// up, and checks the tree against the parser's and the cursor's position
+// after it: the next token is whatever follows the carved element.
+func TestCursorCarve(t *testing.T) {
+	doc := `<r xmlns:p="urn:p"><v p:t="x">lead<p:kid a="1"><!-- c -->in</p:kid>tail<e/></v><after/></r>`
+	tree, err := ParseString(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tree.Children[0]
+	arena := AcquireArena()
+	defer arena.Release()
+	c := AcquireCursor([]byte(doc))
+	defer c.Release()
+	var m Mark
+	for {
+		tok, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tok == TokStart && c.Name() == "v" {
+			m = c.Mark()
+		}
+		if tok == TokStart && c.Name() == "kid" {
+			break
+		}
+	}
+	got, err := c.Carve(m, arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Render() != want.Render() || got.Text != want.Text {
+		t.Errorf("carved %s (text %q), tree %s (text %q)", got.Render(), got.Text, want.Render(), want.Text)
+	}
+	if tok, err := c.Next(); err != nil || tok != TokStart || c.Name() != "after" {
+		t.Fatalf("after carve: tok=%d err=%v name=%s", tok, err, c.Name())
+	}
+	// A truncated element fails the carve with the parser's error.
+	bad := `<r><v>x<k>`
+	_, treeErr := ParseString(bad)
+	c2 := AcquireCursor([]byte(bad))
+	defer c2.Release()
+	c2.Next()
+	c2.Next()
+	m = c2.Mark()
+	if _, err := c2.Carve(m, arena); err == nil || treeErr == nil || err.Error() != treeErr.Error() {
+		t.Errorf("truncated carve: %v, tree parser %v", err, treeErr)
 	}
 }
 
@@ -285,10 +329,10 @@ func cursorWalkError(doc []byte) error {
 // documents. Whatever the cursor walks to TokEOF, reading every text
 // token, the tree parser accepts, with the same elements in the same
 // order: space, name, attributes as Attr sees them, and text by the tree
-// parser's rules (runs joined; trimmed where the element has children).
-// The cursor rejects a document the parser accepts only for a "<!"
-// construct, and where both reject one, they give the same error text. A
-// walk that skips the text tokens accepts nothing more.
+// parser's rules (runs and CDATA sections joined; trimmed where the
+// element has children). Whatever the parser rejects, the cursor rejects
+// with the same error text. A walk that skips the text tokens accepts
+// nothing more.
 func FuzzCursorVsTree(f *testing.F) {
 	// Character data inside one element: text scanning and unescaping.
 	for _, s := range []string{
@@ -314,6 +358,16 @@ func FuzzCursorVsTree(f *testing.F) {
 	// nobody reads it; a second root and an empty document are errors.
 	for _, doc := range []string{
 		`<a xmlns:p="" p:b="2" b="1"/>`, "x&bogus;<a/>", "<a>&bogus;<b/></a>", "<a/><b/>", "<?pi?> ",
+	} {
+		f.Add([]byte(doc))
+	}
+	// Comments and CDATA sections, inside leaves, between children and
+	// outside the root, and a DOCTYPE, which both reject.
+	for _, doc := range []string{
+		`<a>x<!-- c -->y</a>`, `<!-- lead --><a><b/><!-- mid --> <c/></a><!-- tail -->`,
+		`<a><![CDATA[<b>&amp;</b>]]></a>`, "<a>x<![CDATA[ y\r\n]]>z &amp; <![CDATA[]]></a>",
+		`<a> <![CDATA[ pad ]]> <b/></a>`, `<a><!-- a -- b --></a>`, `<a><![CDATA[x]]</a>`,
+		`<!DOCTYPE a><a/>`, `<a><!ELEMENT a ANY></a>`, "<a><!--\x01--></a>",
 	} {
 		f.Add([]byte(doc))
 	}
@@ -343,9 +397,9 @@ func FuzzCursorVsTree(f *testing.F) {
 			}
 			if err != nil {
 				switch {
-				case treeErr == nil && err != errCursorUnsupported:
+				case treeErr == nil:
 					t.Fatalf("the cursor rejects %q (%v); the tree parser accepts it", doc, err)
-				case treeErr != nil && err != errCursorUnsupported && err.Error() != treeErr.Error():
+				case err.Error() != treeErr.Error():
 					t.Fatalf("on %q the cursor says %q, the tree parser %q", doc, err, treeErr)
 				}
 				return
@@ -404,13 +458,10 @@ func FuzzCursorVsTree(f *testing.F) {
 }
 
 // TestCursorErrorTexts walks every document of the parser's error-text
-// table that stays inside the cursor's subset, reading its text tokens or
-// not: the cursor fails with the parser's exact error text.
+// table, reading its text tokens or not: the cursor fails with the
+// parser's exact error text.
 func TestCursorErrorTexts(t *testing.T) {
 	for _, c := range parseErrorTexts {
-		if strings.Contains(c.doc, "<!") {
-			continue
-		}
 		if err := cursorWalkError([]byte(c.doc)); err == nil || err.Error() != c.want {
 			t.Errorf("cursor skipping text on %.40q: error = %v, want %q", c.doc, err, c.want)
 		}

@@ -3,7 +3,8 @@
 // of what it returns, and the streaming Cursor (cursor.go), which hands it
 // out token by token. It owns names and the single-colon prefix rule,
 // namespace bindings and prefix resolution, whitespace, processing
-// instructions, start tags with their attributes, quoted attribute values,
+// instructions, comments, CDATA sections, the rejection of DTDs and other
+// <!...> directives, start tags with their attributes, quoted attribute values,
 // end-tag matching and the document-level rules (one root, every element
 // closed, bounded depth). Its errors are the positioned parse errors the
 // tree parser returns, with the same text.
@@ -204,6 +205,90 @@ func (l *lexer) skipPI() error {
 	}
 	l.pos = i
 	return l.errf("unterminated processing instruction")
+}
+
+// bang lexes a "<!" construct; pos is on the '!'. A comment is skipped. A
+// CDATA section is returned as its raw span, with clean reporting that it
+// holds no '\r' (its content is literal: only line endings need
+// normalising). DTDs and other directives are rejected outright: the portal
+// dialects never use them, and refusing them closes the classic
+// entity-expansion attack surface.
+func (l *lexer) bang() (span []byte, clean, cdata bool, err error) {
+	rest := l.data[l.pos+1:]
+	switch {
+	case bytes.HasPrefix(rest, []byte("--")):
+		l.pos += 3
+		return nil, false, false, l.comment()
+	case bytes.HasPrefix(rest, []byte("[CDATA[")):
+		l.pos += 8
+		span, clean, err = l.cdata()
+		return span, clean, true, err
+	default:
+		return nil, false, false, l.errf("directives (<!...>) are not supported")
+	}
+}
+
+func (l *lexer) comment() error {
+	data := l.data
+	i := l.pos
+	for i < len(data) {
+		c := data[i]
+		switch {
+		case c == '-' && i+1 < len(data) && data[i+1] == '-':
+			if i+2 < len(data) && data[i+2] == '>' {
+				l.pos = i + 3
+				return nil
+			}
+			l.pos = i
+			return l.errf("invalid sequence \"--\" not allowed in comments")
+		case c < 0x20 && c != '\t' && c != '\n' && c != '\r':
+			l.pos = i
+			return l.errf("illegal character code %U", rune(c))
+		case c < 0x80:
+			i++
+		default:
+			r, size := utf8.DecodeRune(data[i:])
+			if (r == utf8.RuneError && size == 1) || !validXMLChar(r) {
+				l.pos = i
+				return l.errf("illegal character in comment")
+			}
+			i += size
+		}
+	}
+	l.pos = i
+	return l.errf("unterminated comment")
+}
+
+func (l *lexer) cdata() (span []byte, clean bool, err error) {
+	data := l.data
+	start := l.pos
+	i := l.pos
+	clean = true
+	for i < len(data) {
+		c := data[i]
+		switch {
+		case c == ']' && i+2 < len(data) && data[i+1] == ']' && data[i+2] == '>':
+			l.pos = i + 3
+			return data[start:i], clean, nil
+		case c == '\r':
+			clean = false
+			i++
+		case c < 0x20 && c != '\t' && c != '\n':
+			l.pos = i
+			return nil, false, l.errf("illegal character code %U", rune(c))
+		case c < 0x80:
+			i++
+		default:
+			r, size := utf8.DecodeRune(data[i:])
+			if (r == utf8.RuneError && size == 1) || !validXMLChar(r) {
+				l.pos = i
+				return nil, false, l.errf("illegal character in CDATA section")
+			}
+			i += size
+		}
+	}
+	l.pos = i
+	return nil, false, l.errf("unterminated CDATA section")
 }
 
 // --- names and namespaces --------------------------------------------------

@@ -4,8 +4,8 @@
 // lexer (lexer.go) share. Because the parser and the streaming Cursor lex
 // markup with the same code, they accept the same markup by construction.
 // The parser adds what only a tree needs: character data accumulated per
-// element, comments, CDATA sections, the rejection of DTDs and other <!...>
-// directives, and slab-allocated Element nodes.
+// element (CDATA sections included) and slab-allocated Element nodes, which
+// also back the subtrees Cursor.Carve cuts out of a streamed document.
 //
 // Performance model:
 //
@@ -201,7 +201,10 @@ func (p *parser) newElement() *Element {
 
 // --- main loop -------------------------------------------------------------
 
-func (p *parser) run() (*Element, error) {
+// run parses from pos to the end of the document. With carve set it
+// returns as soon as the first element it starts has closed: the lexer was
+// seeded mid-document by Cursor.Carve and parses that one subtree.
+func (p *parser) run(carve bool) (*Element, error) {
 	for p.pos < len(p.data) {
 		if p.data[p.pos] != '<' {
 			if err := p.text(); err != nil {
@@ -219,8 +222,16 @@ func (p *parser) run() (*Element, error) {
 				return nil, err
 			}
 		case '!':
-			if err := p.bang(); err != nil {
+			span, clean, cdata, err := p.bang()
+			if err != nil {
 				return nil, err
+			}
+			// CDATA content is literal: no entity expansion, but line
+			// endings are still normalised.
+			if cdata {
+				if err := p.addText(span, clean, false); err != nil {
+					return nil, err
+				}
 			}
 		case '/':
 			p.pos++
@@ -231,6 +242,9 @@ func (p *parser) run() (*Element, error) {
 			if err := p.startTag(); err != nil {
 				return nil, err
 			}
+		}
+		if carve && len(p.stack) == 0 {
+			return p.root, nil
 		}
 	}
 	if err := p.finish(); err != nil {
@@ -504,92 +518,6 @@ func decodeEntity(dst, b []byte) ([]byte, int, string) {
 	return append(dst, exp), semi + 1, ""
 }
 
-// --- comments, CDATA, PIs, directives --------------------------------------
-
-// bang dispatches "<!" constructs: comments and CDATA are part of the
-// supported subset; DTDs and other directives are rejected outright (the
-// portal dialects never use them, and refusing them closes the classic
-// entity-expansion attack surface).
-func (p *parser) bang() error {
-	rest := p.data[p.pos+1:]
-	switch {
-	case bytes.HasPrefix(rest, []byte("--")):
-		p.pos += 3
-		return p.comment()
-	case bytes.HasPrefix(rest, []byte("[CDATA[")):
-		p.pos += 8
-		return p.cdata()
-	default:
-		return p.errf("directives (<!...>) are not supported")
-	}
-}
-
-func (p *parser) comment() error {
-	data := p.data
-	i := p.pos
-	for i < len(data) {
-		c := data[i]
-		switch {
-		case c == '-' && i+1 < len(data) && data[i+1] == '-':
-			if i+2 < len(data) && data[i+2] == '>' {
-				p.pos = i + 3
-				return nil
-			}
-			p.pos = i
-			return p.errf("invalid sequence \"--\" not allowed in comments")
-		case c < 0x20 && c != '\t' && c != '\n' && c != '\r':
-			p.pos = i
-			return p.errf("illegal character code %U", rune(c))
-		case c < 0x80:
-			i++
-		default:
-			r, size := utf8.DecodeRune(data[i:])
-			if (r == utf8.RuneError && size == 1) || !validXMLChar(r) {
-				p.pos = i
-				return p.errf("illegal character in comment")
-			}
-			i += size
-		}
-	}
-	p.pos = i
-	return p.errf("unterminated comment")
-}
-
-func (p *parser) cdata() error {
-	data := p.data
-	start := p.pos
-	i := p.pos
-	clean := true
-	for i < len(data) {
-		c := data[i]
-		switch {
-		case c == ']' && i+2 < len(data) && data[i+1] == ']' && data[i+2] == '>':
-			span := data[start:i]
-			p.pos = i + 3
-			// CDATA content is literal: no entity expansion, but line
-			// endings are still normalised.
-			return p.addText(span, clean, false)
-		case c == '\r':
-			clean = false
-			i++
-		case c < 0x20 && c != '\t' && c != '\n':
-			p.pos = i
-			return p.errf("illegal character code %U", rune(c))
-		case c < 0x80:
-			i++
-		default:
-			r, size := utf8.DecodeRune(data[i:])
-			if (r == utf8.RuneError && size == 1) || !validXMLChar(r) {
-				p.pos = i
-				return p.errf("illegal character in CDATA section")
-			}
-			i += size
-		}
-	}
-	p.pos = i
-	return p.errf("unterminated CDATA section")
-}
-
 // --- tags ------------------------------------------------------------------
 
 // startTag builds the element of a start tag the lexer has lexed: its
@@ -661,7 +589,7 @@ func (p *parser) endTag() error {
 func parseRetained(data []byte) (*Element, error) {
 	p := retainedPool.Get().(*parser)
 	p.reset(data)
-	root, err := p.run()
+	root, err := p.run(false)
 	p.release()
 	p.root = nil
 	p.slabs = nil // owned by the returned tree now
@@ -692,7 +620,7 @@ type Doc struct {
 func ParseBytesPooled(data []byte) (*Doc, error) {
 	p := arenaPool.Get().(*parser)
 	p.reset(data)
-	root, err := p.run()
+	root, err := p.run(false)
 	p.release()
 	if err != nil {
 		p.root = nil
@@ -704,6 +632,15 @@ func ParseBytesPooled(data []byte) (*Doc, error) {
 	// through a stale pointer can never free an arena that a subsequent
 	// parse is using.
 	return &Doc{Root: root, p: p}, nil
+}
+
+// AcquireArena returns an empty pooled element arena for Cursor.Carve to
+// build subtrees in. It is released like a parsed Doc, whose rules it
+// follows; its Root stays nil.
+func AcquireArena() *Doc {
+	p := arenaPool.Get().(*parser)
+	p.reset(nil)
+	return &Doc{p: p}
 }
 
 // Release returns the document's element arena to the pool. Calling it twice

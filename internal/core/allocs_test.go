@@ -53,3 +53,41 @@ func TestServeAllocs(t *testing.T) {
 		})
 	}
 }
+
+// bodyTransport answers every round trip with a fixed response body.
+type bodyTransport struct{ body []byte }
+
+func (t *bodyTransport) RoundTripRawCtx(_ context.Context, _, _ string, _ *soap.Envelope, resp *bytes.Buffer) error {
+	resp.Write(t.body)
+	return nil
+}
+
+// callAllocs is the budget of allocations per Client.Call of each answer
+// shape, which TestCallAllocs enforces: a flat scalar return, a literal-XML
+// return, and a fault carrying a portal error.
+var callAllocs = []struct {
+	name   string
+	resp   soap.Response
+	allocs float64
+}{
+	{"flat", soap.Response{ServiceNS: "urn:test:echo", Method: "say", Returns: []soap.Value{soap.Str("echo", "hello")}}, 6},
+	{"xml", soap.Response{ServiceNS: "urn:test:echo", Method: "say", Returns: []soap.Value{soap.XMLDoc("echo", xmlutil.New("doc").AddText("q", "x"))}}, 7},
+	{"fault", soap.Response{Fault: soap.NewPortalError("Echo", soap.ErrCodeResourceFull, "disk full").Fault()}, 17},
+}
+
+// TestCallAllocs holds Client.Call, the decode of each answer shape
+// included, to its allocation budget over a transport that does no work.
+func TestCallAllocs(t *testing.T) {
+	for _, c := range callAllocs {
+		t.Run(c.name, func(t *testing.T) {
+			cl := NewClient(&bodyTransport{body: []byte(c.resp.WireEnvelope().Render())}, "fixed://echo", echoContract())
+			allocbudget.Check(t, c.allocs, func() {
+				resp, release, err := cl.Call(context.Background(), "say", soap.Str("msg", "hi"))
+				if (err != nil) != (c.resp.Fault != nil) || err == nil && len(resp.Returns) != 1 {
+					t.Fatalf("answer %+v, %v", resp, err)
+				}
+				release()
+			})
+		})
+	}
+}

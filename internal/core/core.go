@@ -641,11 +641,13 @@ func (c *Client) withResilience(ctx context.Context, operation string, attempt f
 }
 
 // Call invokes a contract operation under ctx, whose deadline bounds the
-// transport round trip and the whole retry loop. The response envelope is
-// parsed into a pooled element arena; the returned release function must
-// be called exactly once when the caller is done with the response, and
-// afterwards no *xmlutil.Element reachable from it (XML-valued returns,
-// fault details) may be retained. Strings extracted from the response stay
+// transport round trip and the whole retry loop. The answer is decoded in
+// one pass by soap.DecodeResponse: typed scalar and array returns come
+// straight off the wire tokens, and XML-valued returns are carved into a
+// pooled element arena. The returned release function must be called
+// exactly once when the caller is done with the response, and afterwards
+// no *xmlutil.Element reachable from it may be retained; it is a no-op
+// when nothing was carved. Returns and every string in the response stay
 // valid forever. On error the response storage has already been reclaimed
 // (fault details are detached first, so a returned *soap.Fault is safe to
 // keep) and the release function is a no-op.
@@ -666,34 +668,9 @@ func (c *Client) Call(ctx context.Context, operation string, params ...soap.Valu
 		if rerr := c.Transport.RoundTripRawCtx(ctx, c.Endpoint, action, env, buf); rerr != nil {
 			return rerr
 		}
-		// Streaming fast path: scalar/array responses decode straight from
-		// the wire tokens with nothing to release. Faults, XML-valued
-		// returns, and anything unusual fall back to the pooled tree parse.
-		if r, ok := soap.ParseResponseStream(buf.Bytes()); ok {
-			resp = r
-			return nil
-		}
-		respEnv, doc, perr := soap.ParseEnvelopeBytesPooled(buf.Bytes())
-		if perr != nil {
-			return perr
-		}
-		r, rerr := soap.ParseResponse(respEnv)
-		if rerr != nil {
-			// The error (usually a *soap.Fault) outlives the arena: detach
-			// any detail trees before recycling the envelope storage.
-			if r != nil && r.Fault != nil {
-				detail := make([]*xmlutil.Element, len(r.Fault.Detail))
-				for i, d := range r.Fault.Detail {
-					detail[i] = d.Clone()
-				}
-				r.Fault.Detail = detail
-			}
-			doc.Release()
-			resp = r
-			return rerr
-		}
-		resp, release = r, doc.Release
-		return nil
+		var derr error
+		resp, release, derr = soap.DecodeResponse(buf.Bytes())
+		return derr
 	})
 	return resp, release, err
 }

@@ -154,16 +154,22 @@ func TestWSDLSemanticEquivalence(t *testing.T) {
 func TestMalformedParamRejected(t *testing.T) {
 	srv := NewServer("test", "loopback://test")
 	srv.Provider("").MustRegister(typedDef().MustBuild())
-	// soap.Invoke does no contract validation, so the malformed value
-	// reaches the server.
-	_, err := soap.Invoke(context.Background(), srv.Transport(), "loopback://test/TypedEcho", &soap.Call{
+	// A bare round trip does no contract validation, so the malformed
+	// value reaches the server.
+	call := &soap.Call{
 		ServiceNS: "urn:test:typedecho", Method: "describe",
 		Params: []soap.Value{
 			soap.Str("s", "hi"), soap.Value{Name: "n", Type: "int", Text: "not-a-number"},
 			soap.Bool("b", false), soap.StrArray("list", nil),
 			soap.XMLDoc("doc", xmlutil.New("inner")),
 		},
-	})
+	}
+	env, err := soap.RoundTripEnvelope(context.Background(), srv.Transport(), "loopback://test/TypedEcho",
+		call.ServiceNS+"#"+call.Method, call.WireEnvelope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = soap.ParseResponse(env)
 	pe := soap.AsPortalError(err)
 	if pe == nil || pe.Code != soap.ErrCodeBadRequest {
 		t.Errorf("err = %v, want BadRequest portal error", err)
@@ -328,20 +334,22 @@ func TestTransportEndpointRouting(t *testing.T) {
 	b := NewServer("b", "loopback://b")
 	b.Provider("").MustRegister(typedDef().MustBuild())
 	tr := Transport(a, b)
-	call := &soap.Call{ServiceNS: typedDef().NS, Method: "describe", Params: []soap.Value{
-		soap.Str("s", "m"), soap.Int("n", 1), soap.Bool("b", true),
-		soap.StrArray("list", nil), soap.XMLDoc("doc", xmlutil.New("d"))}}
-	if _, err := soap.Invoke(context.Background(), tr, "loopback://c/TypedEcho", call); err == nil ||
+	params := []soap.Value{soap.Str("s", "m"), soap.Int("n", 1), soap.Bool("b", true),
+		soap.StrArray("list", nil), soap.XMLDoc("doc", xmlutil.New("d"))}
+	unmounted := core.NewClient(tr, "loopback://c/TypedEcho", typedDef().Interface())
+	if _, _, err := unmounted.Call(context.Background(), "describe", params...); err == nil ||
 		!strings.Contains(err.Error(), "no mounted provider") {
 		t.Errorf("unmounted endpoint: err = %v", err)
 	}
-	resp, err := soap.Invoke(context.Background(), tr, "loopback://b/TypedEcho", call)
+	routed := core.NewClient(tr, "loopback://b/TypedEcho", typedDef().Interface())
+	resp, release, err := routed.Call(context.Background(), "describe", params...)
 	if err != nil {
 		t.Fatalf("routed endpoint failed: %v", err)
 	}
 	if got := resp.ReturnText("summary"); got != "m/1/true" {
 		t.Errorf("summary = %q", got)
 	}
+	release()
 	if na, nb := len(a.Stats().Snapshot()), len(b.Stats().Snapshot()); na != 0 || nb != 1 {
 		t.Errorf("operations recorded: a=%d b=%d, want 0 and 1", na, nb)
 	}

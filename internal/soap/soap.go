@@ -211,26 +211,6 @@ func ParseEnvelopeBytes(data []byte) (*Envelope, error) {
 	return envelopeFromRoot(root)
 }
 
-// ParseEnvelopeBytesPooled parses a serialised envelope into a pooled
-// element arena — the fully pooled decode path the server-side transports
-// use for request envelopes. The returned Doc owns every element of the
-// envelope: the caller must Release it once the request has been fully
-// processed (response rendered included), and nothing downstream may retain
-// an *xmlutil.Element from the envelope past that point. Strings extracted
-// from the tree remain valid forever.
-func ParseEnvelopeBytesPooled(data []byte) (*Envelope, *xmlutil.Doc, error) {
-	doc, err := xmlutil.ParseBytesPooled(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("soap: %w", err)
-	}
-	env, err := envelopeFromRoot(doc.Root)
-	if err != nil {
-		doc.Release()
-		return nil, nil, err
-	}
-	return env, doc, nil
-}
-
 func envelopeFromRoot(root *xmlutil.Element) (*Envelope, error) {
 	if err := rootError(root.Space, root.Name); err != nil {
 		return nil, err
@@ -260,6 +240,9 @@ func rootError(space, name string) error {
 }
 
 var errNoBody = errors.New("soap: envelope has no Body")
+
+// errEmptyResponse is the error of a response whose Body has no entry.
+var errEmptyResponse = errors.New("soap: empty response body")
 
 // emptyBodyFault is the fault of a request whose Body has no entry.
 func emptyBodyFault() error { return &Fault{Code: FaultClient, String: "empty request body"} }
@@ -664,7 +647,7 @@ func (r *Response) streamBody(w *xmlutil.Writer) {
 // yields a Response with Fault set (and is also returned as the error).
 func ParseResponse(env *Envelope) (*Response, error) {
 	if len(env.Body) == 0 {
-		return nil, errors.New("soap: empty response body")
+		return nil, errEmptyResponse
 	}
 	first := env.Body[0]
 	if first.Name == "Fault" && first.Space == EnvelopeNS {

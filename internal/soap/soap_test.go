@@ -210,11 +210,20 @@ func echoHandler(req *Envelope) (*Envelope, error) {
 	return resp.Envelope(), nil
 }
 
+// invoke sends call through t and parses the answer as a tree.
+func invoke(t Transport, endpoint string, call *Call) (*Response, error) {
+	env, err := RoundTripEnvelope(context.Background(), t, endpoint, call.ServiceNS+"#"+call.Method, call.WireEnvelope())
+	if err != nil {
+		return nil, err
+	}
+	return ParseResponse(env)
+}
+
 func TestHTTPTransport(t *testing.T) {
 	srv := httptest.NewServer(Handler(serveEnvelope(echoHandler)))
 	defer srv.Close()
 	tr := &HTTPTransport{Client: srv.Client()}
-	resp, err := Invoke(context.Background(), tr, srv.URL, &Call{ServiceNS: "urn:echo", Method: "say", Params: []Value{Str("msg", "hello grid")}})
+	resp, err := invoke(tr, srv.URL, &Call{ServiceNS: "urn:echo", Method: "say", Params: []Value{Str("msg", "hello grid")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +236,7 @@ func TestHTTPTransportFault(t *testing.T) {
 	srv := httptest.NewServer(Handler(serveEnvelope(echoHandler)))
 	defer srv.Close()
 	tr := &HTTPTransport{Client: srv.Client()}
-	_, err := Invoke(context.Background(), tr, srv.URL, &Call{ServiceNS: "urn:echo", Method: "fail"})
+	_, err := invoke(tr, srv.URL, &Call{ServiceNS: "urn:echo", Method: "fail"})
 	pe := AsPortalError(err)
 	if pe == nil || pe.Code != ErrCodeJobFailed {
 		t.Fatalf("err = %v, want portal JobFailed", err)
@@ -249,7 +258,7 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 
 func TestLoopbackTransport(t *testing.T) {
 	tr := &LoopbackTransport{Serve: serveEnvelope(echoHandler)}
-	resp, err := Invoke(context.Background(), tr, "loopback://echo", &Call{ServiceNS: "urn:echo", Method: "say", Params: []Value{Str("msg", "x")}})
+	resp, err := invoke(tr, "loopback://echo", &Call{ServiceNS: "urn:echo", Method: "say", Params: []Value{Str("msg", "x")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,39 +350,31 @@ func TestEnvelopeBOMAndLeadingWhitespace(t *testing.T) {
 			if err != nil || got.Method != "op" || len(got.Params) != 1 {
 				t.Fatalf("ParseCall = %+v, %v", got, err)
 			}
-			envp, doc, err := ParseEnvelopeBytesPooled([]byte(tc.prefix + wire))
-			if err != nil {
-				t.Fatalf("pooled parse with %s prefix: %v", tc.name, err)
+			_, name, vals, err := decodeBody([]byte(tc.prefix + wire))
+			if err != nil || name != "op" || len(vals) != 1 {
+				t.Fatalf("streamed decode with %s prefix: %s %q, %v", tc.name, name, vals, err)
 			}
-			if len(envp.Body) != 1 {
-				t.Fatalf("pooled body entries = %d", len(envp.Body))
-			}
-			doc.Release()
 		})
 	}
 }
 
-// TestPooledEnvelopeRelease: the arena behind ParseEnvelopeBytesPooled is
-// recycled across parses without leaking state between documents.
+// TestPooledEnvelopeRelease: the arena behind DecodeResponse's XML
+// returns is recycled across decodes without leaking state between
+// documents, and a second release is a no-op.
 func TestPooledEnvelopeRelease(t *testing.T) {
 	mk := func(text string) string {
-		c := &Call{ServiceNS: "urn:x", Method: "m", Params: []Value{Str("p", text)}}
-		return c.Envelope().Render()
+		r := &Response{ServiceNS: "urn:x", Method: "m", Returns: []Value{XMLDoc("p", xmlutil.NewText("doc", text))}}
+		return r.WireEnvelope().Render()
 	}
 	for i := 0; i < 50; i++ {
-		wire := mk(strings.Repeat("x", i+1))
-		env, doc, err := ParseEnvelopeBytesPooled([]byte(wire))
+		resp, release, err := DecodeResponse([]byte(mk(strings.Repeat("x", i+1))))
 		if err != nil {
 			t.Fatal(err)
 		}
-		call, err := ParseCall(env)
-		if err != nil {
-			t.Fatal(err)
+		if got := resp.Returns[0].XML.Text; got != strings.Repeat("x", i+1) {
+			t.Fatalf("iteration %d: return = %q", i, got)
 		}
-		if got := call.Params[0].Text; got != strings.Repeat("x", i+1) {
-			t.Fatalf("iteration %d: param = %q", i, got)
-		}
-		doc.Release()
-		doc.Release() // double release must be a no-op
+		release()
+		release() // double release must be a no-op
 	}
 }

@@ -1,23 +1,23 @@
 // streamread.go is the decode half of the streaming wire path. BodyReader
 // reads a serialised envelope in one pass over an xmlutil.Cursor: it is
-// the server's only request decoder, and the client's response parse and
-// the gateway's routing sniff run the same walk.
+// the server's only request decoder and the client's only response
+// decoder, and the gateway's routing sniff runs the same walk.
 //
 // The walk carries the first Header's entries wherever that Header sits,
 // skips foreign Envelope children, and reads the first Body entry's
 // parameters straight off the tokens into pooled Values. Only what a
 // caller navigates as a tree is built as one: header entries (a SAML
-// assertion) and any parameter outside the flat scalar/array shape are
-// carved into a pooled arena, the parameters then read by ParseValue
-// itself, so value semantics live in one place. Everything the walk does
-// not read it still lexes, so it accepts exactly the documents the tree
-// parser accepts and faults the way ParseEnvelopeBytes and ParseCall
-// together do. FuzzStreamVsTreeDispatch in the rpc package holds it to the
-// tree dispatch it replaced.
+// assertion), a response's Fault entry, and any parameter or return value
+// outside the flat scalar/array shape are carved into a pooled arena, the
+// values then read by ParseValue itself, so value semantics live in one
+// place. Everything the walk does not read it still lexes, so it accepts
+// exactly the documents the tree parser accepts and faults the way
+// ParseEnvelopeBytes and ParseCall (for a request) or ParseResponse (for
+// a response) together do. FuzzStreamVsTreeDispatch in the rpc package and
+// FuzzResponseDecode in core hold it to those tree oracles.
 package soap
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -34,7 +34,9 @@ type BodyReader struct {
 	arena  *xmlutil.Doc
 	env    Envelope
 	params []Value
-	mode   readMode
+	// fault is a response's carved Fault entry, read instead of params.
+	fault *xmlutil.Element
+	mode  readMode
 	// text joins the runs of a scalar split by comments or CDATA.
 	text []byte
 }
@@ -43,16 +45,16 @@ type BodyReader struct {
 type readMode uint8
 
 const (
-	// readAll is the server's decode: everything, carving what is not flat.
-	readAll readMode = iota
-	// readFlat fails with errNotFlat where readAll would carve: the
-	// client's response parse, whose tree fallback handles those answers.
-	readFlat
+	// readRequest is the server's decode: the first Header's entries and
+	// the call's parameters, carving what is not flat.
+	readRequest readMode = iota
+	// readResponse is the client's decode: the return values, carving
+	// what is not flat, or a Fault entry carved whole. Headers are lexed
+	// but not built, since a Response carries none.
+	readResponse
 	// readSniff stops at the first Body entry's start tag.
 	readSniff
 )
-
-var errNotFlat = errors.New("soap: envelope needs an element tree")
 
 // maxPooledParams bounds the parameter capacity a pooled reader may keep,
 // so one request with an absurd parameter list cannot pin that memory.
@@ -78,6 +80,7 @@ func (r *BodyReader) Release() {
 		r.params = nil
 	}
 	r.env = Envelope{}
+	r.fault = nil
 	if cap(r.text) > maxPooledText {
 		r.text = nil
 	}
@@ -85,7 +88,7 @@ func (r *BodyReader) Release() {
 		r.arena.Release()
 		r.arena = nil
 	}
-	r.mode = readAll
+	r.mode = readRequest
 	bodyReaderPool.Put(r)
 }
 
@@ -109,12 +112,13 @@ var envelopePrologue = xmlutil.PrologueSeed{
 	Open:     [][]byte{[]byte("ns0:Envelope"), []byte("ns0:Body")},
 }
 
-// Decode reads the serialised envelope in data and returns the namespace
-// and local name of its first Body entry, whose parameters Params then
-// holds. Its errors are the tree path's: a syntax error anywhere in data
-// comes first, then the structural faults of ParseEnvelopeBytes (root
-// element, envelope namespace, missing Body) and ParseCall's empty body.
-// The reader does not alias data once Decode returns.
+// Decode reads the serialised request envelope in data and returns the
+// namespace and local name of its first Body entry, whose parameters
+// Params then holds. Its errors are the tree path's: a syntax error
+// anywhere in data comes first, then the structural faults of
+// ParseEnvelopeBytes (root element, envelope namespace, missing Body) and
+// ParseCall's empty body. The reader does not alias data once Decode
+// returns.
 func (r *BodyReader) Decode(data []byte) (space, name string, err error) {
 	c := xmlutil.AcquireCursor(data)
 	r.cur = c
@@ -142,6 +146,9 @@ func (r *BodyReader) Decode(data []byte) (space, name string, err error) {
 				return "", "", errNoBody
 			}
 			if !sawEntry {
+				if r.mode == readResponse {
+					return "", "", errEmptyResponse
+				}
 				return "", "", emptyBodyFault()
 			}
 			return space, name, nil
@@ -161,7 +168,7 @@ func (r *BodyReader) Decode(data []byte) (space, name string, err error) {
 				switch {
 				case c.Name() == "Body" && !sawBody:
 					sawBody, inBody = true, true
-				case c.Name() == "Header" && !sawHeader && r.mode != readSniff:
+				case c.Name() == "Header" && !sawHeader && r.mode == readRequest:
 					sawHeader = true
 					hdr, err := r.carve(c.Mark())
 					if err != nil {
@@ -175,11 +182,17 @@ func (r *BodyReader) Decode(data []byte) (space, name string, err error) {
 				}
 				sawEntry = true
 				space, name = c.Space(), c.Name()
-				if r.mode == readSniff {
+				switch {
+				case r.mode == readSniff:
 					return space, name, nil
-				}
-				if err := r.readParams(); err != nil {
-					return "", "", err
+				case r.mode == readResponse && space == EnvelopeNS && name == "Fault":
+					if r.fault, err = r.carve(c.Mark()); err != nil {
+						return "", "", err
+					}
+				default:
+					if err := r.readParams(); err != nil {
+						return "", "", err
+					}
 				}
 			}
 		}
@@ -266,9 +279,6 @@ func (r *BodyReader) readValue(v *Value) error {
 
 // carve re-reads the element at m as a tree in the reader's arena.
 func (r *BodyReader) carve(m xmlutil.Mark) (*xmlutil.Element, error) {
-	if r.mode != readAll {
-		return nil, errNotFlat
-	}
 	if r.arena == nil {
 		r.arena = xmlutil.AcquireArena()
 	}
@@ -279,22 +289,44 @@ func (r *BodyReader) carve(m xmlutil.Mark) (*xmlutil.Element, error) {
 	return el, nil
 }
 
-// ParseResponseStream decodes an RPC response envelope without an element
-// tree. It handles the common shape, scalar and array return values, and
-// reports !ok for everything else: faults, XML-valued returns, headers and
-// malformed input all go to the tree path, whose result it otherwise
-// equals.
-func ParseResponseStream(data []byte) (*Response, bool) {
+// DecodeResponse decodes a serialised RPC response envelope in one pass
+// and returns what ParseEnvelopeBytes and ParseResponse together return:
+// the response, or a Fault entry as both a Response with Fault set and
+// the error (of type *Fault), or the error of a malformed envelope.
+// XML-valued returns sit in a pooled arena, so release must be called once
+// the caller is done with the response, and no *xmlutil.Element reachable
+// from it may be used afterwards. When nothing was carved release is a
+// no-op, and a second call always is. Returns is the caller's own slice
+// and every string stays valid forever. A fault's detail is cloned out of
+// the arena, so a returned *Fault is safe to keep.
+func DecodeResponse(data []byte) (resp *Response, release func(), err error) {
 	r := AcquireBodyReader()
 	defer r.Release()
-	r.mode = readFlat
+	r.mode = readResponse
+	release = noRelease
 	space, name, err := r.Decode(data)
-	if err != nil || space == EnvelopeNS && name == "Fault" {
-		return nil, false
+	switch {
+	case err != nil:
+	case r.fault != nil:
+		f := ParseFault(r.fault)
+		detail := make([]*xmlutil.Element, len(f.Detail))
+		for i, d := range f.Detail {
+			detail[i] = d.Clone()
+		}
+		f.Detail = detail
+		resp, err = &Response{Fault: f}, f
+	default:
+		resp = &Response{ServiceNS: space, Method: strings.TrimSuffix(name, "Response"),
+			Returns: append([]Value(nil), r.params...)}
+		if r.arena != nil {
+			// The arena leaves with the response; the reader is recycled.
+			release, r.arena = r.arena.Release, nil
+		}
 	}
-	return &Response{ServiceNS: space, Method: strings.TrimSuffix(name, "Response"),
-		Returns: append([]Value(nil), r.params...)}, true
+	return resp, release, err
 }
+
+func noRelease() {}
 
 // SniffBody reports the namespace and local name of the primary body entry
 // of serialised envelope bytes without building an element tree. It reads

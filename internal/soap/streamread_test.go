@@ -151,38 +151,70 @@ func TestBodyReaderFallsBack(t *testing.T) {
 	})
 }
 
-// TestParseResponseStreamParity checks the streamed response parse against
-// ParseResponse, and that faults always fall back.
-func TestParseResponseStreamParity(t *testing.T) {
+// renderResponse flattens a decoded response, or its error, into
+// comparable strings: the operation, the returns as renderRequest renders
+// them, and a fault's code, string, actor and rendered detail.
+func renderResponse(resp *Response, err error) []string {
+	if err != nil && AsFault(err) == nil {
+		return []string{"error:" + err.Error()}
+	}
+	if f := resp.Fault; f != nil {
+		out := []string{fmt.Sprintf("fault:%s|%s|%s|%v", f.Code, f.String, f.Actor, err == error(f))}
+		for _, d := range f.Detail {
+			out = append(out, "detail:"+d.Render())
+		}
+		return out
+	}
+	return append([]string{"op:" + resp.ServiceNS + "|" + resp.Method}, renderRequest(resp.Returns, nil)...)
+}
+
+// checkResponseParity decodes each document with DecodeResponse and with
+// ParseEnvelopeBytes plus ParseResponse, and requires the same response,
+// fault or error text.
+func checkResponseParity(t *testing.T, cases map[string]string) {
+	t.Helper()
+	for label, doc := range cases {
+		wire := []byte(doc)
+		var want *Response
+		env, wantErr := ParseEnvelopeBytes(wire)
+		if wantErr == nil {
+			want, wantErr = ParseResponse(env)
+		}
+		got, release, err := DecodeResponse(wire)
+		if g, w := renderResponse(got, err), renderResponse(want, wantErr); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: response diverges\n got: %q\nwant: %q", label, g, w)
+		}
+		release()
+	}
+}
+
+// TestDecodeResponseParity pins the response decoder to the tree decode
+// on flat and XML returns, faults, headers and broken envelopes.
+func TestDecodeResponseParity(t *testing.T) {
 	resp := &Response{ServiceNS: "urn:svc", Method: "submit", Returns: []Value{
 		Str("jobID", "pbs.1234"),
 		StrArray("nodes", []string{"n0", "n1"}),
+		XMLDoc("doc", xmlutil.New("job").SetAttr("id", "7").AddText("state", "queued")),
 	}}
-	wire := []byte(resp.WireEnvelope().Render())
-	env, err := ParseEnvelopeBytes(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ParseResponse(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := ParseResponseStream(wire)
-	if !ok {
-		t.Fatal("ParseResponseStream fell back on an in-subset response")
-	}
-	if got.ServiceNS != want.ServiceNS || got.Method != want.Method {
-		t.Errorf("identity = %s.%s, want %s.%s", got.ServiceNS, got.Method, want.ServiceNS, want.Method)
-	}
-	if !reflect.DeepEqual(got.Returns, want.Returns) {
-		t.Errorf("returns diverge\n got: %+v\nwant: %+v", got.Returns, want.Returns)
-	}
-
-	fault := &Response{ServiceNS: "urn:svc", Method: "submit",
-		Fault: &Fault{Code: FaultServer, String: "scheduler down"}}
-	if _, ok := ParseResponseStream([]byte(fault.WireEnvelope().Render())); ok {
-		t.Error("ParseResponseStream accepted a fault envelope; faults must relay through the tree path")
-	}
+	fault := &Response{Fault: NewPortalError("svc", ErrCodeResourceFull, "disk full").Fault()}
+	twoDetails := &Response{Fault: &Fault{Code: FaultClient, String: "bad", Actor: "urn:a",
+		Detail: []*xmlutil.Element{xmlutil.NewText("one", "1"), xmlutil.New("two").AddText("x", "2")}}}
+	checkResponseParity(t, map[string]string{
+		"own encoder":  resp.WireEnvelope().Render(),
+		"portal error": fault.WireEnvelope().Render(),
+		"two details":  twoDetails.WireEnvelope().Render(),
+		"header": `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Header><h>x</h></e:Header>` +
+			`<e:Body><m:opResponse xmlns:m="urn:s"><r>v</r></m:opResponse></e:Body></e:Envelope>`,
+		"split scalar": envelope(`<m:opResponse xmlns:m="urn:s"><r>a<!-- c -->b<![CDATA[<&>]]>c</r></m:opResponse>`),
+		"empty body":   envelope(""),
+		"not envelope": `<r><e:Body xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"/></r>`,
+		"no body":      `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"/>`,
+		"fault not first": envelope(`<m:opResponse xmlns:m="urn:s"/><e:Fault xmlns:e="http://schemas.xmlsoap.org/soap/envelope/">` +
+			`<faultcode>e:Server</faultcode></e:Fault>`),
+		"foreign fault": envelope(`<Fault><faultcode>Server</faultcode></Fault>`),
+		"broken fault":  envelope(`<e:Fault xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><detail><x>&bogus;</x></detail></e:Fault>`),
+		"truncated":     envelope(`<m:opResponse xmlns:m="urn:s"><r>v</r>`)[:len(envOpen)+30],
+	})
 }
 
 // TestBodyReaderPoolReuse runs acquire/decode/release cycles over
@@ -204,37 +236,23 @@ func TestBodyReaderPoolReuse(t *testing.T) {
 	}
 }
 
-// TestParseResponseStreamEdgeParity pins two documents on which the
-// streamed parse used to disagree with the tree path: an entity error in
+// TestDecodeResponseEdgeParity pins two documents on which the streamed
+// response parse used to disagree with the tree path: an entity error in
 // character data nobody reads, which the tree parser rejects, and a type
 // attribute whose prefix is bound to no namespace, which Element.Attr
 // counts as unqualified.
-func TestParseResponseStreamEdgeParity(t *testing.T) {
+func TestDecodeResponseEdgeParity(t *testing.T) {
 	const open = `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body>`
 	const close = `</e:Body></e:Envelope>`
 	bad := []byte(open + `&bogus;<m:opResponse xmlns:m="urn:s"><r>v</r></m:opResponse>` + close)
 	if _, err := ParseEnvelopeBytes(bad); err == nil {
 		t.Fatal("tree parse accepted an undefined entity")
 	}
-	if _, ok := ParseResponseStream(bad); ok {
-		t.Error("ParseResponseStream accepted an undefined entity in skipped character data")
+	if _, _, err := DecodeResponse(bad); err == nil {
+		t.Error("DecodeResponse accepted an undefined entity in skipped character data")
 	}
-
-	typed := []byte(open + `<m:opResponse xmlns:m="urn:s"><r xmlns:x="" x:type="xsd:int" type="xsd:string">7</r>` +
-		`</m:opResponse>` + close)
-	env, err := ParseEnvelopeBytes(typed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ParseResponse(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := ParseResponseStream(typed)
-	if !ok {
-		t.Fatal("ParseResponseStream fell back on an in-subset response")
-	}
-	if !reflect.DeepEqual(got.Returns, want.Returns) {
-		t.Errorf("returns diverge\n got: %+v\nwant: %+v", got.Returns, want.Returns)
-	}
+	checkResponseParity(t, map[string]string{
+		"unbound type prefix": open + `<m:opResponse xmlns:m="urn:s"><r xmlns:x="" x:type="xsd:int" type="xsd:string">7</r>` +
+			`</m:opResponse>` + close,
+	})
 }

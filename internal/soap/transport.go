@@ -79,12 +79,13 @@ func OversizeFault() *Fault {
 
 // Transport carries one SOAP round trip: it posts req to endpoint under
 // ctx and appends the raw response envelope bytes to resp without parsing
-// them, leaving the parse mode to the caller (core.Client decodes into a
-// pooled arena; RoundTripEnvelope builds a retained tree). Cancelling ctx
-// abandons the call. On error resp is restored to its pre-call length, so
-// callers may reuse one buffer across attempts. Implementations include
-// the HTTP transport below and the in-process loopback used by tests and
-// benchmarks to isolate encoding cost from network cost.
+// them, leaving the parse mode to the caller (core.Client decodes them
+// with DecodeResponse; RoundTripEnvelope builds a retained tree).
+// Cancelling ctx abandons the call. On error resp is restored to its
+// pre-call length, so callers may reuse one buffer across attempts.
+// Implementations include the HTTP transport below and the in-process
+// loopback used by tests and benchmarks to isolate encoding cost from
+// network cost.
 type Transport interface {
 	RoundTripRawCtx(ctx context.Context, endpoint, action string, req *Envelope, resp *bytes.Buffer) error
 }
@@ -392,15 +393,4 @@ func (p *ClientPool) CloseIdle() {
 	for _, c := range p.clients {
 		c.CloseIdleConnections()
 	}
-}
-
-// Invoke performs a full RPC round trip under ctx: encode the call, send
-// it through the transport, decode the response. A fault response is
-// returned as the error (of type *Fault).
-func Invoke(ctx context.Context, t Transport, endpoint string, call *Call) (*Response, error) {
-	respEnv, err := RoundTripEnvelope(ctx, t, endpoint, call.ServiceNS+"#"+call.Method, call.WireEnvelope())
-	if err != nil {
-		return nil, err
-	}
-	return ParseResponse(respEnv)
 }

@@ -1,9 +1,10 @@
 // cursor.go implements a pull-token reader over the tree parser's whole
-// XML subset. It is the foundation of the server's one request decoder:
-// the soap package walks tokens straight off the wire bytes and reads
-// parameter text without materialising an *Element tree, and where a
-// caller does want a tree for one element (a header, a literal-XML
-// parameter) Carve cuts just that subtree into a pooled arena.
+// XML subset. It is the foundation of the one envelope decoder the server
+// and the client share: the soap package walks tokens straight off the
+// wire bytes and reads parameter and return text without materialising
+// an *Element tree, and where a caller does want a tree for one element
+// (a header, a literal-XML value, a fault) Carve cuts just that subtree
+// into a pooled arena.
 //
 // Contract with the tree parser: the cursor accepts exactly the documents
 // the tree parser accepts, rejects the others with the parser's error
@@ -348,7 +349,7 @@ func (c *Cursor) Carve(m Mark, arena *Doc) (*Element, error) {
 	p.data, p.pos, p.rooted = c.data, m.pos, m.open > 0
 	p.ns = append(p.ns[:0], c.ns[:m.ns]...)
 	p.open = append(p.open[:0], c.open[:m.open]...)
-	p.root, p.stack = nil, p.stack[:0]
+	p.root, p.stack, p.textBuf = nil, p.stack[:0], p.textBuf[:0]
 	el, err := p.run(true)
 	c.pos = p.pos
 	p.lexer.release()

@@ -83,14 +83,16 @@ var parseErrorTexts = []struct{ doc, want string }{
 }
 
 // TestParseErrorTexts pins the exact error text of every parser error
-// site, on the retained and the pooled entry point alike.
+// site, on the retained entry point and on a pooled carve alike.
 func TestParseErrorTexts(t *testing.T) {
 	for _, c := range parseErrorTexts {
 		if _, err := ParseString(c.doc); err == nil || err.Error() != c.want {
 			t.Errorf("ParseString(%.40q) error = %v, want %q", c.doc, err, c.want)
 		}
-		if _, err := ParseBytesPooled([]byte(c.doc)); err == nil || err.Error() != c.want {
-			t.Errorf("ParseBytesPooled(%.40q) error = %v, want %q", c.doc, err, c.want)
+		arena := AcquireArena()
+		if _, err := carveRoot([]byte(c.doc), arena); err == nil || err.Error() != c.want {
+			t.Errorf("carveRoot(%.40q) error = %v, want %q", c.doc, err, c.want)
 		}
+		arena.Release()
 	}
 }

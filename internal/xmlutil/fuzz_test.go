@@ -187,16 +187,16 @@ func FuzzParseRoundTrip(f *testing.F) {
 			}
 		}
 
-		// The pooled path must agree with the retained path bit for bit.
-		doc, perr := ParseBytesPooled(data)
+		// A tree carved into a pooled arena must agree with the retained
+		// path bit for bit.
+		arena := AcquireArena()
+		defer arena.Release()
+		carved, perr := carveRoot(data, arena)
 		if (perr == nil) != (gotErr == nil) {
 			t.Fatalf("pooled/retained disagreement on %q: %v vs %v", data, perr, gotErr)
 		}
-		if perr == nil {
-			if !doc.Root.Equal(got) {
-				t.Fatalf("pooled tree differs on %q", data)
-			}
-			doc.Release()
+		if perr == nil && !carved.Equal(got) {
+			t.Fatalf("pooled tree differs on %q", data)
 		}
 	})
 }

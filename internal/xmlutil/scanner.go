@@ -1,11 +1,10 @@
 // scanner.go is the tree parser behind Parse, ParseBytes, ParseString and
-// the pooled-arena decode path (ParseBytesPooled), and holds the text
+// the subtrees Cursor.Carve builds in a pooled arena, and holds the text
 // kernels (scan, unescape, entity decoding) both consumers of the markup
 // lexer (lexer.go) share. Because the parser and the streaming Cursor lex
 // markup with the same code, they accept the same markup by construction.
 // The parser adds what only a tree needs: character data accumulated per
-// element (CDATA sections included) and slab-allocated Element nodes, which
-// also back the subtrees Cursor.Carve cuts out of a streamed document.
+// element (CDATA sections included) and slab-allocated Element nodes.
 //
 // Performance model:
 //
@@ -14,12 +13,15 @@
 //     table (internStrings), so after warm-up the recurring vocabulary of a
 //     dialect costs zero allocations. Attributes are resolved eagerly.
 //   - Element nodes are carved out of slabs. Plain ParseBytes hands the
-//     slabs to the caller inside the returned tree (forever-owned); the
-//     pooled path (ParseBytesPooled) recycles slabs, attribute storage, and
-//     parser state through a sync.Pool once the caller Releases the Doc.
+//     slabs to the caller inside the returned tree (forever-owned); an
+//     arena (AcquireArena, filled by Cursor.Carve) recycles slabs,
+//     attribute storage, and parser state through a sync.Pool once the
+//     caller Releases the Doc.
 //   - Character data and attribute values allocate only the final string:
 //     unescaping runs only when an entity reference or a carriage return
-//     (which XML requires to be normalised) is present.
+//     (which XML requires to be normalised) is present, and an element
+//     whose text comes in several runs joins them in one parser-owned
+//     buffer, so the work is linear in the text however it is split.
 //
 // The parser matches encoding/xml's strictness for every construct it
 // supports (character validity, "]]>" in character data, "--" in comments,
@@ -30,7 +32,6 @@ package xmlutil
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"unicode/utf8"
@@ -44,6 +45,7 @@ const maxEntityLen = 64
 const (
 	maxPooledElems = 8192
 	maxPooledAttrs = 2048
+	maxPooledText  = 64 << 10
 )
 
 // --- name/value interning --------------------------------------------------
@@ -118,14 +120,16 @@ type frame struct {
 	// input; it is materialised lazily so whitespace-only formatting between
 	// child elements never allocates.
 	raw []byte
-	// mat records that Text has been materialised through the slow path.
-	mat bool
+	// joined records that the element's runs are being joined in the
+	// parser's textBuf, from offset start on.
+	joined bool
+	start  int
 }
 
 // parser is the pooled tree builder over the lexer. Retained-mode parsers
 // (Parse, ParseBytes, ParseString) detach their element slabs into the
 // returned tree and recycle only the lexer state; arena-mode parsers
-// (ParseBytesPooled) keep the slabs and recycle everything when the Doc is
+// (AcquireArena) keep the slabs and recycle everything when the Doc is
 // released.
 type parser struct {
 	lexer
@@ -141,6 +145,12 @@ type parser struct {
 	// attrs is the carving slab for Attr slices: each element's attributes
 	// are contiguous, so one backing array serves the whole document.
 	attrs []Attr
+
+	// textBuf joins the runs of the open elements whose text is split
+	// (joined frames), each from its frame's start. A frame's runs are
+	// contiguous because an element's children close, and give their
+	// bytes back, before its next run arrives.
+	textBuf []byte
 }
 
 func newParser() interface{} { return &parser{lexer: lexer{str: internStrings{}}} }
@@ -157,6 +167,7 @@ func (p *parser) reset(data []byte) {
 	p.slabI = 0
 	p.elemI = 0
 	p.attrs = p.attrs[:0]
+	p.textBuf = p.textBuf[:0]
 	if len(p.slabs) == 0 {
 		// Seed the slab size from the density of '<' so typical documents
 		// fit in one allocation.
@@ -268,10 +279,11 @@ func (p *parser) text() error {
 	return p.addText(p.data[start:end], clean, true)
 }
 
-// addText accumulates one text span onto the open element. Clean spans stay
-// as zero-copy slices until the element closes; anything else falls back to
-// string concatenation exactly as the old token loop did, because mixed
-// content is vanishingly rare on the wire.
+// addText accumulates one text span onto the open element. A lone clean
+// span stays a zero-copy slice until the element closes; once a second
+// run arrives (split off by a comment, CDATA section, processing
+// instruction or child element) or a span needs unescaping, the runs are
+// joined in the parser's textBuf and endTag builds the string once.
 func (p *parser) addText(span []byte, clean, entities bool) error {
 	if len(p.stack) == 0 {
 		// Character data outside the root is discarded (the old decoder
@@ -284,26 +296,23 @@ func (p *parser) addText(span []byte, clean, entities bool) error {
 		return nil
 	}
 	f := &p.stack[len(p.stack)-1]
-	if clean && !f.mat && f.raw == nil {
+	if clean && !f.joined && f.raw == nil {
 		f.raw = span
 		return nil
 	}
-	if f.raw != nil {
-		f.el.Text = string(f.raw)
+	if !f.joined {
+		f.joined, f.start = true, len(p.textBuf)
+		p.textBuf = append(p.textBuf, f.raw...)
 		f.raw = nil
 	}
-	s := ""
 	if clean {
-		s = string(span)
-	} else {
-		us, err := p.unescape(span, entities)
-		if err != nil {
-			return err
-		}
-		s = us
+		p.textBuf = append(p.textBuf, span...)
+		return nil
 	}
-	f.el.Text += s
-	f.mat = true
+	var msg string
+	if p.textBuf, msg = unescapeTo(p.textBuf, span, entities); msg != "" {
+		return p.errf("%s", msg)
+	}
 	return nil
 }
 
@@ -574,8 +583,13 @@ func (p *parser) endTag() error {
 		if len(rawText) > 0 {
 			el.Text = string(rawText)
 		}
-	} else if f.mat && len(el.Children) > 0 {
-		el.Text = strings.TrimSpace(el.Text)
+	} else if f.joined {
+		text := p.textBuf[f.start:]
+		if len(el.Children) > 0 {
+			text = bytes.TrimSpace(text)
+		}
+		el.Text = string(text)
+		p.textBuf = p.textBuf[:f.start]
 	}
 	p.stack = p.stack[:len(p.stack)-1]
 	return nil
@@ -595,48 +609,27 @@ func parseRetained(data []byte) (*Element, error) {
 	p.slabs = nil // owned by the returned tree now
 	p.nextSlab = 0
 	p.attrs = nil
+	if cap(p.textBuf) > maxPooledText {
+		p.textBuf = nil
+	}
 	retainedPool.Put(p)
 	return root, err
 }
 
-// Doc is a document parsed into a pooled element arena by ParseBytesPooled.
-// The tree under Root is fully owned by the arena: Release recycles every
-// Element (and their attribute storage) for the next parse, so neither Root
-// nor any node or slice reached from it may be used after Release. Strings
-// taken out of the tree (names, text, attribute values) are ordinary Go
-// strings and remain valid forever.
+// Doc is a pooled element arena, which Cursor.Carve builds subtrees in.
+// It owns every Element carved into it: Release recycles them (and their
+// attribute storage) for the next carve, so no node or slice reached from
+// a carved tree may be used after Release. Strings taken out of the tree
+// (names, text, attribute values) are ordinary Go strings and remain valid
+// forever.
 type Doc struct {
-	// Root is the document root; nil after Release.
-	Root *Element
-
 	p *parser
 }
 
-// ParseBytesPooled parses an XML document into a pooled element arena. It is
-// the allocation-free steady-state decode path for request-scoped documents:
-// the caller must Release the Doc when done with the tree and must not
-// retain any *Element past that point. Use ParseBytes when the tree outlives
-// the call site.
-func ParseBytesPooled(data []byte) (*Doc, error) {
-	p := arenaPool.Get().(*parser)
-	p.reset(data)
-	root, err := p.run(false)
-	p.release()
-	if err != nil {
-		p.root = nil
-		arenaPool.Put(p)
-		return nil, err
-	}
-	// The Doc is heap-allocated per parse (never pooled): once Release has
-	// detached it, its p stays nil forever, so a late or duplicate Release
-	// through a stale pointer can never free an arena that a subsequent
-	// parse is using.
-	return &Doc{Root: root, p: p}, nil
-}
-
-// AcquireArena returns an empty pooled element arena for Cursor.Carve to
-// build subtrees in. It is released like a parsed Doc, whose rules it
-// follows; its Root stays nil.
+// AcquireArena returns an empty pooled element arena. The Doc is
+// heap-allocated per acquire (never pooled): once Release has detached
+// it, its p stays nil forever, so a late or duplicate Release through a
+// stale pointer can never free an arena that a later carve is using.
 func AcquireArena() *Doc {
 	p := arenaPool.Get().(*parser)
 	p.reset(nil)
@@ -650,7 +643,6 @@ func (d *Doc) Release() {
 	if p == nil {
 		return
 	}
-	d.Root = nil
 	d.p = nil
 	p.root = nil
 	total := 0
@@ -663,6 +655,9 @@ func (d *Doc) Release() {
 	}
 	if cap(p.attrs) > maxPooledAttrs {
 		p.attrs = nil
+	}
+	if cap(p.textBuf) > maxPooledText {
+		p.textBuf = nil
 	}
 	arenaPool.Put(p)
 }

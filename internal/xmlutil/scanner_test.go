@@ -1,6 +1,7 @@
 package xmlutil
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -273,6 +274,29 @@ func TestNamespaceResolutionParity(t *testing.T) {
 	}
 }
 
+// carveRoot parses data into arena the way the soap reader builds its
+// subtrees: a Cursor walks to the root's start tag, Carve re-reads the
+// root as a tree, and the cursor checks the rest of the document.
+func carveRoot(data []byte, arena *Doc) (*Element, error) {
+	c := AcquireCursor(data)
+	defer c.Release()
+	var root *Element
+	for {
+		tok, err := c.Next()
+		if err != nil {
+			return nil, err
+		}
+		switch tok {
+		case TokEOF:
+			return root, nil
+		case TokStart:
+			if root, err = c.Carve(c.Mark(), arena); err != nil {
+				return nil, err
+			}
+		}
+	}
+}
+
 func TestPooledParseReuse(t *testing.T) {
 	// Stress the arena across documents of different shapes and prove no
 	// state bleeds between parses.
@@ -287,32 +311,36 @@ func TestPooledParseReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		doc, err := ParseBytesPooled([]byte(src))
+		arena := AcquireArena()
+		got, err := carveRoot([]byte(src), arena)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !doc.Root.Equal(want) {
+		if !got.Equal(want) {
 			t.Fatalf("round %d: pooled tree differs:\n%s\nvs\n%s",
-				round, doc.Root.RenderIndent(), want.RenderIndent())
+				round, got.RenderIndent(), want.RenderIndent())
 		}
-		doc.Release()
+		arena.Release()
 	}
 }
 
 func TestPooledParseErrorRecovery(t *testing.T) {
 	// A failed pooled parse must recycle cleanly and not poison later ones.
 	for i := 0; i < 20; i++ {
-		if _, err := ParseBytesPooled([]byte("<a><unclosed>")); err == nil {
+		arena := AcquireArena()
+		if _, err := carveRoot([]byte("<a><unclosed>"), arena); err == nil {
 			t.Fatal("malformed document accepted")
 		}
-		doc, err := ParseBytesPooled([]byte("<ok>fine</ok>"))
+		arena.Release()
+		arena = AcquireArena()
+		root, err := carveRoot([]byte("<ok>fine</ok>"), arena)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if doc.Root.Text != "fine" {
-			t.Fatalf("text = %q", doc.Root.Text)
+		if root.Text != "fine" {
+			t.Fatalf("text = %q", root.Text)
 		}
-		doc.Release()
+		arena.Release()
 	}
 }
 
@@ -334,5 +362,41 @@ func TestMixedTextTrimming(t *testing.T) {
 	}
 	if root.Text != "x  y" {
 		t.Errorf("mixed text = %q", root.Text)
+	}
+}
+
+// TestSplitTextIsLinear pins that an element's text costs linear work in
+// its number of runs: runs split by comments or by child elements are
+// joined once, not re-concatenated per run, so the bytes allocated per run
+// at 16,000 runs stay within twice those at 1,000.
+func TestSplitTextIsLinear(t *testing.T) {
+	for _, shape := range []struct{ name, run, sep string }{
+		{"comment-split", "xxxxxxxx", "<!---->"},
+		{"child-split", "x", "<b/>"},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			perRun := func(n int) float64 {
+				doc := []byte("<a>" + strings.Repeat(shape.run+shape.sep, n) + "</a>")
+				best := ^uint64(0)
+				for i := 0; i < 3; i++ {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					root, err := ParseBytes(doc)
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := strings.Repeat(shape.run, n); root.Text != want {
+						t.Fatalf("n=%d: text is %d bytes, want the %d bytes of the runs joined", n, len(root.Text), len(want))
+					}
+					best = min(best, after.TotalAlloc-before.TotalAlloc)
+				}
+				return float64(best) / float64(n)
+			}
+			small, large := perRun(1000), perRun(16000)
+			if large > 2*small {
+				t.Errorf("%.0f bytes allocated per run at 16,000 runs, %.0f at 1,000: joining is not linear", large, small)
+			}
+		})
 	}
 }

@@ -298,9 +298,10 @@ func ParseString(s string) (*Element, error) {
 }
 
 // ParseBytes parses an XML document held in a byte slice. The returned tree
-// does not alias data and is owned by the caller forever; request-scoped
-// decoders should prefer ParseBytesPooled, which recycles the element
-// storage.
+// does not alias data and is owned by the caller forever. It is the tree
+// oracle of the wire decoders: request and response envelopes are read by
+// a Cursor, which carves only the subtrees a caller navigates into a
+// pooled arena (AcquireArena, Cursor.Carve).
 func ParseBytes(data []byte) (*Element, error) {
 	return parseRetained(data)
 }

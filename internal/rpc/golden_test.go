@@ -57,7 +57,22 @@ type goldenCase struct {
 }
 
 func goldenCases() []goldenCase {
+	_, svcKey, tmKey := uddiGoldenRegistry()
+	uddiCase := func(name, method string, params ...soap.Value) goldenCase {
+		return goldenCase{
+			name: name,
+			build: func(t *testing.T) *core.Service {
+				r, _, _ := uddiGoldenRegistry()
+				return uddi.NewService(r)
+			},
+			call: &soap.Call{ServiceNS: uddi.ServiceNS, Method: method, Params: params},
+		}
+	}
 	return []goldenCase{
+		uddiCase("uddi-find", "findServiceByTModel", soap.Str("tModelKey", tmKey)),
+		uddiCase("uddi-detail", "getServiceDetail", soap.Str("serviceKey", svcKey)),
+		uddiCase("uddi-tmodel", "getTModel", soap.Str("tModelKey", tmKey)),
+		uddiCase("uddi-business", "findBusiness", soap.Str("name", "lab")),
 		{
 			name: "batchscript",
 			build: func(t *testing.T) *core.Service {
@@ -191,6 +206,46 @@ func goldenCases() []goldenCase {
 			call: &soap.Call{ServiceNS: "urn:gce:resilience", Method: "reject"},
 		},
 	}
+}
+
+// uddiGoldenRegistry is the fixture of the UDDI answer goldens: two
+// businesses, one with an empty description, and a tModel with two
+// services under it. The first service has two bindings, one with a
+// description; the second has an empty description. Text and attributes
+// carry <, &, " and a carriage return. Keys are minted from the
+// registry's sequence, so every call returns the same keys: the key of
+// the first service and the tModel's.
+func uddiGoldenRegistry() (r *uddi.Registry, serviceKey, tModelKey string) {
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	r = uddi.NewRegistry()
+	biz, err := r.SaveBusiness(uddi.BusinessEntity{Name: "IU Community Grids Lab", Description: "Gateway <portal> & \"friends\"\r\n"})
+	must(err)
+	_, err = r.SaveBusiness(uddi.BusinessEntity{Name: "SDSC HotPage Lab"})
+	must(err)
+	tm, err := r.SaveTModel(uddi.TModel{Name: "gce:BatchScriptGenerator", Description: "scripts for <PBS> & \"LSF\"\r",
+		OverviewURL: "http://golden.example/bsg.wsdl?a=1&b=\"2\""})
+	must(err)
+	s, err := r.SaveService(uddi.BusinessService{
+		BusinessKey: biz.Key,
+		Name:        "BSG <alpha> & \"one\"",
+		Description: uddi.DescribeCapabilities("line one\r\nline two", []string{"PBS", "GRD"}),
+		Bindings: []uddi.BindingTemplate{
+			{AccessPoint: "http://alpha.example/soap?x=1&y=\"2\"", Description: "primary <fast> & \"near\"\r", TModelKeys: []string{tm.Key}},
+			{AccessPoint: "http://alpha-backup.example/soap", TModelKeys: []string{tm.Key, tm.Key}},
+		},
+	})
+	must(err)
+	_, err = r.SaveService(uddi.BusinessService{
+		BusinessKey: biz.Key,
+		Name:        "BSG beta",
+		Bindings:    []uddi.BindingTemplate{{AccessPoint: "http://beta.example/soap", TModelKeys: []string{tm.Key}}},
+	})
+	must(err)
+	return r, s.Key, tm.Key
 }
 
 // resilienceGoldenDef probes the two degradation fault shapes: hang never

@@ -1,11 +1,14 @@
 package uddi
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/allocbudget"
 	"repro/internal/core"
+	"repro/internal/soap"
 )
 
 // BenchmarkClientXMLDecode measures the typed client's decode of a large
@@ -54,6 +57,17 @@ type findCase struct {
 // is FindServiceByTModel; scan is its test oracle, a range over every
 // service shard, with the same deep copy of the answer.
 func byTModelFinds(tb testing.TB) ([]findCase, []string) {
+	r, tms := byTModelRegistry(tb)
+	return []findCase{
+		{"index", r.FindServiceByTModel, 385},
+		{"scan", func(tk string) []*BusinessService { return copyServices(scanByTModel(r, tk)) }, 392},
+	}, tms
+}
+
+// byTModelRegistry publishes byTModelFinds' registry: 8192 services over
+// 64 tModels, 128 under each. It returns the registry with the tModel
+// keys.
+func byTModelRegistry(tb testing.TB) (*Registry, []string) {
 	r := NewRegistry()
 	biz, err := r.SaveBusiness(BusinessEntity{Name: "Portal Users"})
 	if err != nil {
@@ -77,10 +91,7 @@ func byTModelFinds(tb testing.TB) ([]findCase, []string) {
 			tb.Fatal(err)
 		}
 	}
-	return []findCase{
-		{"index", r.FindServiceByTModel, 385},
-		{"scan", func(tk string) []*BusinessService { return copyServices(scanByTModel(r, tk)) }, 392},
-	}, tms
+	return r, tms
 }
 
 // BenchmarkFindServiceByTModel times one find by tModel over 8192
@@ -112,6 +123,47 @@ func TestFindServiceByTModelAllocs(t *testing.T) {
 				}
 				i++
 			})
+		})
+	}
+}
+
+// answerAllocs is the budget of allocations per Provider.Serve call of
+// each UDDI answer shape, which TestFindAnswerAllocs enforces: a find by
+// tModel answering 128 services, and one service's detail.
+var answerAllocs = map[string]float64{
+	"findServiceByTModel": 1807,
+	"getServiceDetail":    22,
+}
+
+// TestFindAnswerAllocs holds the registry service's answer encode, decode
+// and handler included, to its allocation budget over byTModelFinds'
+// registry.
+func TestFindAnswerAllocs(t *testing.T) {
+	r, tms := byTModelRegistry(t)
+	p := core.NewProvider("registry-ssp", "loopback://uddi")
+	p.MustRegister(NewService(r))
+	svcKey := r.FindServiceByTModel(tms[0])[0].Key
+	calls := []struct {
+		method string
+		params []soap.Value
+		want   int // businessService elements in the answer
+	}{
+		{"findServiceByTModel", []soap.Value{soap.Str("tModelKey", tms[0])}, 128},
+		{"getServiceDetail", []soap.Value{soap.Str("serviceKey", svcKey)}, 1},
+	}
+	for _, c := range calls {
+		t.Run(c.method, func(t *testing.T) {
+			var req, out bytes.Buffer
+			(&soap.Call{ServiceNS: ServiceNS, Method: c.method, Params: c.params}).WireEnvelope().AppendTo(&req)
+			allocbudget.Check(t, answerAllocs[c.method], func() {
+				out.Reset()
+				if err := p.Serve(context.Background(), req.Bytes(), &out); err != nil {
+					t.Fatalf("%v: %s", err, out.Bytes())
+				}
+			})
+			if got := bytes.Count(out.Bytes(), []byte("<businessService ")); got != c.want {
+				t.Fatalf("answer carries %d services, want %d", got, c.want)
+			}
 		})
 	}
 }

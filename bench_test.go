@@ -154,13 +154,13 @@ var ladder = []struct {
 	allocs float64
 }{
 	{"direct", ladderDirect, 14},
-	{"serve", ladderServe, 28},
-	{"loopback", ladderLoopback, 35},
-	{"guarded", ladderGuarded, 41},
+	{"serve", ladderServe, 24},
+	{"loopback", ladderLoopback, 29},
+	{"guarded", ladderGuarded, 35},
 	{"http", ladderHTTP, 0},
 	{"gateway", ladderGateway, 0},
-	{"memory", func(tb testing.TB) func() error { return ladderPublisher(tb, nil) }, 31},
-	{"wal-nosync", func(tb testing.TB) func() error { return ladderPublisher(tb, &wal.Options{NoSync: true}) }, 36},
+	{"memory", func(tb testing.TB) func() error { return ladderPublisher(tb, nil) }, 26},
+	{"wal-nosync", func(tb testing.TB) func() error { return ladderPublisher(tb, &wal.Options{NoSync: true}) }, 31},
 	{"wal-fsync", func(tb testing.TB) func() error { return ladderPublisher(tb, &wal.Options{}) }, 0},
 }
 
@@ -259,8 +259,8 @@ func ladderGateway(tb testing.TB) func() error {
 // logged to a WAL with opts unless opts is nil. Every call adds a business,
 // and WAL compaction re-dumps the whole registry, so a logged rung's cost
 // per call grows with the number of calls: on a two-core container
-// wal-nosync reads 37 allocs and 5-5.1 µs/op at -benchtime 3000x but 43
-// allocs and 6.9-8.1 µs/op at 200000x, while memory stays at 32 allocs. Under a time-based -benchtime, as in
+// wal-nosync reads 32 allocs and 5-5.1 µs/op at -benchtime 3000x but 38
+// allocs and 6.9-8.1 µs/op at 200000x, while memory stays at 27 allocs. Under a time-based -benchtime, as in
 // CI's ladder step, the wal rungs' figures therefore depend on the
 // runner's speed and are not exact.
 func ladderPublisher(tb testing.TB, opts *wal.Options) func() error {

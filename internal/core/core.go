@@ -705,7 +705,7 @@ func typeMatches(contractType string, v soap.Value) bool {
 
 func wireType(v soap.Value) string {
 	switch {
-	case v.XML != nil:
+	case v.XML != nil || v.WriteXML != nil:
 		return "xml"
 	case v.Type == "Array":
 		return "stringArray"

@@ -67,7 +67,7 @@ func cachedFind(tb testing.TB) (cases []cacheCase, out *bytes.Buffer) {
 		cache.Flush()
 		return hit()
 	}
-	return []cacheCase{{"hit", hit, 5}, {"miss", miss, 1813}}, out
+	return []cacheCase{{"hit", hit, 4}, {"miss", miss, 12}}, out
 }
 
 // BenchmarkResponseCache times cachedFind's cases. Run with -benchmem;

@@ -159,12 +159,24 @@
 // Handler return values are encoded by the kernel through the streaming
 // xmlutil.Writer: scalar, boolean, numeric, and string-array returns are
 // written straight to the wire buffer and never materialise an element
-// tree. Handlers only still build trees for "xml"-typed returns — an
-// *xmlutil.Element payload (job results, registry containers, descriptors)
-// constructed with the xmlutil builders and bridged onto the wire by
-// Writer.Element. That is the intended division: build a tree when the
-// payload is a document the caller will navigate, return plain values
-// otherwise and let the kernel stream them. The wire bytes of both paths
-// are pinned by the golden conformance suite in golden_test.go
-// (regenerate with -update after an intentional format change).
+// tree. An "xml"-typed return takes one of two forms:
+//
+//   - a func(*xmlutil.Writer) that writes the payload, one root element,
+//     as Start/Attr/Text/End events. Return it when the answer is
+//     rendered from records the service holds (every UDDI find and get):
+//     nothing is built only to be thrown away once written. The function
+//     runs after the handler returns, in the kernel's encode or the
+//     response cache's, so it must read only data no later call changes:
+//     immutable records or the handler's own copies.
+//   - an *xmlutil.Element. Return it when the package already has the
+//     payload's tree form, a converter its other callers use too
+//     (xmlregistry containers, application descriptors, context archives,
+//     SRB listings, job results); Writer.Element bridges it onto the
+//     wire. Moving such an answer to a writer pays where a profile shows
+//     its tree, as one did for the UDDI finds.
+//
+// Both forms put the same bytes on the wire for the same document, and
+// the WSDL declares both as xml. The wire bytes are pinned by the golden
+// conformance suite in golden_test.go (regenerate with -update after an
+// intentional format change).
 package rpc

@@ -360,14 +360,13 @@ func encodeOne(p wsdl.Param, v interface{}) (soap.Value, error) {
 		}
 		return soap.StrArray(p.Name, items), nil
 	case "xml":
-		if v == nil {
-			return soap.Value{}, fmt.Errorf("got nil, want *xmlutil.Element")
+		switch x := v.(type) {
+		case *xmlutil.Element:
+			return soap.XMLDoc(p.Name, x), nil
+		case func(*xmlutil.Writer):
+			return soap.Value{Name: p.Name, WriteXML: x}, nil
 		}
-		el, ok := v.(*xmlutil.Element)
-		if !ok {
-			return soap.Value{}, fmt.Errorf("got %T, want *xmlutil.Element", v)
-		}
-		return soap.XMLDoc(p.Name, el), nil
+		return soap.Value{}, fmt.Errorf("got %T, want *xmlutil.Element or func(*xmlutil.Writer)", v)
 	default:
 		return soap.Value{}, fmt.Errorf("unsupported declared type %q", p.Type)
 	}

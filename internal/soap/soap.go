@@ -418,7 +418,8 @@ func AsPortalError(err error) *PortalError {
 // --- RPC encoding ---------------------------------------------------------
 
 // Value is a SOAP RPC parameter or return value: a name, an XSD type tag,
-// and either scalar text, an array of values, or a literal XML subtree.
+// and either scalar text, an array of values, or a literal XML payload,
+// held as a tree or written on demand.
 type Value struct {
 	// Name is the accessor (parameter) name.
 	Name string
@@ -433,6 +434,13 @@ type Value struct {
 	// document (the paper's services pass XML job descriptions and multi-
 	// command requests as single parameters).
 	XML *xmlutil.Element
+	// WriteXML, when XML is nil, writes a literal XML payload, one root
+	// element, as Writer events: the form for an answer rendered straight
+	// from records, with no tree in between. It runs after the handler
+	// that returned it has returned (the kernel encodes returns after the
+	// handler, and a response cache encodes its entry), so it must read
+	// only data that no later call changes.
+	WriteXML func(w *xmlutil.Writer)
 }
 
 // Str builds a string-typed value.
@@ -460,12 +468,22 @@ func XMLDoc(name string, doc *xmlutil.Element) Value {
 	return Value{Name: name, XML: doc}
 }
 
-// Element renders the value as an RPC parameter element.
+// Element renders the value as an RPC parameter element. A WriteXML
+// payload is written and parsed back, so the tree stays the authority on
+// what the writer means.
 func (v Value) Element() *xmlutil.Element {
 	el := xmlutil.New(v.Name)
 	switch {
 	case v.XML != nil:
 		el.Add(v.XML)
+	case v.WriteXML != nil:
+		var b bytes.Buffer
+		v.WriteXML(xmlutil.NewWriter(&b))
+		doc, err := xmlutil.ParseBytes(b.Bytes())
+		if err != nil {
+			panic(fmt.Sprintf("soap: %s's written XML payload does not parse: %v", v.Name, err))
+		}
+		el.Add(doc)
 	case v.Type == "Array":
 		el.SetAttrNS(XSINS, "type", "soapenc:Array")
 		for _, item := range v.Items {
@@ -481,13 +499,15 @@ func (v Value) Element() *xmlutil.Element {
 }
 
 // write streams the value as an RPC parameter element, byte-identical to
-// rendering Element(). Scalar and array values never touch the element
-// tree; literal XML payloads bridge through Writer.Element.
+// rendering Element(). Scalar, array and WriteXML values never touch the
+// element tree; a literal XML tree bridges through Writer.Element.
 func (v Value) write(w *xmlutil.Writer) {
 	w.Start("", v.Name)
 	switch {
 	case v.XML != nil:
 		w.Element(v.XML)
+	case v.WriteXML != nil:
+		v.WriteXML(w)
 	case v.Type == "Array":
 		w.Attr(XSINS, "type", "soapenc:Array")
 		for _, item := range v.Items {

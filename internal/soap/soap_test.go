@@ -74,6 +74,28 @@ func TestXMLParameter(t *testing.T) {
 	}
 }
 
+// TestWrittenXMLReturn checks that a WriteXML payload and the tree it
+// writes agree on both encode paths: the streamed envelope and the tree
+// one, whose Element parses the written payload back.
+func TestWrittenXMLReturn(t *testing.T) {
+	tree := xmlutil.New("serviceList")
+	tree.Add(xmlutil.New("businessService").SetAttr("serviceKey", "a&\"b\"\r").AddText("name", "<x> & y\r"))
+	tree.Add(xmlutil.New("businessService").AddText("description", ""))
+	written := &Response{ServiceNS: "urn:gce:uddi", Method: "findService",
+		Returns: []Value{{Name: "serviceList", WriteXML: func(w *xmlutil.Writer) { w.Element(tree) }}}}
+	held := &Response{ServiceNS: "urn:gce:uddi", Method: "findService", Returns: []Value{XMLDoc("serviceList", tree)}}
+	want := held.WireEnvelope().Render()
+	if got := written.WireEnvelope().Render(); got != want {
+		t.Fatalf("streamed envelopes differ\nwritten: %s\nheld:    %s", got, want)
+	}
+	if got := written.Envelope().Render(); got != want {
+		t.Fatalf("tree envelope differs\nwritten: %s\nheld:    %s", got, want)
+	}
+	if el := written.Returns[0].Element(); !el.Equal(held.Returns[0].Element()) {
+		t.Fatalf("Element() = %s, want %s", el.Render(), held.Returns[0].Element().Render())
+	}
+}
+
 func TestResponseRoundTrip(t *testing.T) {
 	r := &Response{ServiceNS: "urn:srb", Method: "ls", Returns: []Value{StrArray("entries", []string{"a.dat", "b.dat"})}}
 	parsed, err := ParseEnvelopeBytes([]byte(r.Envelope().Render()))

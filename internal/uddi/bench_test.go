@@ -131,8 +131,8 @@ func TestFindServiceByTModelAllocs(t *testing.T) {
 // each UDDI answer shape, which TestFindAnswerAllocs enforces: a find by
 // tModel answering 128 services, and one service's detail.
 var answerAllocs = map[string]float64{
-	"findServiceByTModel": 1807,
-	"getServiceDetail":    22,
+	"findServiceByTModel": 5,
+	"getServiceDetail":    9,
 }
 
 // TestFindAnswerAllocs holds the registry service's answer encode, decode

@@ -255,13 +255,13 @@ func TestFindsAreDeterministic(t *testing.T) {
 		if len(first) != 20 || !slices.IsSortedFunc(first, compareServices) {
 			t.Fatalf("%s: %v, want 20 services in (Name, Key) order", name, serviceKeys(first))
 		}
-		wire := serviceList(first).Render()
+		wire := written(serviceListWriter(first))
 		for i := 0; i < 10; i++ {
 			again := find()
 			if !reflect.DeepEqual(values(again), values(first)) {
 				t.Fatalf("%s answered %v, then %v", name, serviceKeys(first), serviceKeys(again))
 			}
-			if w := serviceList(again).Render(); w != wire {
+			if w := written(serviceListWriter(again)); w != wire {
 				t.Fatalf("%s encodes differently on a repeat:\n%s\n%s", name, wire, w)
 			}
 		}

@@ -94,14 +94,8 @@ func def(r *Registry) *rpc.Def {
 				In:         []wsdl.Param{rpc.Str("name")},
 				Out:        []wsdl.Param{rpc.XML("businessList")},
 				Handle: func(_ *core.Context, in rpc.Args) ([]interface{}, error) {
-					list := xmlutil.New("businessList")
-					for _, b := range r.FindBusiness(in.Str("name")) {
-						be := xmlutil.New("businessEntity").SetAttr("businessKey", b.Key)
-						be.AddText("name", b.Name)
-						be.AddText("description", b.Description)
-						list.Add(be)
-					}
-					return rpc.Ret(list), nil
+					businesses := r.FindBusiness(in.Str("name"))
+					return rpc.Ret(func(w *xmlutil.Writer) { writeBusinessList(w, businesses) }), nil
 				},
 			},
 			{
@@ -110,7 +104,7 @@ func def(r *Registry) *rpc.Def {
 				In:         []wsdl.Param{rpc.Str("businessKey"), rpc.Str("name")},
 				Out:        []wsdl.Param{rpc.XML("serviceList")},
 				Handle: func(_ *core.Context, in rpc.Args) ([]interface{}, error) {
-					return rpc.Ret(serviceList(r.FindService(in.Str("businessKey"), in.Str("name")))), nil
+					return rpc.Ret(serviceListWriter(r.FindService(in.Str("businessKey"), in.Str("name")))), nil
 				},
 			},
 			{
@@ -120,8 +114,8 @@ func def(r *Registry) *rpc.Def {
 				Out:        []wsdl.Param{rpc.XML("serviceList")},
 				Handle: func(_ *core.Context, in rpc.Args) ([]interface{}, error) {
 					// The index's records are immutable, so the answer is
-					// rendered from them without copying.
-					return rpc.Ret(serviceList(r.servicesByTModel(in.Str("tModelKey")))), nil
+					// written from them without copying.
+					return rpc.Ret(serviceListWriter(r.servicesByTModel(in.Str("tModelKey")))), nil
 				},
 			},
 			{
@@ -131,7 +125,7 @@ func def(r *Registry) *rpc.Def {
 				In:         []wsdl.Param{rpc.Str("pattern")},
 				Out:        []wsdl.Param{rpc.XML("serviceList")},
 				Handle: func(_ *core.Context, in rpc.Args) ([]interface{}, error) {
-					return rpc.Ret(serviceList(r.FindByConvention(in.Str("pattern")))), nil
+					return rpc.Ret(serviceListWriter(r.FindByConvention(in.Str("pattern")))), nil
 				},
 			},
 			{
@@ -144,7 +138,7 @@ func def(r *Registry) *rpc.Def {
 					if err != nil {
 						return nil, fail(soap.ErrCodeNoSuchResource, "%v", err)
 					}
-					return rpc.Ret(serviceElement(s)), nil
+					return rpc.Ret(func(w *xmlutil.Writer) { writeService(w, s) }), nil
 				},
 			},
 			{
@@ -157,11 +151,7 @@ func def(r *Registry) *rpc.Def {
 					if err != nil {
 						return nil, fail(soap.ErrCodeNoSuchResource, "%v", err)
 					}
-					el := xmlutil.New("tModel").SetAttr("tModelKey", t.Key)
-					el.AddText("name", t.Name)
-					el.AddText("description", t.Description)
-					el.AddText("overviewURL", t.OverviewURL)
-					return rpc.Ret(el), nil
+					return rpc.Ret(func(w *xmlutil.Writer) { writeTModel(w, t) }), nil
 				},
 			},
 		},
@@ -173,25 +163,78 @@ func Contract() *wsdl.Interface {
 	return def(nil).Interface()
 }
 
-// serviceElement renders a BusinessService for the wire.
-func serviceElement(s *BusinessService) *xmlutil.Element {
-	el := xmlutil.New("businessService").
-		SetAttr("serviceKey", s.Key).
-		SetAttr("businessKey", s.BusinessKey)
-	el.AddText("name", s.Name)
-	el.AddText("description", s.Description)
+// The registry's XML answers are written straight from its records as
+// xmlutil.Writer events; no answer builds an element tree. A handler
+// returns the writer, which runs after the handler has returned, in the
+// kernel's encode or a response cache's. That is safe because nothing it
+// reads can change: the tModel index's records are immutable, and the
+// other finds and getServiceDetail hand it deep copies. The answers'
+// tree forms, in the package's tests, are the writers' oracle
+// (FuzzServiceListWriterVsTree), and the golden wire suite pins their
+// bytes.
+
+// writeTextElement writes <name>text</name>; empty text self-closes.
+func writeTextElement(w *xmlutil.Writer, name, text string) {
+	w.Start("", name)
+	w.Text(text)
+	w.End()
+}
+
+// writeService writes s as a businessService element.
+func writeService(w *xmlutil.Writer, s *BusinessService) {
+	w.Start("", "businessService")
+	w.Attr("", "serviceKey", s.Key)
+	w.Attr("", "businessKey", s.BusinessKey)
+	writeTextElement(w, "name", s.Name)
+	writeTextElement(w, "description", s.Description)
 	for _, b := range s.Bindings {
-		bt := xmlutil.New("bindingTemplate").SetAttr("bindingKey", b.Key)
-		bt.AddText("accessPoint", b.AccessPoint)
+		w.Start("", "bindingTemplate")
+		w.Attr("", "bindingKey", b.Key)
+		writeTextElement(w, "accessPoint", b.AccessPoint)
 		if b.Description != "" {
-			bt.AddText("description", b.Description)
+			writeTextElement(w, "description", b.Description)
 		}
 		for _, tk := range b.TModelKeys {
-			bt.AddText("tModelKey", tk)
+			writeTextElement(w, "tModelKey", tk)
 		}
-		el.Add(bt)
+		w.End()
 	}
-	return el
+	w.End()
+}
+
+// serviceListWriter is the out value of a find that answers services: it
+// writes them as a serviceList element.
+func serviceListWriter(services []*BusinessService) func(*xmlutil.Writer) {
+	return func(w *xmlutil.Writer) {
+		w.Start("", "serviceList")
+		for _, s := range services {
+			writeService(w, s)
+		}
+		w.End()
+	}
+}
+
+// writeTModel writes t as a tModel element.
+func writeTModel(w *xmlutil.Writer, t *TModel) {
+	w.Start("", "tModel")
+	w.Attr("", "tModelKey", t.Key)
+	writeTextElement(w, "name", t.Name)
+	writeTextElement(w, "description", t.Description)
+	writeTextElement(w, "overviewURL", t.OverviewURL)
+	w.End()
+}
+
+// writeBusinessList writes businesses as a businessList element.
+func writeBusinessList(w *xmlutil.Writer, businesses []*BusinessEntity) {
+	w.Start("", "businessList")
+	for _, b := range businesses {
+		w.Start("", "businessEntity")
+		w.Attr("", "businessKey", b.Key)
+		writeTextElement(w, "name", b.Name)
+		writeTextElement(w, "description", b.Description)
+		w.End()
+	}
+	w.End()
 }
 
 // ServiceFromElement parses a wire businessService element. It copies out
@@ -220,14 +263,6 @@ func ServiceFromElement(el *xmlutil.Element) *BusinessService {
 		s.Bindings = append(s.Bindings, b)
 	}
 	return s
-}
-
-func serviceList(services []*BusinessService) *xmlutil.Element {
-	list := xmlutil.New("serviceList")
-	for _, s := range services {
-		list.Add(serviceElement(s))
-	}
-	return list
 }
 
 // ServicesFromList parses a wire serviceList element.

@@ -77,8 +77,16 @@ type Cursor struct {
 // string allocation and a cache overwrite.
 type memoStrings [32]string
 
+// slot hashes every byte of span (FNV-1a; memoised spans are at most
+// maxInternLen bytes), so namespace URIs and attribute values that share a
+// length and their first and last bytes still spread over the slots.
 func (m *memoStrings) slot(span []byte) *string {
-	return &m[(uint(len(span))*131+uint(span[0])*31+uint(span[len(span)-1]))%uint(len(m))]
+	h := uint32(2166136261)
+	for _, c := range span {
+		h ^= uint32(c)
+		h *= 16777619
+	}
+	return &m[h%uint32(len(m))]
 }
 
 // name memoises bounded vocabulary, element names and namespace prefixes,

@@ -89,7 +89,7 @@ func (c *Context) Abandon() { atomic.StoreUint32(&c.abandoned, 1) }
 // way returns nil values and a nil error, so middleware outside it sees nil
 // returns; an error returned further out still turns the answer into a
 // fault. raw is shared, not copied: it must never be modified afterwards.
-// The response cache answers every cacheable operation this way.
+// The response cache answers its hits and the misses it stores this way.
 func (c *Context) Respond(raw []byte) { c.raw = raw }
 
 // Detach returns a copy of the context for running the inner handler chain

@@ -23,9 +23,14 @@ type cacheCase struct {
 }
 
 // cachedFind serves a cached UDDI findServiceByTModel whose answer lists
-// 128 services, through Provider.Serve: "hit" answers from the cache;
-// "miss" flushes it first, so each call runs the handler and stores its
-// answer. out holds the last answer.
+// 128 services, through Provider.Serve, and out holds the last answer.
+// Each case's warm-up calls put the cache in the state its calls repeat:
+//   - "hit" answers from the cache;
+//   - "cold first miss" flushes the cache first; from its second call
+//     on, that flush drops the key's entry unread, so the call runs the
+//     handler and stores nothing;
+//   - "second miss" finds its entry expired after a miss since the last
+//     flush, so the call runs the handler and stores its answer.
 func cachedFind(tb testing.TB) (cases []cacheCase, out *bytes.Buffer) {
 	r := uddi.NewRegistry()
 	biz, err := r.SaveBusiness(uddi.BusinessEntity{Name: "SDSC", Description: "HotPage group"})
@@ -50,6 +55,8 @@ func cachedFind(tb testing.TB) (cases []cacheCase, out *bytes.Buffer) {
 	}
 	svc := uddi.NewService(r)
 	cache := rpc.NewResponseCache(time.Minute, 64)
+	now := time.Unix(0, 0)
+	cache.SetClock(func() time.Time { return now })
 	svc.Use(cache.Middleware(rpc.OpPrefixes("find", "get")))
 	p := core.NewProvider("registry-ssp", "loopback://uddi")
 	p.MustRegister(svc)
@@ -63,11 +70,15 @@ func cachedFind(tb testing.TB) (cases []cacheCase, out *bytes.Buffer) {
 		out.Reset()
 		return p.Serve(context.Background(), req.Bytes(), out)
 	}
-	miss := func() error {
+	coldMiss := func() error {
 		cache.Flush()
 		return hit()
 	}
-	return []cacheCase{{"hit", hit, 4}, {"miss", miss, 12}}, out
+	secondMiss := func() error {
+		now = now.Add(2 * time.Minute)
+		return hit()
+	}
+	return []cacheCase{{"hit", hit, 4}, {"cold first miss", coldMiss, 8}, {"second miss", secondMiss, 12}}, out
 }
 
 // BenchmarkResponseCache times cachedFind's cases. Run with -benchmem;

@@ -196,8 +196,9 @@ func runCacheSequence(t testing.TB, ops []byte) []*ResponseCache {
 // FuzzCachedVsUncached runs sequences of finds, gets, saves and deletes
 // against providers that hold the same data, with and without a response
 // cache, and requires byte-identical answers: a cached answer is the
-// uncached one, faults are never cached, and a write flushes every answer
-// it could change. The seeds are random sequences from fixed seeds.
+// uncached one, a miss declined by admission is too, faults are never
+// cached, and a write flushes every answer it could change. The seeds are
+// random sequences from fixed seeds and two hand-written read patterns.
 func FuzzCachedVsUncached(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -212,6 +213,19 @@ func FuzzCachedVsUncached(f *testing.F) {
 	for _, c := range runCacheSequence(f, reads) {
 		if hits, _, _ := c.Stats(); hits == 0 {
 			f.Fatal("the read seed never hit a cache")
+		}
+	}
+	// Reads of key "a" repeated across saves, which flush: each save drops
+	// the find and the get unread, so after it their first misses are
+	// declined and their second stored. The sequence ends on a save, a
+	// declined find, a stored one and a hit, so the seed must end with
+	// that one entry, after a decline: the second-miss store ran.
+	coldReads := []byte{0, 2, 4, 0, 2, 0, 2, 4, 0, 0, 0}
+	f.Add(coldReads)
+	for _, c := range runCacheSequence(f, coldReads) {
+		if _, _, entries := c.Stats(); c.Declined() == 0 || entries != 1 {
+			f.Fatalf("the cold-read seed declined %d misses and ended with %d entries, want some and 1",
+				c.Declined(), entries)
 		}
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {

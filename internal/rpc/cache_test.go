@@ -201,6 +201,54 @@ func TestResponseCacheWriteFlushes(t *testing.T) {
 	}
 }
 
+// TestResponseCacheAdmission pins the admission rule: a key whose entry a
+// flush dropped unread is stored on its second miss after the flush, a key
+// read before the flush is stored on its first, and a hit clears the cold
+// mark. A declined miss returns the handler's values to the middleware
+// outside the cache; a hit or a stored miss answers through Respond and
+// returns none.
+func TestResponseCacheAdmission(t *testing.T) {
+	c := NewResponseCache(time.Minute, 16)
+	h, calls := cacheFixture(c, OpPrefixes("find"))
+	step := 0
+	find := func(q string, wantCalls, wantEntries int, wantDeclined uint64) {
+		t.Helper()
+		step++
+		before := c.Declined()
+		vals, err := h(inquiryCtx("find"), soap.Args{soap.Str("q", q)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, entries := c.Stats()
+		if *calls != wantCalls || entries != wantEntries || c.Declined() != wantDeclined {
+			t.Fatalf("step %d, find %q: handler ran %d times, %d entries, %d declined; want %d, %d, %d",
+				step, q, *calls, entries, c.Declined(), wantCalls, wantEntries, wantDeclined)
+		}
+		if declined := c.Declined() > before; declined != (vals != nil) {
+			t.Fatalf("step %d, find %q: returned %d values; a miss must return them if and only if it was declined",
+				step, q, len(vals))
+		}
+	}
+
+	find("unread", 1, 1, 0)
+	find("read", 2, 2, 0)
+	find("read", 2, 2, 0) // hit
+	c.Flush()
+	find("read", 3, 1, 0)   // read before the flush: stored on its first miss
+	find("unread", 4, 1, 1) // dropped unread: its first miss is declined
+	find("unread", 5, 2, 1) // and its second stored
+	find("unread", 5, 2, 1) // hit
+	c.Flush()
+	find("unread", 6, 1, 1) // the hit cleared the cold mark
+	c.Flush()
+	find("unread", 7, 0, 2) // dropped unread again
+	if vals, err := h(inquiryCtx("saveService"), soap.Args{soap.Str("name", "n")}); err != nil || len(vals) != 1 {
+		t.Fatalf("write = %v, %v", vals, err)
+	}
+	find("unread", 9, 0, 3) // a write's flush forgets the seen mark
+	find("unread", 10, 1, 3)
+}
+
 func TestResponseCacheDetachesXML(t *testing.T) {
 	c := NewResponseCache(time.Minute, 16)
 	shared := xmlutil.New("list").AddText("item", "one")
@@ -314,10 +362,11 @@ func TestHealthzReportsCacheStats(t *testing.T) {
 	var doc struct {
 		Status string `json:"status"`
 		Caches []struct {
-			Name    string `json:"name"`
-			Hits    uint64 `json:"hits"`
-			Misses  uint64 `json:"misses"`
-			Entries int    `json:"entries"`
+			Name     string `json:"name"`
+			Hits     uint64 `json:"hits"`
+			Misses   uint64 `json:"misses"`
+			Declined uint64 `json:"declined"`
+			Entries  int    `json:"entries"`
 		} `json:"caches"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
@@ -327,8 +376,29 @@ func TestHealthzReportsCacheStats(t *testing.T) {
 		t.Fatalf("healthz = %+v", doc)
 	}
 	c := doc.Caches[0]
-	if c.Name != "echo" || c.Hits != 2 || c.Misses != 1 || c.Entries != 1 {
-		t.Fatalf("healthz cache line = %+v, want echo 2/1/1", c)
+	if c.Name != "echo" || c.Hits != 2 || c.Misses != 1 || c.Declined != 0 || c.Entries != 1 {
+		t.Fatalf("healthz cache line = %+v, want echo 2/1/0/1", c)
+	}
+
+	// An answer a flush drops unread makes its key's next miss a declined
+	// one, which /healthz counts.
+	if _, err := cl.CallText("getAnswer", soap.Str("q", "7")); err != nil {
+		t.Fatal(err)
+	}
+	cache.Flush()
+	if _, err := cl.CallText("getAnswer", soap.Str("q", "7")); err != nil {
+		t.Fatal(err)
+	}
+	resp2, err := hs.Client().Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	if err := json.NewDecoder(resp2.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if c := doc.Caches[0]; c.Hits != 2 || c.Misses != 3 || c.Declined != 1 || c.Entries != 0 {
+		t.Fatalf("healthz cache line after a declined miss = %+v, want 2/3/1/0", c)
 	}
 }
 

@@ -142,17 +142,19 @@
 // backend, so the node that takes a write is the only one that caches
 // the service's answers (see package gateway). Each entry is the
 // answer's complete serialised response envelope, one flat byte slice:
-// a miss encodes the handler's returns once, with the encoder
+// a stored miss encodes the handler's returns once, with the encoder
 // Provider.Serve uses, and a hit is answered by
 // appending the stored bytes through core.Context.Respond, with no tree
-// and no encode. The bytes
+// and no encode. A key whose entry a flush dropped unread is stored again
+// only on its second miss after that flush, so a write-heavy mix does not
+// copy answers that the next write throws away. The bytes
 // are the uncached answer by construction; FuzzCachedVsUncached pins it
 // against an uncached provider over sequences of finds, gets, saves and
 // deletes, faults, XML returns and a Deadline-wrapped chain included.
 //
 //	cache := rpc.NewResponseCache(30*time.Second, 4096)
 //	svc.Use(cache.Middleware(rpc.OpPrefixes("find", "get")))
-//	srv.Stats().RegisterCache("uddi", cache) // hits, misses, entries at /healthz
+//	srv.Stats().RegisterCache("uddi", cache) // hits, misses, declined, entries at /healthz
 //
 // # Response encoding
 //

@@ -276,11 +276,14 @@ func (s *Stats) RegisterRetry(name string, p *resilience.RetryPolicy) {
 }
 
 // CacheStats is one registered cache's counters as served by /healthz.
+// Misses count declined ones too: Declined is the misses admission did not
+// store (ResponseCache.Declined).
 type CacheStats struct {
-	Name    string `json:"name"`
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Entries int    `json:"entries"`
+	Name     string `json:"name"`
+	Hits     uint64 `json:"hits"`
+	Misses   uint64 `json:"misses"`
+	Declined uint64 `json:"declined"`
+	Entries  int    `json:"entries"`
 }
 
 // CacheSnapshot reports the registered caches in registration order.
@@ -291,7 +294,8 @@ func (s *Stats) CacheSnapshot() []CacheStats {
 	out := make([]CacheStats, 0, len(caches))
 	for _, nc := range caches {
 		hits, misses, entries := nc.cache.Stats()
-		out = append(out, CacheStats{Name: nc.name, Hits: hits, Misses: misses, Entries: entries})
+		out = append(out, CacheStats{Name: nc.name, Hits: hits, Misses: misses,
+			Declined: nc.cache.Declined(), Entries: entries})
 	}
 	return out
 }

@@ -65,8 +65,10 @@ func byTModelFinds(tb testing.TB) ([]findCase, []string) {
 }
 
 // byTModelRegistry publishes byTModelFinds' registry: 8192 services over
-// 64 tModels, 128 under each. It returns the registry with the tModel
-// keys.
+// 64 tModels, 128 under each. Names and descriptions each pick out 100
+// services by substring: "user-service-001" and "q01" (the descriptions
+// cycle through 82 mixed-case queue names). It returns the registry with
+// the tModel keys.
 func byTModelRegistry(tb testing.TB) (*Registry, []string) {
 	r := NewRegistry()
 	biz, err := r.SaveBusiness(BusinessEntity{Name: "Portal Users"})
@@ -85,6 +87,7 @@ func byTModelRegistry(tb testing.TB) (*Registry, []string) {
 		if _, err := r.SaveService(BusinessService{
 			BusinessKey: biz.Key,
 			Name:        fmt.Sprintf("user-service-%05d", i),
+			Description: fmt.Sprintf("Batch queue Q%02d", i%82),
 			Bindings: []BindingTemplate{{AccessPoint: fmt.Sprintf("http://node%03d.example.org/ssp", i%509),
 				TModelKeys: []string{tms[i%len(tms)]}}},
 		}); err != nil {
@@ -129,9 +132,12 @@ func TestFindServiceByTModelAllocs(t *testing.T) {
 
 // answerAllocs is the budget of allocations per Provider.Serve call of
 // each UDDI answer shape, which TestFindAnswerAllocs enforces: a find by
-// tModel answering 128 services, and one service's detail.
+// tModel answering 128 services, finds by name and by description
+// answering 100 each, and one service's detail.
 var answerAllocs = map[string]float64{
 	"findServiceByTModel": 5,
+	"findService":         12,
+	"findByDescription":   12,
 	"getServiceDetail":    9,
 }
 
@@ -149,6 +155,8 @@ func TestFindAnswerAllocs(t *testing.T) {
 		want   int // businessService elements in the answer
 	}{
 		{"findServiceByTModel", []soap.Value{soap.Str("tModelKey", tms[0])}, 128},
+		{"findService", []soap.Value{soap.Str("businessKey", ""), soap.Str("name", "user-service-001")}, 100},
+		{"findByDescription", []soap.Value{soap.Str("pattern", "q01")}, 100},
 		{"getServiceDetail", []soap.Value{soap.Str("serviceKey", svcKey)}, 1},
 	}
 	for _, c := range calls {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -148,4 +149,37 @@ func values(services []*BusinessService) []BusinessService {
 		out[i] = *s
 	}
 	return out
+}
+
+// containsFoldLower is containsFold's oracle: both strings lowered, then
+// a plain substring search.
+func containsFoldLower(haystack, needle string) bool {
+	return strings.Contains(strings.ToLower(haystack), strings.ToLower(needle))
+}
+
+// FuzzContainsFold requires containsFold to agree with its oracle on any
+// pair of strings: ASCII ones, which it matches in place, and the rest,
+// which it lowers. The seeds include letters that lower to ASCII from
+// outside it and invalid UTF-8.
+func FuzzContainsFold(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"Batch queue Q01", "q01"},
+		{"schedulers: PBS,GRD", "SCHEDULERS: pbs"},
+		{"", ""},
+		{"abc", ""},
+		{"", "a"},
+		{"ab", "abc"},
+		{"[@`{", "{"},
+		{"\u212aelvin", "kelvin"},
+		{"\u0130stanbul", "i"},
+		{"cafÉ", "CAFé"},
+		{"\xff\xfe", "\xff"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, haystack, needle string) {
+		if got, want := containsFold(haystack, needle), containsFoldLower(haystack, needle); got != want {
+			t.Fatalf("containsFold(%q, %q) = %v, want %v", haystack, needle, got, want)
+		}
+	})
 }

@@ -104,7 +104,7 @@ func def(r *Registry) *rpc.Def {
 				In:         []wsdl.Param{rpc.Str("businessKey"), rpc.Str("name")},
 				Out:        []wsdl.Param{rpc.XML("serviceList")},
 				Handle: func(_ *core.Context, in rpc.Args) ([]interface{}, error) {
-					return rpc.Ret(serviceListWriter(r.FindService(in.Str("businessKey"), in.Str("name")))), nil
+					return rpc.Ret(serviceListWriter(r.servicesByName(in.Str("businessKey"), in.Str("name")))), nil
 				},
 			},
 			{
@@ -113,8 +113,6 @@ func def(r *Registry) *rpc.Def {
 				In:         []wsdl.Param{rpc.Str("tModelKey")},
 				Out:        []wsdl.Param{rpc.XML("serviceList")},
 				Handle: func(_ *core.Context, in rpc.Args) ([]interface{}, error) {
-					// The index's records are immutable, so the answer is
-					// written from them without copying.
 					return rpc.Ret(serviceListWriter(r.servicesByTModel(in.Str("tModelKey")))), nil
 				},
 			},
@@ -125,7 +123,7 @@ func def(r *Registry) *rpc.Def {
 				In:         []wsdl.Param{rpc.Str("pattern")},
 				Out:        []wsdl.Param{rpc.XML("serviceList")},
 				Handle: func(_ *core.Context, in rpc.Args) ([]interface{}, error) {
-					return rpc.Ret(serviceListWriter(r.FindByConvention(in.Str("pattern")))), nil
+					return rpc.Ret(serviceListWriter(r.servicesByDescription(in.Str("pattern")))), nil
 				},
 			},
 			{
@@ -167,8 +165,9 @@ func Contract() *wsdl.Interface {
 // xmlutil.Writer events; no answer builds an element tree. A handler
 // returns the writer, which runs after the handler has returned, in the
 // kernel's encode or a response cache's. That is safe because nothing it
-// reads can change: the tModel index's records are immutable, and the
-// other finds and getServiceDetail hand it deep copies. The answers'
+// reads can change: every find hands it the registry's stored records,
+// which are immutable (Save* stores a fresh copy and never edits one in
+// place), and getServiceDetail a deep copy. The answers'
 // tree forms, in the package's tests, are the writers' oracle
 // (FuzzServiceListWriterVsTree), and the golden wire suite pins their
 // bytes.

@@ -23,6 +23,7 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"repro/internal/persist"
 	"repro/internal/shardmap"
@@ -315,8 +316,8 @@ func compareServices(a, b *BusinessService) int {
 	return compareNameKey(a.Name, a.Key, b.Name, b.Key)
 }
 
-// findServices returns copies of the stored services that match, in
-// (Name, Key) order.
+// findServices returns the stored services that match, in (Name, Key)
+// order: a fresh slice of shared, immutable records.
 func (r *Registry) findServices(match func(*BusinessService) bool) []*BusinessService {
 	var out []*BusinessService
 	r.services.Range(func(_ string, s *BusinessService) bool {
@@ -326,7 +327,7 @@ func (r *Registry) findServices(match func(*BusinessService) bool) []*BusinessSe
 		return true
 	})
 	slices.SortFunc(out, compareServices)
-	return copyServices(out)
+	return out
 }
 
 // FindBusiness returns businesses whose names contain the pattern
@@ -349,6 +350,11 @@ func (r *Registry) FindBusiness(namePattern string) []*BusinessEntity {
 // case-insensitive; empty matches all), optionally restricted to one
 // business. A UDDI find_service analog.
 func (r *Registry) FindService(businessKey, namePattern string) []*BusinessService {
+	return copyServices(r.servicesByName(businessKey, namePattern))
+}
+
+// servicesByName is FindService's answer as stored records.
+func (r *Registry) servicesByName(businessKey, namePattern string) []*BusinessService {
 	return r.findServices(func(s *BusinessService) bool {
 		return (businessKey == "" || s.BusinessKey == businessKey) &&
 			(namePattern == "" || containsFold(s.Name, namePattern))
@@ -392,8 +398,29 @@ func (r *Registry) Counts() (businesses, services, tmodels int) {
 	return r.businesses.Len(), r.services.Len(), r.tmodels.Len()
 }
 
+// containsFold reports whether needle occurs in haystack, ignoring case.
+// ASCII strings are compared in place, with no allocation. If either
+// string has a byte outside ASCII, both are lowered first, since a
+// non-ASCII letter may lower to an ASCII one (the Kelvin sign to k).
 func containsFold(haystack, needle string) bool {
-	return strings.Contains(strings.ToLower(haystack), strings.ToLower(needle))
+	if !isASCII(haystack) || !isASCII(needle) {
+		return strings.Contains(strings.ToLower(haystack), strings.ToLower(needle))
+	}
+	for i := 0; i+len(needle) <= len(haystack); i++ {
+		if strings.EqualFold(haystack[i:i+len(needle)], needle) {
+			return true
+		}
+	}
+	return false
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // --- The string-description capability convention (Section 3.4) ----------
@@ -443,7 +470,12 @@ func ParseCapabilities(description string) []string {
 // positives (e.g. "NQS" matching a description that says "migrating away
 // from NQS") an inherent risk the discovery experiment quantifies.
 func (r *Registry) FindByConvention(scheduler string) []*BusinessService {
-	return r.findServices(func(s *BusinessService) bool { return containsFold(s.Description, scheduler) })
+	return copyServices(r.servicesByDescription(scheduler))
+}
+
+// servicesByDescription is FindByConvention's answer as stored records.
+func (r *Registry) servicesByDescription(pattern string) []*BusinessService {
+	return r.findServices(func(s *BusinessService) bool { return containsFold(s.Description, pattern) })
 }
 
 // FindByParsedConvention searches by parsing the capability convention and
@@ -452,9 +484,9 @@ func (r *Registry) FindByConvention(scheduler string) []*BusinessService {
 // which FindByConvention tolerates; the two together bracket the UDDI
 // approach in the discovery experiment.
 func (r *Registry) FindByParsedConvention(scheduler string) []*BusinessService {
-	return r.findServices(func(s *BusinessService) bool {
+	return copyServices(r.findServices(func(s *BusinessService) bool {
 		return slices.ContainsFunc(ParseCapabilities(s.Description), func(cap string) bool {
 			return strings.EqualFold(cap, scheduler)
 		})
-	})
+	}))
 }

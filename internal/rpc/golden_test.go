@@ -42,6 +42,7 @@ import (
 	"repro/internal/srbws"
 	"repro/internal/uddi"
 	"repro/internal/wsdl"
+	"repro/internal/wsil"
 	"repro/internal/xmlregistry"
 )
 
@@ -370,4 +371,59 @@ func TestGoldenWireFormat(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenDescriptions pins the service descriptions a server publishes
+// beside its envelopes: the ?wsdl document of every service the wire
+// suite covers, and the server's /inspection.wsil listing them all. Each
+// service is deployed once on one server with a fixed base URL, and both
+// documents are read through its HTTP handler, as a client binding to it
+// would read them.
+func TestGoldenDescriptions(t *testing.T) {
+	srv := rpc.NewServer("golden", "http://golden.example")
+	p := srv.Provider("/ssp")
+	var services []*core.Service
+	seen := map[string]bool{}
+	for _, tc := range goldenCases() {
+		svc := tc.build(t)
+		if seen[svc.Contract.Name] {
+			continue
+		}
+		seen[svc.Contract.Name] = true
+		p.MustRegister(svc)
+		services = append(services, svc)
+	}
+	get := func(target string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d: %s", target, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	for _, svc := range services {
+		t.Run(svc.Contract.Name, func(t *testing.T) {
+			doc := get("/ssp" + svc.Path + "?wsdl")
+			checkGolden(t, filepath.Join("testdata", "golden", svc.Contract.Name+".wsdl"), doc)
+			back, err := wsdl.Parse(string(doc))
+			if err != nil {
+				t.Fatalf("served WSDL does not parse: %v", err)
+			}
+			if bad := wsdl.CheckCompatible(svc.Contract, back.Interface); len(bad) != 0 {
+				t.Errorf("served WSDL is incompatible with the contract: %v", bad)
+			}
+		})
+	}
+	t.Run("inspection", func(t *testing.T) {
+		doc := get(wsil.WellKnownPath)
+		checkGolden(t, filepath.Join("testdata", "golden", "inspection.wsil"), doc)
+		back, err := wsil.Parse(string(doc))
+		if err != nil {
+			t.Fatalf("served WSIL does not parse: %v", err)
+		}
+		if len(back.Services) != len(services) {
+			t.Errorf("inspection lists %d services, want %d", len(back.Services), len(services))
+		}
+	})
 }

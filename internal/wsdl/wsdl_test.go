@@ -2,9 +2,14 @@ package wsdl
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden WSDL documents under testdata/")
 
 // scriptGenInterface is the common batch-script interface the two groups
 // agreed on (Section 3.4), reused across tests.
@@ -242,10 +247,13 @@ func TestDocPreserved(t *testing.T) {
 	}
 }
 
-// TestAppendToMatchesDocument pins the streamed WSDL writer to the
-// element-tree renderer: both paths must emit byte-identical documents,
-// across empty, minimal, and compound-typed interfaces.
-func TestAppendToMatchesDocument(t *testing.T) {
+// TestAppendToMatchesGolden pins the WSDL byte format: AppendTo and Render
+// must reproduce the golden documents under testdata/ across empty,
+// minimal, and compound-typed interfaces, and parse back into the same
+// model. Regenerate after an intentional format change with:
+//
+//	go test ./internal/wsdl -run TestAppendToMatchesGolden -update
+func TestAppendToMatchesGolden(t *testing.T) {
 	services := []*Service{
 		{Name: "SDSCBatchScriptService", Interface: scriptGenInterface(),
 			Endpoint: "http://hotpage.sdsc.edu:8080/soap/batchscript"},
@@ -262,13 +270,24 @@ func TestAppendToMatchesDocument(t *testing.T) {
 	for _, svc := range services {
 		var streamed bytes.Buffer
 		svc.AppendTo(&streamed)
-		tree := xmlDecl + svc.Document().Render()
-		if streamed.String() != tree {
-			t.Errorf("%s: streamed WSDL differs from tree render\nstream: %s\ntree:   %s",
-				svc.Name, streamed.String(), tree)
+		path := filepath.Join("testdata", svc.Name+".wsdl")
+		if *update {
+			if err := os.WriteFile(path, streamed.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if svc.Render() != tree {
-			t.Errorf("%s: Render no longer matches tree path", svc.Name)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden %s (re-run with -update): %v", path, err)
+		}
+		if streamed.String() != string(want) {
+			t.Errorf("%s: AppendTo diverges from %s\n got: %s\nwant: %s", svc.Name, path, streamed.String(), want)
+		}
+		if svc.Render() != string(want) {
+			t.Errorf("%s: Render diverges from %s", svc.Name, path)
+		}
+		if tree := xmlDecl + svc.Document().Render(); tree != string(want) {
+			t.Errorf("%s: tree render diverges from %s", svc.Name, path)
 		}
 		// And the streamed form must parse back into the same model.
 		back, err := Parse(streamed.String())

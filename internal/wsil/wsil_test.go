@@ -2,10 +2,15 @@ package wsil
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden WSIL documents under testdata/")
 
 func TestDocumentRoundTrip(t *testing.T) {
 	d := &Document{
@@ -116,10 +121,13 @@ func TestCrawlFetchError(t *testing.T) {
 	}
 }
 
-// TestAppendToMatchesElement pins the streamed WSIL writer to the
-// element-tree renderer: byte-identical output on empty, service-only,
-// link-only, and mixed documents.
-func TestAppendToMatchesElement(t *testing.T) {
+// TestAppendToMatchesGolden pins the WSIL byte format: AppendTo and Render
+// must reproduce the golden documents under testdata/ on empty,
+// service-only, link-only, and mixed documents. Regenerate after an
+// intentional format change with:
+//
+//	go test ./internal/wsil -run TestAppendToMatchesGolden -update
+func TestAppendToMatchesGolden(t *testing.T) {
 	docs := map[string]*Document{
 		"empty": {},
 		"services": {Services: []ServiceEntry{
@@ -135,10 +143,24 @@ func TestAppendToMatchesElement(t *testing.T) {
 	for name, d := range docs {
 		var streamed bytes.Buffer
 		d.AppendTo(&streamed)
-		tree := `<?xml version="1.0"?>` + "\n" + d.Element().Render()
-		if streamed.String() != tree {
-			t.Errorf("%s: streamed WSIL differs from tree render\nstream: %s\ntree:   %s",
-				name, streamed.String(), tree)
+		path := filepath.Join("testdata", name+".wsil")
+		if *update {
+			if err := os.WriteFile(path, streamed.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden %s (re-run with -update): %v", path, err)
+		}
+		if streamed.String() != string(want) {
+			t.Errorf("%s: AppendTo diverges from %s\n got: %s\nwant: %s", name, path, streamed.String(), want)
+		}
+		if d.Render() != string(want) {
+			t.Errorf("%s: Render diverges from %s", name, path)
+		}
+		if tree := `<?xml version="1.0"?>` + "\n" + d.Element().Render(); tree != string(want) {
+			t.Errorf("%s: tree render diverges from %s", name, path)
 		}
 		if _, err := Parse(streamed.String()); err != nil {
 			t.Errorf("%s: streamed WSIL does not parse: %v", name, err)

@@ -4,16 +4,17 @@ package rpc_test
 // response per portal service, round-tripped over HTTP, over the
 // production loopback (Provider.Loopback), and over a loopback through the
 // tree dispatch oracle (TreeOracle), with the exact wire bytes diffed
-// against checked-in golden files under testdata/golden/. Together with FuzzWriterVsRender
-// (which pins the streaming Writer to the tree renderer) this guarantees
-// that future encoder work can never silently change what the eight
-// interoperable services put on the wire — the paper's whole premise is
+// against checked-in golden files under testdata/golden/, plus the WSDL and
+// WS-Inspection documents a server publishes (TestGoldenDescriptions).
+// Together with FuzzWriterVsRender (which reads the Writer's output back
+// with encoding/xml) this guarantees that future encoder work can never
+// silently change what the eight interoperable services put on the wire — the paper's whole premise is
 // that independently developed implementations agree at the byte level of
 // their agreed contracts.
 //
 // Regenerate after an intentional format change with:
 //
-//	go test ./internal/rpc -run TestGoldenWireFormat -update
+//	go test ./internal/rpc -run 'TestGoldenWireFormat|TestGoldenDescriptions' -update
 
 import (
 	"bytes"

@@ -136,20 +136,6 @@ func (e *Envelope) HeaderNamed(name string) *xmlutil.Element {
 	return nil
 }
 
-// Element builds the full envelope element tree.
-func (e *Envelope) Element() *xmlutil.Element {
-	env := xmlutil.NewNS(EnvelopeNS, "Envelope")
-	if len(e.Header) > 0 {
-		hdr := xmlutil.NewNS(EnvelopeNS, "Header")
-		hdr.Add(e.Header...)
-		env.Add(hdr)
-	}
-	body := xmlutil.NewNS(EnvelopeNS, "Body")
-	body.Add(e.Body...)
-	env.Add(body)
-	return env
-}
-
 // xmlDecl is the declaration prefixed to every serialised envelope.
 const xmlDecl = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
 
@@ -165,20 +151,15 @@ func (e *Envelope) Render() string {
 
 // AppendTo serialises the envelope (XML declaration included) into b. The
 // transport hot paths use this with pooled buffers to avoid the string
-// round trip Render pays. Envelopes built by Call.WireEnvelope or
-// Response.WireEnvelope are emitted through the streaming Writer without
-// materialising an element tree; the output is byte-identical to the tree
-// path either way.
+// round trip Render pays. Every envelope is written through the Writer:
+// the Header entries, then the streamed body entry of an envelope built by
+// Call.WireEnvelope or Response.WireEnvelope, then every Body tree.
 func (e *Envelope) AppendTo(b *bytes.Buffer) {
 	if e.raw != nil {
 		b.Write(e.raw)
 		return
 	}
 	b.WriteString(xmlDecl)
-	if e.stream == nil {
-		e.Element().RenderTo(b)
-		return
-	}
 	w := xmlutil.AcquireWriter(b)
 	defer w.Release()
 	w.Start(EnvelopeNS, "Envelope")
@@ -190,7 +171,9 @@ func (e *Envelope) AppendTo(b *bytes.Buffer) {
 		w.End()
 	}
 	w.Start(EnvelopeNS, "Body")
-	e.stream.streamBody(w)
+	if e.stream != nil {
+		e.stream.streamBody(w)
+	}
 	// Entries added with AddBody after WireEnvelope construction (e.g. by
 	// a client interceptor) ride along after the streamed entry, so the
 	// mutation contract of interceptors keeps holding on the hot path.

@@ -183,3 +183,69 @@ func FuzzContainsFold(f *testing.F) {
 		}
 	})
 }
+
+// indexFoldASCIIRef lowers only the ASCII bytes of s, which keeps every
+// byte where it was, and then searches with strings.Index.
+func indexFoldASCIIRef(s, lower string) int {
+	b := []byte(s)
+	for i, c := range b {
+		b[i] = lowerASCII(c)
+	}
+	return strings.Index(string(b), lower)
+}
+
+// parseCapabilitiesLowering is ParseCapabilities as it was when it
+// searched a fully lowered copy of the description. On ASCII input lowering
+// keeps every byte where it was, so there it is the reference.
+func parseCapabilitiesLowering(description string) []string {
+	idx := strings.Index(strings.ToLower(description), CapabilityPrefix)
+	if idx < 0 {
+		return nil
+	}
+	rest := description[idx+len(CapabilityPrefix):]
+	if nl := strings.IndexByte(rest, '\n'); nl >= 0 {
+		rest = rest[:nl]
+	}
+	var out []string
+	for _, tok := range strings.Split(rest, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok != "" {
+			out = append(out, tok)
+		}
+	}
+	return out
+}
+
+// FuzzParseCapabilities requires ParseCapabilities to find the convention
+// where the ASCII-lowering reference finds it, on any description, and to
+// return what the lowering implementation returned on ASCII ones. The
+// seeds include letters whose lower case is longer or shorter in UTF-8,
+// which moved the old implementation's index off the description.
+func FuzzParseCapabilities(f *testing.F) {
+	for _, seed := range []string{
+		"schedulers: PBS,GRD",
+		"Gateway script service. SCHEDULERS: LSF, NQS",
+		"line one\nSchedulers: NQS, LSF\nline three",
+		"no convention here",
+		"schedulers:",
+		"ȺȺȺ schedulers: PBS,LSF",
+		"Ⱥ schedulers:",
+		"İ schedulers: PBS",
+		"K schedulers: GRD",
+		"ſchedulers: PBS",
+		"\xff schedulers: PBS",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, description string) {
+		if got, want := indexFoldASCII(description, CapabilityPrefix), indexFoldASCIIRef(description, CapabilityPrefix); got != want {
+			t.Fatalf("indexFoldASCII(%q) = %d, want %d", description, got, want)
+		}
+		got := ParseCapabilities(description)
+		if isASCII(description) {
+			if want := parseCapabilitiesLowering(description); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ParseCapabilities(%q) = %q, want %q", description, got, want)
+			}
+		}
+	})
+}

@@ -442,9 +442,10 @@ func DescribeCapabilities(humanText string, schedulers []string) string {
 }
 
 // ParseCapabilities extracts the conventional capability list from a
-// description, or nil when the convention is absent.
+// description, or nil when the convention is absent. The prefix matches in
+// any ASCII case.
 func ParseCapabilities(description string) []string {
-	idx := strings.Index(strings.ToLower(description), CapabilityPrefix)
+	idx := indexFoldASCII(description, CapabilityPrefix)
 	if idx < 0 {
 		return nil
 	}
@@ -462,6 +463,31 @@ func ParseCapabilities(description string) []string {
 		}
 	}
 	return out
+}
+
+// indexFoldASCII returns the index in s of the first occurrence of the
+// lower-case ASCII string lower, matching ASCII letters of s in either
+// case, or -1. It searches s in place: lowering s first could change its
+// byte length before the match (Ⱥ lowers to a longer ⱥ), so an index into
+// the lowered copy would not be one into s.
+func indexFoldASCII(s, lower string) int {
+	for i := 0; i+len(lower) <= len(s); i++ {
+		j := 0
+		for j < len(lower) && lowerASCII(s[i+j]) == lower[j] {
+			j++
+		}
+		if j == len(lower) {
+			return i
+		}
+	}
+	return -1
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // FindByConvention searches services by naive description substring — what

@@ -3,6 +3,7 @@ package uddi
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -180,6 +181,24 @@ func TestCapabilityConvention(t *testing.T) {
 	caps = ParseCapabilities(multi)
 	if len(caps) != 2 || caps[0] != "NQS" {
 		t.Errorf("multiline caps = %v", caps)
+	}
+	for _, tc := range []struct {
+		desc string
+		want []string
+	}{
+		{"SCHEDULERS: PBS", []string{"PBS"}},
+		{"Batch queue. ScHeDuLeRs:GRD,,LSF ", []string{"GRD", "LSF"}},
+		// Ⱥ (2 bytes) lowers to ⱥ (3 bytes): a search of the lowered
+		// copy found the prefix three bytes late in the first and past
+		// the end of the second.
+		{"ȺȺȺ schedulers: PBS,LSF", []string{"PBS", "LSF"}},
+		{"Ⱥ schedulers:", nil},
+		// Only ASCII letters fold: ſ (long s) is not an s.
+		{"\u017fchedulers: PBS", nil},
+	} {
+		if got := ParseCapabilities(tc.desc); !slices.Equal(got, tc.want) {
+			t.Errorf("ParseCapabilities(%q) = %q, want %q", tc.desc, got, tc.want)
+		}
 	}
 }
 

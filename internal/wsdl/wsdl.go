@@ -93,76 +93,15 @@ type Service struct {
 	Endpoint string
 }
 
-// Document renders a complete WSDL document for the service: types (empty —
-// parameters use flat XSD types plus the two portal compound types),
-// messages, portType, SOAP binding, and service/port with the endpoint
-// address.
-func (s *Service) Document() *xmlutil.Element {
-	iface := s.Interface
-	def := xmlutil.NewNS(WSDLNS, "definitions").
-		SetAttr("name", s.Name).
-		SetAttr("targetNamespace", iface.TargetNS)
-	if iface.Doc != "" {
-		def.Add(xmlutil.NewNS(WSDLNS, "documentation")).Children[len(def.Children)-1].Text = iface.Doc
-	}
-	// Messages.
-	for _, op := range iface.Operations {
-		def.Add(messageElement(op.Name+"Request", op.Input))
-		def.Add(messageElement(op.Name+"Response", op.Output))
-	}
-	// Port type.
-	pt := xmlutil.NewNS(WSDLNS, "portType").SetAttr("name", iface.Name)
-	for _, op := range iface.Operations {
-		opEl := xmlutil.NewNS(WSDLNS, "operation").SetAttr("name", op.Name)
-		if op.Idempotent {
-			opEl.SetAttrNS(ExtNS, "idempotent", "true")
-		}
-		if op.Doc != "" {
-			d := xmlutil.NewNS(WSDLNS, "documentation")
-			d.Text = op.Doc
-			opEl.Add(d)
-		}
-		opEl.Add(xmlutil.NewNS(WSDLNS, "input").SetAttr("message", "tns:"+op.Name+"Request"))
-		opEl.Add(xmlutil.NewNS(WSDLNS, "output").SetAttr("message", "tns:"+op.Name+"Response"))
-		pt.Add(opEl)
-	}
-	def.Add(pt)
-	// SOAP RPC binding.
-	bind := xmlutil.NewNS(WSDLNS, "binding").
-		SetAttr("name", iface.Name+"SoapBinding").
-		SetAttr("type", "tns:"+iface.Name)
-	bind.Add(xmlutil.NewNS(SOAPBindNS, "binding").
-		SetAttr("style", "rpc").
-		SetAttr("transport", "http://schemas.xmlsoap.org/soap/http"))
-	for _, op := range iface.Operations {
-		opEl := xmlutil.NewNS(WSDLNS, "operation").SetAttr("name", op.Name)
-		opEl.Add(xmlutil.NewNS(SOAPBindNS, "operation").SetAttr("soapAction", iface.TargetNS+"#"+op.Name))
-		in := xmlutil.NewNS(WSDLNS, "input")
-		in.Add(xmlutil.NewNS(SOAPBindNS, "body").SetAttr("use", "encoded").SetAttr("namespace", iface.TargetNS))
-		out := xmlutil.NewNS(WSDLNS, "output")
-		out.Add(xmlutil.NewNS(SOAPBindNS, "body").SetAttr("use", "encoded").SetAttr("namespace", iface.TargetNS))
-		opEl.Add(in, out)
-		bind.Add(opEl)
-	}
-	def.Add(bind)
-	// Service + port.
-	svc := xmlutil.NewNS(WSDLNS, "service").SetAttr("name", s.Name)
-	port := xmlutil.NewNS(WSDLNS, "port").
-		SetAttr("name", iface.Name+"Port").
-		SetAttr("binding", "tns:"+iface.Name+"SoapBinding")
-	port.Add(xmlutil.NewNS(SOAPBindNS, "address").SetAttr("location", s.Endpoint))
-	svc.Add(port)
-	def.Add(svc)
-	return def
-}
-
 // xmlDecl prefixes every serialised WSDL document.
 const xmlDecl = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
 
 // AppendTo streams the complete WSDL document (XML declaration included)
-// into b without materialising the element tree Document builds. The
-// output is byte-identical to the tree path; TestAppendToMatchesDocument
-// pins the equivalence.
+// into b through the Writer: messages, portType, SOAP binding, and
+// service/port with the endpoint address. There is no types section:
+// parameters use flat XSD types plus the two portal compound types. The
+// golden documents under testdata/ pin its bytes
+// (TestAppendToMatchesGolden).
 func (s *Service) AppendTo(b *bytes.Buffer) {
 	iface := s.Interface
 	w := xmlutil.AcquireWriter(b)
@@ -259,25 +198,12 @@ func writeMessage(w *xmlutil.Writer, name string, params []Param) {
 	w.End()
 }
 
-// Render returns the serialised WSDL document, streamed through the
-// direct-to-buffer writer (Document is kept as the model form and as the
-// differential-test oracle).
+// Render returns the serialised WSDL document that AppendTo writes.
 func (s *Service) Render() string {
 	b := xmlutil.GetBuffer()
 	defer xmlutil.PutBuffer(b)
 	s.AppendTo(b)
 	return b.String()
-}
-
-func messageElement(name string, params []Param) *xmlutil.Element {
-	msg := xmlutil.NewNS(WSDLNS, "message").SetAttr("name", name)
-	for _, p := range params {
-		part := xmlutil.NewNS(WSDLNS, "part").
-			SetAttr("name", p.Name).
-			SetAttr("type", typeQName(p.Type))
-		msg.Add(part)
-	}
-	return msg
 }
 
 func typeQName(t string) string {

@@ -53,38 +53,9 @@ type Document struct {
 	Links []Link
 }
 
-// Element renders the inspection document.
-func (d *Document) Element() *xmlutil.Element {
-	root := xmlutil.NewNS(InspectionNS, "inspection")
-	for _, s := range d.Services {
-		svc := xmlutil.NewNS(InspectionNS, "service")
-		if s.Name != "" {
-			svc.AddTextNS(InspectionNS, "name", s.Name)
-		}
-		if s.Abstract != "" {
-			svc.AddTextNS(InspectionNS, "abstract", s.Abstract)
-		}
-		desc := xmlutil.NewNS(InspectionNS, "description").
-			SetAttr("referencedNamespace", WSDLRefNS).
-			SetAttr("location", s.WSDLLocation)
-		svc.Add(desc)
-		root.Add(svc)
-	}
-	for _, l := range d.Links {
-		link := xmlutil.NewNS(InspectionNS, "link").
-			SetAttr("referencedNamespace", InspectionNS).
-			SetAttr("location", l.Location)
-		if l.Abstract != "" {
-			link.AddTextNS(InspectionNS, "abstract", l.Abstract)
-		}
-		root.Add(link)
-	}
-	return root
-}
-
 // AppendTo streams the inspection document (XML declaration included)
-// into b without materialising an element tree, byte-identical to
-// rendering Element().
+// into b through the Writer. The golden documents under testdata/ pin its
+// bytes (TestAppendToMatchesGolden).
 func (d *Document) AppendTo(b *bytes.Buffer) {
 	w := xmlutil.AcquireWriter(b)
 	defer w.Release()

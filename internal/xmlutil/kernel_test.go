@@ -23,8 +23,8 @@ var (
 
 // FuzzEscape checks every way into the escape kernel — the Writer's Text
 // and Attr, and escapeTo appending to a buffer with little spare room —
-// against the strings.Replacer references on arbitrary bytes. Writer and tree renderer share the kernel, so
-// FuzzWriterVsRender alone can no longer catch an escaping bug.
+// against the strings.Replacer references on arbitrary bytes: it is the
+// only escaper, so no second encoder can catch an escaping bug.
 func FuzzEscape(f *testing.F) {
 	for _, s := range []string{
 		"", "plain", "&", "<>&\"'", "a\xffb", "a\xffb<c", "\xe6\x97\xa5\xe6\x9c\xac<\xe8",

@@ -1,22 +1,21 @@
 package xmlutil
 
-// A streaming direct-to-buffer XML encoder. Writer is the hot-path
-// counterpart of Element.RenderTo: instead of materialising an *Element
-// tree and walking it, callers emit Start/Attr/Text/End events and the
-// serialised form lands in the buffer immediately. The output is
-// byte-identical to rendering the equivalent element tree — namespace
-// prefixes are assigned in first-use order (ns0, ns1, ...), every
-// declaration is emitted on the element where the namespace first appears
-// and forgotten when that element closes, attribute order is preserved,
-// and escaping runs the same kernel as the renderer. The equivalence is
-// enforced differentially by FuzzWriterVsRender against the tree renderer
-// as oracle, and at the wire level by the golden conformance suite in
-// internal/rpc; FuzzEscape checks the shared kernel itself against an
-// independent reference.
+// A streaming direct-to-buffer XML encoder, and the package's only one.
+// Callers emit Start/Attr/Text/End events and the serialised form lands in
+// the buffer immediately. An element tree is written the same way, by
+// Writer.Element, which Element.Render, RenderTo and Canonical call;
+// RenderIndent writes through a Writer too. Namespace prefixes are assigned in first-use order (ns0,
+// ns1, ...), every declaration is emitted on the element where the
+// namespace first appears and forgotten when that element closes, and
+// attribute order is preserved. FuzzWriterVsRender reads the output back
+// with encoding/xml and requires the tree it was written from; the golden
+// conformance suite in internal/rpc and the WSDL and WSIL goldens pin the
+// bytes; FuzzEscape checks the escape kernel against an independent
+// reference.
 //
-// Event discipline (mirroring the tree shape Render assumes): attributes
-// must be written before any content of their element, and text before
-// child elements. Violations are programming errors and panic.
+// Event discipline (mirroring the tree shape): attributes must be written
+// before any content of their element, and text before child elements.
+// Violations are programming errors and panic.
 
 import (
 	"bytes"
@@ -40,8 +39,8 @@ type Writer struct {
 	// start tag (scope[pendingMark:]); they are flushed as xmlns
 	// attributes when the tag closes.
 	pendingMark int
-	// next numbers prefix assignment; monotone for the Writer's lifetime,
-	// exactly like the tree renderer's state.
+	// next numbers prefix assignment; monotone until the next Reset, so a
+	// namespace declared again after going out of scope gets a new prefix.
 	next   int
 	frames []writerFrame
 }
@@ -65,7 +64,7 @@ type writerFrame struct {
 }
 
 // prefixNames caches the first prefix names so hot-path encodes never
-// build them; matches the "ns" + strconv.Itoa scheme of the tree renderer.
+// build them; later ones are "ns" + strconv.Itoa(n).
 var prefixNames = [...]string{
 	"ns0", "ns1", "ns2", "ns3", "ns4", "ns5", "ns6", "ns7",
 	"ns8", "ns9", "ns10", "ns11", "ns12", "ns13", "ns14", "ns15",
@@ -114,8 +113,8 @@ func (w *Writer) Reset(b *bytes.Buffer) {
 	w.frames = w.frames[:0]
 }
 
-// Raw writes s verbatim (XML declarations, pre-rendered fragments). Only
-// valid outside an open start tag or before the first element.
+// Raw writes s verbatim (XML declarations, pre-rendered fragments, the
+// whitespace of RenderIndent). An open start tag is closed first.
 func (w *Writer) Raw(s string) {
 	w.closeOpenTag()
 	w.buf.WriteString(s)
@@ -139,8 +138,7 @@ func (w *Writer) need(space string) string {
 }
 
 // closeOpenTag finishes the currently open start tag, emitting any pending
-// namespace declarations, exactly where the tree renderer emits them:
-// after the attributes.
+// namespace declarations after the attributes.
 func (w *Writer) closeOpenTag() {
 	n := len(w.frames)
 	if n == 0 || !w.frames[n-1].open {
@@ -205,8 +203,8 @@ func (w *Writer) Attr(space, name, value string) {
 }
 
 // Text writes escaped character data inside the current element. Writing
-// the empty string is a no-op, matching the tree renderer (an element with
-// neither text nor children self-closes).
+// the empty string is a no-op, so an element with neither text nor
+// children self-closes.
 func (w *Writer) Text(s string) {
 	if s == "" {
 		return
@@ -244,10 +242,12 @@ func (w *Writer) End() {
 	w.frames = w.frames[:n-1]
 }
 
-// Element streams an existing tree through the Writer — the bridge for
-// payloads that are still built as trees (literal XML parameters, SOAP
-// header entries). Output is byte-identical to el.RenderTo in the same
-// namespace scope.
+// Element writes a tree through the Writer: its start tag and
+// attributes, its text, its children, its end tag. It is how every tree is
+// serialised — Element.Render and RenderTo call it on a pooled Writer, and
+// the wire paths use it for payloads still built as trees (literal XML
+// parameters, SOAP header entries), in the namespace scope open around
+// them.
 func (w *Writer) Element(el *Element) {
 	w.Start(el.Space, el.Name)
 	for _, a := range el.Attrs {

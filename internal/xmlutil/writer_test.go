@@ -2,8 +2,9 @@ package xmlutil
 
 import (
 	"bytes"
-	"strings"
 	"testing"
+
+	"repro/internal/allocbudget"
 )
 
 // writerTrees are representative shapes of every dialect the repository
@@ -58,15 +59,21 @@ func writerTrees() map[string]*Element {
 	}
 }
 
+// TestWriterElementMatchesRenderTo checks that a caller-owned Writer and
+// the pooled one behind RenderTo write the same bytes, and that a pooled
+// Writer starts clean: every tree is rendered twice in a row.
 func TestWriterElementMatchesRenderTo(t *testing.T) {
 	for name, tree := range writerTrees() {
 		var want, got bytes.Buffer
+		tree.RenderTo(&want)
 		tree.RenderTo(&want)
 		w := NewWriter(&got)
 		w.Element(tree)
 		if w.Depth() != 0 {
 			t.Fatalf("%s: writer left %d open elements", name, w.Depth())
 		}
+		w.Reset(&got)
+		w.Element(tree)
 		if got.String() != want.String() {
 			t.Errorf("%s: writer output differs\nwriter: %s\nrender: %s", name, got.String(), want.String())
 		}
@@ -102,10 +109,9 @@ func TestWriterStreamedEvents(t *testing.T) {
 	}
 }
 
-// TestWriterMatchesEnvelopeShape pins the prefix-numbering behaviour the
-// wire format depends on: a namespace declared, forgotten, and needed
-// again gets a fresh number (the counter never rewinds), exactly like the
-// tree renderer.
+// TestWriterPrefixNumbering pins the prefix-numbering behaviour the wire
+// format depends on: a namespace declared, forgotten, and needed again
+// gets a fresh number (the counter never rewinds).
 func TestWriterPrefixNumbering(t *testing.T) {
 	root := New("r")
 	a := New("a")
@@ -113,15 +119,9 @@ func TestWriterPrefixNumbering(t *testing.T) {
 	b := New("b")
 	b.SetAttrNS("urn:x", "t", "2")
 	root.Add(a, b)
-	want := root.Render()
-	if !strings.Contains(want, "ns0:t") || !strings.Contains(want, "ns1:t") {
-		t.Fatalf("oracle renderer changed numbering: %s", want)
-	}
-	var got bytes.Buffer
-	w := NewWriter(&got)
-	w.Element(root)
-	if got.String() != want {
-		t.Fatalf("prefix numbering diverged:\nwriter: %s\nrender: %s", got.String(), want)
+	const want = `<r><a ns0:t="1" xmlns:ns0="urn:x"/><b ns1:t="2" xmlns:ns1="urn:x"/></r>`
+	if got := root.Render(); got != want {
+		t.Fatalf("prefix numbering diverged:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -160,22 +160,83 @@ func TestWriterPanicsOnMisuse(t *testing.T) {
 	}
 }
 
-func BenchmarkWriterVsRender(b *testing.B) {
-	tree := writerTrees()["soapish"]
-	b.Run("render-tree", func(b *testing.B) {
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			tree.RenderTo(&buf)
-		}
-	})
-	b.Run("writer-stream", func(b *testing.B) {
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			w := AcquireWriter(&buf)
-			w.Element(tree)
-			w.Release()
-		}
-	})
+// discoveryQuery is the xmlregistry query discovery sends on a find: four
+// elements and no namespace. The response cache keys each such find by the
+// query's Canonical form.
+func discoveryQuery() *Element {
+	q := New("query")
+	q.AddText("type", "service")
+	q.AddText("under", "site-03")
+	q.Add(NewText("propEquals", "kind-1").SetAttr("name", "kind"))
+	return q
+}
+
+// canonicalSink keeps the compiler from dropping the measured Canonical.
+var canonicalSink string
+
+// renderCase is one tree encode measured by BenchmarkRender and held to
+// its allocation budget by TestRenderAllocs.
+type renderCase struct {
+	name   string
+	allocs float64
+	op     func(b *bytes.Buffer)
+}
+
+func renderCases() []renderCase {
+	env := writerTrees()["soapish"]
+	query := discoveryQuery()
+	return []renderCase{
+		{"RenderTo/envelope", 0, func(b *bytes.Buffer) {
+			b.Reset()
+			env.RenderTo(b)
+		}},
+		// The clone Canonical sorts and trims, and the string it returns.
+		{"Canonical/query", 8, func(*bytes.Buffer) { canonicalSink = query.Canonical() }},
+	}
+}
+
+func BenchmarkRender(b *testing.B) {
+	for _, c := range renderCases() {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.op(&buf)
+			}
+		})
+	}
+}
+
+// TestRenderAllocs holds each renderCase to its budget.
+func TestRenderAllocs(t *testing.T) {
+	for _, c := range renderCases() {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			allocbudget.Check(t, c.allocs, func() { c.op(&buf) })
+		})
+	}
+}
+
+// TestRenderIndent pins RenderIndent's layout: an element without
+// children on one line, otherwise its text and children each on their own
+// line one level deeper, and namespaces declared where first used.
+func TestRenderIndent(t *testing.T) {
+	root := NewNS("urn:a", "root")
+	root.Text = "intro & more"
+	item := New("item")
+	item.SetAttrNS("urn:b", "kind", `"x"`)
+	item.Add(NewText("name", "a<b"), New("empty"))
+	root.Add(item, NewNS("urn:a", "tail"))
+	const want = `<ns0:root xmlns:ns0="urn:a">
+  intro &amp; more
+  <item ns1:kind="&quot;x&quot;" xmlns:ns1="urn:b">
+    <name>a&lt;b</name>
+    <empty/>
+  </item>
+  <ns0:tail/>
+</ns0:root>
+`
+	if got := root.RenderIndent(); got != want {
+		t.Errorf("RenderIndent:\n got %q\nwant %q", got, want)
+	}
 }

@@ -306,43 +306,11 @@ func ParseBytes(data []byte) (*Element, error) {
 	return parseRetained(data)
 }
 
-// renderState tracks prefix assignment during rendering.
-type renderState struct {
-	prefixes map[string]string // namespace URI -> prefix
-	next     int
-}
-
-var statePool = sync.Pool{New: func() interface{} {
-	return &renderState{prefixes: map[string]string{}}
-}}
-
-func getState() *renderState { return statePool.Get().(*renderState) }
-
-func putState(rs *renderState) {
-	for k := range rs.prefixes {
-		delete(rs.prefixes, k)
-	}
-	rs.next = 0
-	statePool.Put(rs)
-}
-
-func (rs *renderState) prefixFor(space string) string {
-	if space == "" {
-		return ""
-	}
-	if p, ok := rs.prefixes[space]; ok {
-		return p
-	}
-	p := "ns" + strconv.Itoa(rs.next)
-	rs.next++
-	rs.prefixes[space] = p
-	return p
-}
-
-// Render serialises the tree to XML. Namespace prefixes are assigned
-// deterministically in first-use order (ns0, ns1, ...), and every namespace
-// declaration is emitted on the element where the namespace first appears.
-// Attribute order is preserved. The output carries no XML declaration.
+// Render serialises the tree to XML through the Writer, the package's one
+// encoder. Namespace prefixes are assigned deterministically in first-use
+// order (ns0, ns1, ...), and every namespace declaration is emitted on the
+// element where the namespace first appears. Attribute order is
+// preserved. The output carries no XML declaration.
 func (e *Element) Render() string {
 	b := GetBuffer()
 	e.RenderTo(b)
@@ -351,22 +319,53 @@ func (e *Element) Render() string {
 	return s
 }
 
-// RenderTo serialises the tree into b without intermediate allocations,
-// for callers that manage their own (typically pooled) buffers.
+// RenderTo serialises the tree into b through a pooled Writer, with no
+// allocation of its own, for callers that manage their own (typically
+// pooled) buffers.
 func (e *Element) RenderTo(b *bytes.Buffer) {
-	rs := getState()
-	e.render(b, rs, false)
-	putState(rs)
+	w := AcquireWriter(b)
+	w.Element(e)
+	w.Release()
 }
 
 // RenderIndent serialises the tree with two-space indentation, for human
-// inspection and documentation output.
+// inspection and documentation output. It writes through the same Writer
+// as Render and adds the whitespace with Writer.Raw.
 func (e *Element) RenderIndent() string {
 	var b bytes.Buffer
-	rs := getState()
-	e.renderIndent(&b, rs, 0)
-	putState(rs)
+	w := AcquireWriter(&b)
+	e.writeIndent(w, "")
+	w.Release()
 	return b.String()
+}
+
+// writeIndent writes e at the indentation pad: one line for an element
+// without children, otherwise its start tag, its text and children one
+// level deeper, and its end tag on lines of their own.
+func (e *Element) writeIndent(w *Writer, pad string) {
+	w.Raw(pad)
+	w.Start(e.Space, e.Name)
+	for _, a := range e.Attrs {
+		w.Attr(a.Space, a.Name, a.Value)
+	}
+	if len(e.Children) == 0 {
+		w.Text(e.Text)
+		w.End()
+		w.Raw("\n")
+		return
+	}
+	w.Raw("\n")
+	if e.Text != "" {
+		w.Raw(pad + "  ")
+		w.Text(e.Text)
+		w.Raw("\n")
+	}
+	for _, c := range e.Children {
+		c.writeIndent(w, pad+"  ")
+	}
+	w.Raw(pad)
+	w.End()
+	w.Raw("\n")
 }
 
 // Canonical returns a canonical form of the tree suitable as a signature
@@ -386,112 +385,4 @@ func (e *Element) Canonical() string {
 		return true
 	})
 	return c.Render()
-}
-
-func (e *Element) render(b *bytes.Buffer, rs *renderState, indent bool) {
-	declared := e.openTag(b, rs)
-	if len(e.Children) == 0 && e.Text == "" {
-		b.WriteString("/>")
-		e.forget(rs, declared)
-		return
-	}
-	b.WriteByte('>')
-	escapeTo(b, e.Text, &escText)
-	for _, c := range e.Children {
-		c.render(b, rs, indent)
-	}
-	e.closeTag(b, rs)
-	e.forget(rs, declared)
-}
-
-func (e *Element) renderIndent(b *bytes.Buffer, rs *renderState, depth int) {
-	pad := strings.Repeat("  ", depth)
-	b.WriteString(pad)
-	declared := e.openTag(b, rs)
-	switch {
-	case len(e.Children) == 0 && e.Text == "":
-		b.WriteString("/>\n")
-	case len(e.Children) == 0:
-		b.WriteByte('>')
-		escapeTo(b, e.Text, &escText)
-		e.closeTag(b, rs)
-		b.WriteByte('\n')
-	default:
-		b.WriteString(">\n")
-		if e.Text != "" {
-			b.WriteString(pad + "  ")
-			escapeTo(b, e.Text, &escText)
-			b.WriteByte('\n')
-		}
-		for _, c := range e.Children {
-			c.renderIndent(b, rs, depth+1)
-		}
-		b.WriteString(pad)
-		e.closeTag(b, rs)
-		b.WriteByte('\n')
-	}
-	e.forget(rs, declared)
-}
-
-// openTag writes "<prefix:name attrs" (no closing '>') and returns the list
-// of namespace URIs newly declared on this element so the caller can remove
-// them from scope afterwards.
-func (e *Element) openTag(b *bytes.Buffer, rs *renderState) []string {
-	var declared []string
-	need := func(space string) string {
-		if space == "" {
-			return ""
-		}
-		if _, ok := rs.prefixes[space]; !ok {
-			declared = append(declared, space)
-		}
-		return rs.prefixFor(space)
-	}
-	p := need(e.Space)
-	b.WriteByte('<')
-	if p != "" {
-		b.WriteString(p)
-		b.WriteByte(':')
-	}
-	b.WriteString(e.Name)
-	for _, a := range e.Attrs {
-		ap := need(a.Space)
-		b.WriteByte(' ')
-		if ap != "" {
-			b.WriteString(ap)
-			b.WriteByte(':')
-		}
-		b.WriteString(a.Name)
-		b.WriteString(`="`)
-		escapeTo(b, a.Value, &escAttr)
-		b.WriteByte('"')
-	}
-	for _, space := range declared {
-		b.WriteString(` xmlns:`)
-		b.WriteString(rs.prefixes[space])
-		b.WriteString(`="`)
-		escapeTo(b, space, &escAttr)
-		b.WriteByte('"')
-	}
-	return declared
-}
-
-func (e *Element) closeTag(b *bytes.Buffer, rs *renderState) {
-	b.WriteString("</")
-	if e.Space != "" {
-		if p, ok := rs.prefixes[e.Space]; ok && p != "" {
-			b.WriteString(p)
-			b.WriteByte(':')
-		}
-	}
-	b.WriteString(e.Name)
-	b.WriteByte('>')
-}
-
-// forget removes namespaces declared on this element from scope once the
-// element closes, mirroring XML lexical scoping.
-func (e *Element) forget(rs *renderState, declared []string) {
-	for _, space := range declared {
-		delete(rs.prefixes, space)
-	}
 }

@@ -8,9 +8,9 @@ package rpc_test
 // WS-Inspection documents a server publishes (TestGoldenDescriptions).
 // Together with FuzzWriterVsRender (which reads the Writer's output back
 // with encoding/xml) this guarantees that future encoder work can never
-// silently change what the eight interoperable services put on the wire — the paper's whole premise is
-// that independently developed implementations agree at the byte level of
-// their agreed contracts.
+// silently change what the eight interoperable services put on the wire —
+// the paper's whole premise is that independently developed
+// implementations agree at the byte level of their agreed contracts.
 //
 // Regenerate after an intentional format change with:
 //

@@ -4,14 +4,14 @@ package xmlutil
 // Callers emit Start/Attr/Text/End events and the serialised form lands in
 // the buffer immediately. An element tree is written the same way, by
 // Writer.Element, which Element.Render, RenderTo and Canonical call;
-// RenderIndent writes through a Writer too. Namespace prefixes are assigned in first-use order (ns0,
-// ns1, ...), every declaration is emitted on the element where the
-// namespace first appears and forgotten when that element closes, and
-// attribute order is preserved. FuzzWriterVsRender reads the output back
-// with encoding/xml and requires the tree it was written from; the golden
-// conformance suite in internal/rpc and the WSDL and WSIL goldens pin the
-// bytes; FuzzEscape checks the escape kernel against an independent
-// reference.
+// RenderIndent writes through a Writer too. Namespace prefixes are
+// assigned in first-use order (ns0, ns1, ...), every declaration is
+// emitted on the element where the namespace first appears and forgotten
+// when that element closes, and attribute order is preserved.
+// FuzzWriterVsRender reads the output back with encoding/xml and requires
+// the tree it was written from; the golden conformance suite in
+// internal/rpc and the WSDL and WSIL goldens pin the bytes; FuzzEscape
+// checks the escape kernel against an independent reference.
 //
 // Event discipline (mirroring the tree shape): attributes must be written
 // before any content of their element, and text before child elements.

@@ -12,6 +12,8 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/soap"
 	"repro/internal/uddi"
+	"repro/internal/xmlregistry"
+	"repro/internal/xmlutil"
 )
 
 // cacheCase is one BenchmarkResponseCache case: a call and its budget of
@@ -30,7 +32,9 @@ type cacheCase struct {
 //     on, that flush drops the key's entry unread, so the call runs the
 //     handler and stores nothing;
 //   - "second miss" finds its entry expired after a miss since the last
-//     flush, so the call runs the handler and stores its answer.
+//     flush, so the call runs the handler and stores its answer;
+//   - "xml query hit" answers an xmlregistry find from the cache, the hit
+//     whose key holds an XML-typed parameter (cachedQuery).
 func cachedFind(tb testing.TB) (cases []cacheCase, out *bytes.Buffer) {
 	r := uddi.NewRegistry()
 	biz, err := r.SaveBusiness(uddi.BusinessEntity{Name: "SDSC", Description: "HotPage group"})
@@ -78,7 +82,51 @@ func cachedFind(tb testing.TB) (cases []cacheCase, out *bytes.Buffer) {
 		now = now.Add(2 * time.Minute)
 		return hit()
 	}
-	return []cacheCase{{"hit", hit, 4}, {"cold first miss", coldMiss, 8}, {"second miss", secondMiss, 12}}, out
+	return []cacheCase{{"hit", hit, 4}, {"cold first miss", coldMiss, 8}, {"second miss", secondMiss, 12},
+		cachedQuery(tb, out)}, out
+}
+
+// cachedQuery serves a cached xmlregistry find through Provider.Serve into
+// out. Its query parameter is XML-typed and shaped like the one discovery
+// sends, so the response cache keys it by the query's canonical form.
+func cachedQuery(tb testing.TB, out *bytes.Buffer) cacheCase {
+	r := xmlregistry.NewRegistry()
+	for j := 0; j < 8; j++ {
+		if err := r.Put(fmt.Sprintf("site-03/svc-%04d", j), "service", []xmlregistry.Property{
+			{Name: "kind", Value: fmt.Sprintf("kind-%d", j%4)},
+			{Name: "host", Value: fmt.Sprintf("node%03d.site03.example.org", j)},
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	svc := xmlregistry.NewService(r)
+	cache := rpc.NewResponseCache(time.Minute, 64)
+	svc.Use(cache.Middleware(rpc.OpPrefixes("find", "get")))
+	p := core.NewProvider("registry-ssp", "loopback://registry")
+	p.MustRegister(svc)
+
+	query := xmlutil.New("query")
+	query.AddText("type", "service")
+	query.AddText("under", "site-03")
+	query.Add(xmlutil.NewText("propEquals", "kind-1").SetAttr("name", "kind"))
+	var req bytes.Buffer
+	call := soap.Call{ServiceNS: xmlregistry.Contract().TargetNS, Method: "find",
+		Params: []soap.Value{soap.XMLDoc("query", query)}}
+	call.WireEnvelope().AppendTo(&req)
+	hit := func() error {
+		out.Reset()
+		return p.Serve(context.Background(), req.Bytes(), out)
+	}
+	// The first call stores the answer and the second must hit it.
+	for i := 0; i < 2; i++ {
+		if err := hit(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if hits, _, _ := cache.Stats(); hits != 1 || !bytes.Contains(out.Bytes(), []byte(`path="site-03/svc-0001"`)) {
+		tb.Fatalf("xml query: %d hits, answer %s", hits, out.Bytes())
+	}
+	return cacheCase{"xml query hit", hit, 16}
 }
 
 // BenchmarkResponseCache times cachedFind's cases. Run with -benchmem;

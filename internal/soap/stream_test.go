@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -60,6 +63,36 @@ func streamCases() map[string]struct{ tree, stream *Envelope } {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite the golden envelopes under testdata/")
+
+// checkEnvelopeGolden compares got with testdata/<name>.xml, rewriting the
+// file under -update.
+func checkEnvelopeGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".xml")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (re-run with -update): %v", path, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: envelope diverges from %s\n got: %s\nwant: %s", name, path, got, want)
+	}
+}
+
+// TestWireEnvelopeMatchesTreePath pins every streamCases envelope to its
+// golden under testdata/. Regenerate after an intentional format change
+// with:
+//
+//	go test ./internal/soap -run TestWireEnvelopeMatchesTreePath -update
 func TestWireEnvelopeMatchesTreePath(t *testing.T) {
 	for name, c := range streamCases() {
 		var tree, stream bytes.Buffer
@@ -69,6 +102,7 @@ func TestWireEnvelopeMatchesTreePath(t *testing.T) {
 			t.Errorf("%s: streamed envelope differs from tree path\nstream: %s\ntree:   %s",
 				name, stream.String(), tree.String())
 		}
+		checkEnvelopeGolden(t, name, stream.Bytes())
 		// Whatever was streamed must parse back as a well-formed envelope.
 		if _, err := ParseEnvelopeBytes(stream.Bytes()); err != nil {
 			t.Errorf("%s: streamed envelope does not re-parse: %v", name, err)

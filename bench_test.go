@@ -924,18 +924,6 @@ func BenchmarkAblation_SOAPEnvelope(b *testing.B) {
 			}
 		}
 	})
-	// encode-tree is the pre-PR4 path kept as the oracle: build the
-	// element tree, then render it.
-	b.Run("encode-tree", func(b *testing.B) {
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			call.Envelope().AppendTo(&buf)
-			if buf.Len() == 0 {
-				b.Fatal("empty")
-			}
-		}
-	})
 	// encode-response is the server-side hot path: the rpc kernel's typed
 	// return values streamed straight to the wire.
 	resp := &soap.Response{ServiceNS: "urn:bench", Method: "op", Returns: []soap.Value{
@@ -951,7 +939,7 @@ func BenchmarkAblation_SOAPEnvelope(b *testing.B) {
 			}
 		}
 	})
-	wireBytes := []byte(call.Envelope().Render())
+	wireBytes := []byte(call.WireEnvelope().Render())
 	b.Run("decode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			env, err := soap.ParseEnvelopeBytes(wireBytes)

@@ -210,7 +210,7 @@ func TestClientInterceptorAddsHeader(t *testing.T) {
 	p := NewProvider("ssp", "loopback://x")
 	svc := NewService(echoContract())
 	svc.Handle("say", func(ctx *Context, args soap.Args) ([]soap.Value, error) {
-		h := ctx.Envelope.HeaderNamed("Assertion")
+		h := ctx.Envelope.HeaderNamed("urn:saml", "Assertion")
 		if h == nil {
 			return nil, soap.NewPortalError("echo", soap.ErrCodeAuthFailed, "missing assertion")
 		}

@@ -126,7 +126,7 @@ func cachedQuery(tb testing.TB, out *bytes.Buffer) cacheCase {
 	if hits, _, _ := cache.Stats(); hits != 1 || !bytes.Contains(out.Bytes(), []byte(`path="site-03/svc-0001"`)) {
 		tb.Fatalf("xml query: %d hits, answer %s", hits, out.Bytes())
 	}
-	return cacheCase{"xml query hit", hit, 16}
+	return cacheCase{"xml query hit", hit, 9}
 }
 
 // BenchmarkResponseCache times cachedFind's cases. Run with -benchmem;

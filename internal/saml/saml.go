@@ -122,10 +122,14 @@ func (a *Assertion) Element() *xmlutil.Element {
 	return el
 }
 
-// FromElement parses an assertion element.
+// FromElement parses an assertion element, which must be a SAML 1.0
+// Assertion in AssertionNS.
 func FromElement(el *xmlutil.Element) (*Assertion, error) {
 	if el.Name != "Assertion" {
 		return nil, fmt.Errorf("saml: element %q is not Assertion", el.Name)
+	}
+	if el.Space != AssertionNS {
+		return nil, fmt.Errorf("saml: Assertion in namespace %q, not %q", el.Space, AssertionNS)
 	}
 	a := &Assertion{
 		ID:        el.AttrDefault("AssertionID", ""),
@@ -208,10 +212,11 @@ func Attach(env *soap.Envelope, a *Assertion) {
 	env.AddHeader(a.Element())
 }
 
-// FromEnvelope extracts the first assertion from a SOAP envelope header,
-// or nil when the envelope carries none.
+// FromEnvelope extracts the first SAML assertion (an Assertion header in
+// AssertionNS) from a SOAP envelope, or nil when the envelope carries
+// none; a header of that name in another namespace is not one.
 func FromEnvelope(env *soap.Envelope) (*Assertion, error) {
-	h := env.HeaderNamed("Assertion")
+	h := env.HeaderNamed(AssertionNS, "Assertion")
 	if h == nil {
 		return nil, nil
 	}

@@ -112,6 +112,11 @@ func TestFromElementErrors(t *testing.T) {
 	if _, err := FromElement(badTime); err == nil {
 		t.Error("bad timestamp accepted")
 	}
+	foreign := New("i", "s", MethodKerberos, "x", testTime, time.Minute).Element()
+	foreign.Space = saml2NS
+	if _, err := FromElement(foreign); err == nil {
+		t.Error("assertion in another namespace accepted")
+	}
 }
 
 func TestEnvelopeAttachExtract(t *testing.T) {
@@ -138,6 +143,37 @@ func TestEnvelopeAttachExtract(t *testing.T) {
 	if got != nil || err != nil {
 		t.Errorf("empty = %+v, %v", got, err)
 	}
+	// A foreign Assertion header ahead of the SAML 1.0 one does not hide
+	// it, and one alone is no assertion at all.
+	first := soap.NewEnvelope().AddHeader(foreignAssertion()).AddBody(xmlutil.New("op"))
+	Attach(first, a)
+	if got, err := FromEnvelope(wire(t, first)); err != nil || got == nil || got.Signature != a.Signature {
+		t.Errorf("foreign header first = %+v, %v", got, err)
+	}
+	only := soap.NewEnvelope().AddHeader(foreignAssertion()).AddBody(xmlutil.New("op"))
+	if got, err := FromEnvelope(wire(t, only)); got != nil || err != nil {
+		t.Errorf("foreign header only = %+v, %v", got, err)
+	}
+}
+
+// saml2NS is the SAML 2.0 assertion namespace, whose Assertion element
+// shares the SAML 1.0 one's local name.
+const saml2NS = "urn:oasis:names:tc:SAML:2.0:assertion"
+
+// foreignAssertion is a SAML 2.0 Assertion header entry, which this
+// package does not read.
+func foreignAssertion() *xmlutil.Element {
+	return xmlutil.NewNS(saml2NS, "Assertion").SetAttr("ID", "_x").SetAttr("IssueInstant", "2002-11-16T10:00:00Z")
+}
+
+// wire renders env and parses it back, as a receiving service sees it.
+func wire(t *testing.T, env *soap.Envelope) *soap.Envelope {
+	t.Helper()
+	parsed, err := soap.ParseEnvelopeBytes([]byte(env.Render()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parsed
 }
 
 func TestSignatureBoundToWindow(t *testing.T) {

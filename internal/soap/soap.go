@@ -6,9 +6,10 @@
 // error messages" for failures that are not SOAP faults, such as a file
 // transfer failing because the disk was full).
 //
-// The Go ecosystem has no SOAP tooling, so envelopes are hand-rolled on top
-// of the xmlutil element tree, exactly as the paper's Python services
-// hand-assembled their payloads.
+// Envelopes are hand-rolled, as the paper's Python services hand-assembled
+// their payloads. Call.WireEnvelope and Response.WireEnvelope stream each
+// message through an xmlutil.Writer; BodyReader and DecodeResponse decode
+// on the xmlutil cursor, and ParseEnvelopeBytes reads a tree.
 package soap
 
 import (
@@ -125,11 +126,12 @@ func (e *Envelope) AddBody(b *xmlutil.Element) *Envelope {
 	return e
 }
 
-// HeaderNamed returns the first header entry with the given local name, or
-// nil.
-func (e *Envelope) HeaderNamed(name string) *xmlutil.Element {
+// HeaderNamed returns the first header entry with the given namespace URI
+// and local name, or nil. An entry of the same local name in another
+// namespace is a different header.
+func (e *Envelope) HeaderNamed(space, name string) *xmlutil.Element {
 	for _, h := range e.Header {
-		if h.Name == name {
+		if h.Name == name && h.Space == space {
 			return h
 		}
 	}
@@ -280,24 +282,8 @@ func (f *Fault) PortalError() *PortalError {
 	return nil
 }
 
-// Element renders the fault as a Body entry.
-func (f *Fault) Element() *xmlutil.Element {
-	fe := xmlutil.NewNS(EnvelopeNS, "Fault")
-	fe.AddText("faultcode", "soap:"+f.Code)
-	fe.AddText("faultstring", f.String)
-	if f.Actor != "" {
-		fe.AddText("faultactor", f.Actor)
-	}
-	if len(f.Detail) > 0 {
-		det := xmlutil.New("detail")
-		det.Add(f.Detail...)
-		fe.Add(det)
-	}
-	return fe
-}
-
-// write streams the fault as a Body entry, byte-identical to rendering
-// Element().
+// write streams the fault as a Body entry: faultcode, faultstring, the
+// faultactor when set, and the detail entries when there are any.
 func (f *Fault) write(w *xmlutil.Writer) {
 	w.Start(EnvelopeNS, "Fault")
 	w.Start("", "faultcode")
@@ -451,38 +437,8 @@ func XMLDoc(name string, doc *xmlutil.Element) Value {
 	return Value{Name: name, XML: doc}
 }
 
-// Element renders the value as an RPC parameter element. A WriteXML
-// payload is written and parsed back, so the tree stays the authority on
-// what the writer means.
-func (v Value) Element() *xmlutil.Element {
-	el := xmlutil.New(v.Name)
-	switch {
-	case v.XML != nil:
-		el.Add(v.XML)
-	case v.WriteXML != nil:
-		var b bytes.Buffer
-		v.WriteXML(xmlutil.NewWriter(&b))
-		doc, err := xmlutil.ParseBytes(b.Bytes())
-		if err != nil {
-			panic(fmt.Sprintf("soap: %s's written XML payload does not parse: %v", v.Name, err))
-		}
-		el.Add(doc)
-	case v.Type == "Array":
-		el.SetAttrNS(XSINS, "type", "soapenc:Array")
-		for _, item := range v.Items {
-			el.Add(item.Element())
-		}
-	default:
-		if v.Type != "" {
-			el.SetAttrNS(XSINS, "type", "xsd:"+v.Type)
-		}
-		el.Text = v.Text
-	}
-	return el
-}
-
-// write streams the value as an RPC parameter element, byte-identical to
-// rendering Element(). Scalar, array and WriteXML values never touch the
+// write streams the value as an RPC parameter element, the form
+// ParseValue reads. Scalar, array and WriteXML values never touch the
 // element tree; a literal XML tree bridges through Writer.Element.
 func (v Value) write(w *xmlutil.Writer) {
 	w.Start("", v.Name)
@@ -538,22 +494,12 @@ type Call struct {
 	Params []Value
 }
 
-// Envelope builds the request envelope for the call.
-func (c *Call) Envelope() *Envelope {
-	op := xmlutil.NewNS(c.ServiceNS, c.Method)
-	op.SetAttrNS(EnvelopeNS, "encodingStyle", EncodingNS)
-	for _, p := range c.Params {
-		op.Add(p.Element())
-	}
-	return NewEnvelope().AddBody(op)
-}
-
 // WireEnvelope builds the request envelope with a streamed body: when
 // serialised it writes the call element and parameters directly to the
-// buffer instead of materialising an element tree. Byte-identical to
-// Envelope(); this is the client-side encode hot path. Parameter values
-// are read at serialisation time, so interceptors that run before the
-// transport see (and may still amend) the call.
+// buffer, with no element tree. It is the one request encoder; goldens
+// pin its bytes. Parameter values are read at serialisation time, so
+// interceptors that run before the transport see (and may still amend)
+// the call.
 func (c *Call) WireEnvelope() *Envelope {
 	return &Envelope{stream: c}
 }
@@ -601,24 +547,10 @@ type Response struct {
 	Fault *Fault
 }
 
-// Envelope builds the response envelope.
-func (r *Response) Envelope() *Envelope {
-	env := NewEnvelope()
-	if r.Fault != nil {
-		return env.AddBody(r.Fault.Element())
-	}
-	op := xmlutil.NewNS(r.ServiceNS, r.Method+"Response")
-	for _, v := range r.Returns {
-		op.Add(v.Element())
-	}
-	return env.AddBody(op)
-}
-
 // WireEnvelope builds the response envelope with a streamed body: the
 // operation response element, return values, or fault are written directly
-// to the output buffer at serialisation time, with no element tree in
-// between. Byte-identical to Envelope(); this is the server-side encode
-// hot path the rpc kernel responds through.
+// to the output buffer at serialisation time, with no element tree. It is
+// the one response encoder, the rpc kernel's; goldens pin its bytes.
 func (r *Response) WireEnvelope() *Envelope {
 	env := &Envelope{}
 	r.WireEnvelopeInto(env)

@@ -26,7 +26,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			StrArray("args", []string{"-a", "-b"}),
 		},
 	}
-	env := call.Envelope()
+	env := call.WireEnvelope()
 	parsed, err := ParseEnvelopeBytes([]byte(env.Render()))
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestXMLParameter(t *testing.T) {
 	jobs := xmlutil.New("jobs")
 	jobs.Add(xmlutil.New("job").AddText("executable", "/bin/date"))
 	call := &Call{ServiceNS: "urn:globusrun", Method: "submitXML", Params: []Value{XMLDoc("request", jobs)}}
-	parsed, err := ParseEnvelopeBytes([]byte(call.Envelope().Render()))
+	parsed, err := ParseEnvelopeBytes([]byte(call.WireEnvelope().Render()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +74,8 @@ func TestXMLParameter(t *testing.T) {
 	}
 }
 
-// TestWrittenXMLReturn checks that a WriteXML payload and the tree it
-// writes agree on both encode paths: the streamed envelope and the tree
-// one, whose Element parses the written payload back.
+// TestWrittenXMLReturn checks that a WriteXML payload streams the same
+// envelope as the tree it writes, held as an XML value.
 func TestWrittenXMLReturn(t *testing.T) {
 	tree := xmlutil.New("serviceList")
 	tree.Add(xmlutil.New("businessService").SetAttr("serviceKey", "a&\"b\"\r").AddText("name", "<x> & y\r"))
@@ -88,17 +87,11 @@ func TestWrittenXMLReturn(t *testing.T) {
 	if got := written.WireEnvelope().Render(); got != want {
 		t.Fatalf("streamed envelopes differ\nwritten: %s\nheld:    %s", got, want)
 	}
-	if got := written.Envelope().Render(); got != want {
-		t.Fatalf("tree envelope differs\nwritten: %s\nheld:    %s", got, want)
-	}
-	if el := written.Returns[0].Element(); !el.Equal(held.Returns[0].Element()) {
-		t.Fatalf("Element() = %s, want %s", el.Render(), held.Returns[0].Element().Render())
-	}
 }
 
 func TestResponseRoundTrip(t *testing.T) {
 	r := &Response{ServiceNS: "urn:srb", Method: "ls", Returns: []Value{StrArray("entries", []string{"a.dat", "b.dat"})}}
-	parsed, err := ParseEnvelopeBytes([]byte(r.Envelope().Render()))
+	parsed, err := ParseEnvelopeBytes([]byte(r.WireEnvelope().Render()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +110,7 @@ func TestResponseRoundTrip(t *testing.T) {
 
 func TestFaultRoundTrip(t *testing.T) {
 	pe := NewPortalError("SRBService", ErrCodeResourceFull, "disk full on resource %s", "sdsc-disk1")
-	env := NewEnvelope().AddBody(pe.Fault().Element())
+	env := (&Response{Fault: pe.Fault()}).WireEnvelope()
 	parsed, err := ParseEnvelopeBytes([]byte(env.Render()))
 	if err != nil {
 		t.Fatal(err)
@@ -187,15 +180,18 @@ func TestHeaderEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := parsed.HeaderNamed("Assertion")
+	h := parsed.HeaderNamed("urn:saml", "Assertion")
 	if h == nil {
 		t.Fatal("header lost")
 	}
 	if v, _ := h.Attr("issuer"); v != "authsvc" {
 		t.Errorf("issuer = %q", v)
 	}
-	if parsed.HeaderNamed("Missing") != nil {
+	if parsed.HeaderNamed("urn:saml", "Missing") != nil {
 		t.Error("HeaderNamed on absent name should be nil")
+	}
+	if parsed.HeaderNamed("urn:other", "Assertion") != nil {
+		t.Error("HeaderNamed matched an entry in another namespace")
 	}
 }
 
@@ -229,7 +225,7 @@ func echoHandler(req *Envelope) (*Envelope, error) {
 	}
 	resp := &Response{ServiceNS: call.ServiceNS, Method: call.Method,
 		Returns: []Value{Str("echo", Args(call.Params).String("msg"))}}
-	return resp.Envelope(), nil
+	return resp.WireEnvelope(), nil
 }
 
 // invoke sends call through t and parses the answer as a tree.
@@ -317,7 +313,7 @@ func TestPropertyCallRoundTrip(t *testing.T) {
 				call.Params = append(call.Params, Bool(name, r.Intn(2) == 0))
 			}
 		}
-		env, err := ParseEnvelopeBytes([]byte(call.Envelope().Render()))
+		env, err := ParseEnvelopeBytes([]byte(call.WireEnvelope().Render()))
 		if err != nil {
 			return false
 		}
@@ -354,7 +350,7 @@ func TestEnvelopeBOMAndLeadingWhitespace(t *testing.T) {
 	call := &Call{ServiceNS: "urn:bench", Method: "op", Params: []Value{Str("a", "v")}}
 	buf := xmlutil.GetBuffer()
 	defer xmlutil.PutBuffer(buf)
-	call.Envelope().AppendTo(buf) // includes the XML declaration
+	call.WireEnvelope().AppendTo(buf) // includes the XML declaration
 	wire := buf.String()
 	for _, tc := range []struct {
 		name, prefix string

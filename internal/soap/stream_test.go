@@ -13,10 +13,9 @@ import (
 	"repro/internal/xmlutil"
 )
 
-// streamCases enumerate the envelope shapes the portal wire carries; each
-// must serialise byte-identically through the streamed (tree-free) path
-// and the element-tree path.
-func streamCases() map[string]struct{ tree, stream *Envelope } {
+// streamCases enumerate the envelope shapes the portal wire carries, each
+// built by the streamed WireEnvelope.
+func streamCases() map[string]*Envelope {
 	call := &Call{ServiceNS: "urn:bench", Method: "op", Params: []Value{
 		Str("a", "hello & <world>"),
 		Int("b", 42),
@@ -36,77 +35,56 @@ func streamCases() map[string]struct{ tree, stream *Envelope } {
 
 	portal := &Response{Fault: NewPortalError("SRBService", ErrCodeResourceFull, "disk full").Fault()}
 
-	withHeader := &Call{ServiceNS: "urn:svc", Method: "secure", Params: []Value{Str("p", "v")}}
-	hdrTree := withHeader.Envelope()
-	hdrTree.AddHeader(xmlutil.NewNS("urn:saml", "Assertion").SetAttr("id", "a-1"))
-	hdrStream := withHeader.WireEnvelope()
-	hdrStream.AddHeader(xmlutil.NewNS("urn:saml", "Assertion").SetAttr("id", "a-1"))
+	withHeader := (&Call{ServiceNS: "urn:svc", Method: "secure", Params: []Value{Str("p", "v")}}).WireEnvelope()
+	withHeader.AddHeader(xmlutil.NewNS("urn:saml", "Assertion").SetAttr("id", "a-1"))
 
 	empty := &Response{ServiceNS: "urn:bench", Method: "void"}
 
 	// An interceptor-style AddBody after envelope construction must ship
-	// on the wire from both paths.
-	addBody := &Call{ServiceNS: "urn:svc", Method: "op", Params: []Value{Str("p", "v")}}
-	abTree := addBody.Envelope()
-	abTree.AddBody(xmlutil.New("extraEntry").AddText("k", "v"))
-	abStream := addBody.WireEnvelope()
-	abStream.AddBody(xmlutil.New("extraEntry").AddText("k", "v"))
+	// on the wire after the streamed entry.
+	addBody := (&Call{ServiceNS: "urn:svc", Method: "op", Params: []Value{Str("p", "v")}}).WireEnvelope()
+	addBody.AddBody(xmlutil.New("extraEntry").AddText("k", "v"))
 
-	return map[string]struct{ tree, stream *Envelope }{
-		"call":         {call.Envelope(), call.WireEnvelope()},
-		"response":     {resp.Envelope(), resp.WireEnvelope()},
-		"fault":        {fault.Envelope(), fault.WireEnvelope()},
-		"portal-fault": {portal.Envelope(), portal.WireEnvelope()},
-		"with-header":  {hdrTree, hdrStream},
-		"empty-return": {empty.Envelope(), empty.WireEnvelope()},
-		"added-body":   {abTree, abStream},
+	return map[string]*Envelope{
+		"call":         call.WireEnvelope(),
+		"response":     resp.WireEnvelope(),
+		"fault":        fault.WireEnvelope(),
+		"portal-fault": portal.WireEnvelope(),
+		"with-header":  withHeader,
+		"empty-return": empty.WireEnvelope(),
+		"added-body":   addBody,
 	}
 }
 
 var update = flag.Bool("update", false, "rewrite the golden envelopes under testdata/")
 
-// checkEnvelopeGolden compares got with testdata/<name>.xml, rewriting the
-// file under -update.
-func checkEnvelopeGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name+".xml")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden %s (re-run with -update): %v", path, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: envelope diverges from %s\n got: %s\nwant: %s", name, path, got, want)
-	}
-}
-
-// TestWireEnvelopeMatchesTreePath pins every streamCases envelope to its
-// golden under testdata/. Regenerate after an intentional format change
-// with:
+// TestWireEnvelopeMatchesGolden pins every streamCases envelope to its
+// golden under testdata/, and requires each to parse back as an envelope.
+// Regenerate after an intentional format change with:
 //
-//	go test ./internal/soap -run TestWireEnvelopeMatchesTreePath -update
-func TestWireEnvelopeMatchesTreePath(t *testing.T) {
-	for name, c := range streamCases() {
-		var tree, stream bytes.Buffer
-		c.tree.AppendTo(&tree)
-		c.stream.AppendTo(&stream)
-		if tree.String() != stream.String() {
-			t.Errorf("%s: streamed envelope differs from tree path\nstream: %s\ntree:   %s",
-				name, stream.String(), tree.String())
-		}
-		checkEnvelopeGolden(t, name, stream.Bytes())
-		// Whatever was streamed must parse back as a well-formed envelope.
-		if _, err := ParseEnvelopeBytes(stream.Bytes()); err != nil {
-			t.Errorf("%s: streamed envelope does not re-parse: %v", name, err)
-		}
+//	go test ./internal/soap -run TestWireEnvelopeMatchesGolden -update
+func TestWireEnvelopeMatchesGolden(t *testing.T) {
+	for name, env := range streamCases() {
+		t.Run(name, func(t *testing.T) {
+			var got bytes.Buffer
+			env.AppendTo(&got)
+			path := filepath.Join("testdata", name+".xml")
+			if *update {
+				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden %s (re-run with -update): %v", path, err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("envelope diverges from %s\n got: %s\nwant: %s", path, got.Bytes(), want)
+			}
+			if _, err := ParseEnvelopeBytes(got.Bytes()); err != nil {
+				t.Errorf("envelope does not re-parse: %v", err)
+			}
+		})
 	}
 }
 

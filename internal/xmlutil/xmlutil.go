@@ -16,7 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -371,18 +371,44 @@ func (e *Element) writeIndent(w *Writer, pad string) {
 // Canonical returns a canonical form of the tree suitable as a signature
 // input: attributes sorted by (space, name), text whitespace trimmed, and
 // namespace prefixes assigned in a pre-order traversal. Two trees that are
-// Equal up to attribute order produce identical canonical strings.
+// Equal up to attribute order produce identical canonical strings. The
+// tree is written straight through a pooled Writer, neither copied nor
+// changed, so the returned string is the only allocation.
 func (e *Element) Canonical() string {
-	c := e.Clone()
-	c.Walk(func(el *Element) bool {
-		sort.Slice(el.Attrs, func(i, j int) bool {
-			if el.Attrs[i].Space != el.Attrs[j].Space {
-				return el.Attrs[i].Space < el.Attrs[j].Space
-			}
-			return el.Attrs[i].Name < el.Attrs[j].Name
-		})
-		el.Text = strings.TrimSpace(el.Text)
-		return true
-	})
-	return c.Render()
+	b := GetBuffer()
+	w := AcquireWriter(b)
+	e.writeCanonical(w)
+	w.Release()
+	s := b.String()
+	PutBuffer(b)
+	return s
+}
+
+// writeCanonical writes e as Writer.Element does, but with its attributes
+// in (space, name) order and its text trimmed. The attributes are sorted
+// in a copy on the stack, so an element with up to eight of them
+// allocates nothing. The sort is stable, so attributes of one (space,
+// name) keep their document order, and O(n log n): the tree may be a
+// request parameter with any number of attributes.
+func (e *Element) writeCanonical(w *Writer) {
+	w.Start(e.Space, e.Name)
+	var stack [8]Attr
+	attrs := append(stack[:0], e.Attrs...)
+	slices.SortStableFunc(attrs, compareAttrs)
+	for i := range attrs {
+		w.Attr(attrs[i].Space, attrs[i].Name, attrs[i].Value)
+	}
+	w.Text(strings.TrimSpace(e.Text))
+	for _, c := range e.Children {
+		c.writeCanonical(w)
+	}
+	w.End()
+}
+
+// compareAttrs orders attributes by namespace URI, then local name.
+func compareAttrs(a, b Attr) int {
+	if c := strings.Compare(a.Space, b.Space); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Name, b.Name)
 }

@@ -1,6 +1,7 @@
 package xmlutil
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -214,6 +215,31 @@ func TestCanonicalSortsAttrs(t *testing.T) {
 	}
 	if a.Render() == b.Render() {
 		t.Log("note: plain render coincidentally equal")
+	}
+}
+
+// TestCanonicalWideElement: an element with three thousand attributes in
+// reverse order, each local name under two namespaces and one of them
+// twice, is written in (space, name) order, and the two attributes of one
+// (space, name) keep their document order.
+func TestCanonicalWideElement(t *testing.T) {
+	el := New("wide")
+	for _, a := range []Attr{{Space: "urn:b", Value: "b"}, {Space: "urn:a", Value: "1st"}, {Space: "urn:a", Value: "2nd"}} {
+		for i := 1000; i > 0; i-- {
+			el.Attrs = append(el.Attrs, Attr{Space: a.Space, Name: fmt.Sprintf("a%04d", i), Value: a.Value})
+		}
+	}
+	var want strings.Builder
+	want.WriteString("<wide")
+	for i := 1; i <= 1000; i++ {
+		fmt.Fprintf(&want, ` ns0:a%04d="1st" ns0:a%04d="2nd"`, i, i)
+	}
+	for i := 1; i <= 1000; i++ {
+		fmt.Fprintf(&want, ` ns1:a%04d="b"`, i)
+	}
+	want.WriteString(` xmlns:ns0="urn:a" xmlns:ns1="urn:b"/>`)
+	if got := el.Canonical(); got != want.String() {
+		t.Errorf("Canonical of a wide element:\n got %.300s\nwant %.300s", got, want.String())
 	}
 }
 

@@ -68,7 +68,7 @@ var benchGenerateParams = []soap.Value{
 }
 
 // warm runs op allocbudget.Warmup times and then resets the clock, so no
-// rung pays a one-time fill (the global intern table, the buffer pools, a
+// rung pays a one-time fill (the lexers' string memos, the buffer pools, a
 // TCP connection) on behalf of the rungs after it.
 func warm(b *testing.B, op func() error) {
 	b.Helper()
@@ -154,13 +154,13 @@ var ladder = []struct {
 	allocs float64
 }{
 	{"direct", ladderDirect, 14},
-	{"serve", ladderServe, 24},
-	{"loopback", ladderLoopback, 29},
-	{"guarded", ladderGuarded, 35},
+	{"serve", ladderServe, 19},
+	{"loopback", ladderLoopback, 24},
+	{"guarded", ladderGuarded, 30},
 	{"http", ladderHTTP, 0},
 	{"gateway", ladderGateway, 0},
-	{"memory", func(tb testing.TB) func() error { return ladderPublisher(tb, nil) }, 26},
-	{"wal-nosync", func(tb testing.TB) func() error { return ladderPublisher(tb, &wal.Options{NoSync: true}) }, 31},
+	{"memory", func(tb testing.TB) func() error { return ladderPublisher(tb, nil) }, 24},
+	{"wal-nosync", func(tb testing.TB) func() error { return ladderPublisher(tb, &wal.Options{NoSync: true}) }, 28},
 	{"wal-fsync", func(tb testing.TB) func() error { return ladderPublisher(tb, &wal.Options{}) }, 0},
 }
 

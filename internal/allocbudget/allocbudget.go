@@ -7,7 +7,7 @@ package allocbudget
 import "testing"
 
 // Warmup calls precede every count, so no budget pays a one-time fill (a
-// pool, an intern table, a grown buffer) on behalf of the calls after it.
+// pool, a string memo, a grown buffer) on behalf of the calls after it.
 const Warmup = 100
 
 // Check counts op's allocations per call over 100 calls after Warmup

@@ -72,7 +72,7 @@ var callAllocs = []struct {
 }{
 	{"flat", soap.Response{ServiceNS: "urn:test:echo", Method: "say", Returns: []soap.Value{soap.Str("echo", "hello")}}, 5},
 	{"xml", soap.Response{ServiceNS: "urn:test:echo", Method: "say", Returns: []soap.Value{soap.XMLDoc("echo", xmlutil.New("doc").AddText("q", "x"))}}, 7},
-	{"fault", soap.Response{Fault: soap.NewPortalError("Echo", soap.ErrCodeResourceFull, "disk full").Fault()}, 17},
+	{"fault", soap.Response{Fault: soap.NewPortalError("Echo", soap.ErrCodeResourceFull, "disk full").Fault()}, 12},
 }
 
 // TestCallAllocs holds Client.Call, the decode of each answer shape

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"container/list"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -336,12 +337,10 @@ func cacheKey(ns, op string, args soap.Args) string {
 	for i := range idx {
 		idx[i] = i
 	}
-	// Insertion sort by name: parameter lists are tiny.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && args[idx[j]].Name < args[idx[j-1]].Name; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
+	// The caller picks the parameter count, so the sort must stay
+	// O(n log n); stability keeps repeated names in wire order, which the
+	// key's bytes depend on.
+	slices.SortStableFunc(idx, func(i, j int) int { return strings.Compare(args[i].Name, args[j].Name) })
 	for _, i := range idx {
 		writeValueKey(&b, args[i])
 	}

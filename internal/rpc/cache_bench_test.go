@@ -82,7 +82,7 @@ func cachedFind(tb testing.TB) (cases []cacheCase, out *bytes.Buffer) {
 		now = now.Add(2 * time.Minute)
 		return hit()
 	}
-	return []cacheCase{{"hit", hit, 4}, {"cold first miss", coldMiss, 8}, {"second miss", secondMiss, 12},
+	return []cacheCase{{"hit", hit, 2}, {"cold first miss", coldMiss, 6}, {"second miss", secondMiss, 10},
 		cachedQuery(tb, out)}, out
 }
 
@@ -126,7 +126,7 @@ func cachedQuery(tb testing.TB, out *bytes.Buffer) cacheCase {
 	if hits, _, _ := cache.Stats(); hits != 1 || !bytes.Contains(out.Bytes(), []byte(`path="site-03/svc-0001"`)) {
 		tb.Fatalf("xml query: %d hits, answer %s", hits, out.Bytes())
 	}
-	return cacheCase{"xml query hit", hit, 9}
+	return cacheCase{"xml query hit", hit, 6}
 }
 
 // BenchmarkResponseCache times cachedFind's cases. Run with -benchmem;

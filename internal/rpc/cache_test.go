@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -116,6 +118,38 @@ func TestResponseCacheParamOrderCanonicalised(t *testing.T) {
 	}
 	if *calls != 1 {
 		t.Fatalf("handler ran %d times: parameter order must not defeat the cache", *calls)
+	}
+}
+
+// TestCacheKeyManyParams keys a request of 100,000 parameters, each name
+// twice and in reverse order, within a time limit, and checks the key
+// against a sort.SliceStable reference: the caller picks the parameter
+// count, so ordering them must not be quadratic, and repeated names keep
+// their wire order.
+func TestCacheKeyManyParams(t *testing.T) {
+	const n = 100000
+	args := make(soap.Args, n)
+	for i := range args {
+		args[i] = soap.Str(fmt.Sprintf("p%06d", (n-i)/2), strconv.Itoa(i))
+	}
+	start := time.Now()
+	got := cacheKey("urn:ns", "find", args)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("keying %d parameters took %v", n, took)
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return args[idx[a]].Name < args[idx[b]].Name })
+	var want strings.Builder
+	writeField(&want, "urn:ns")
+	writeField(&want, "find")
+	for _, i := range idx {
+		writeValueKey(&want, args[i])
+	}
+	if got != want.String() {
+		t.Errorf("key of %d parameters differs from the stable-sort reference", n)
 	}
 }
 

@@ -138,7 +138,7 @@ var answerAllocs = map[string]float64{
 	"findServiceByTModel": 5,
 	"findService":         12,
 	"findByDescription":   12,
-	"getServiceDetail":    9,
+	"getServiceDetail":    7,
 }
 
 // TestFindAnswerAllocs holds the registry service's answer encode, decode

@@ -12,9 +12,8 @@
 // namespaces, processing instructions, comments, CDATA sections, tags,
 // attribute values, end-tag matching and the document rules come from the
 // lexer both embed (lexer.go), character data from the same scan and
-// unescape kernels, and carved subtrees from the parser itself. Only the
-// string policy differs (memoStrings here, interning there).
-// FuzzCursorVsTree checks the whole contract.
+// unescape kernels, strings from the lexer's memo, and carved subtrees
+// from the parser itself. FuzzCursorVsTree checks the whole contract.
 package xmlutil
 
 import (
@@ -46,7 +45,7 @@ type Cursor struct {
 	// lexer's pend holds the current start tag's non-xmlns attributes.
 	// Lookups are lazy: Attr matches against their raw name spans on
 	// demand, so tags whose attributes nobody reads never pay for name
-	// interning or namespace resolution.
+	// memoising or namespace resolution.
 	lexer
 
 	// Current TokStart state; tagStart is the offset of the tag's '<'.
@@ -56,100 +55,16 @@ type Cursor struct {
 
 	// Current TokText state: the raw span (aliasing data), whether it
 	// needs unescaping, whether entity references in it are live (false
-	// for CDATA), and whether Text has decoded it. Next decodes a span that
-	// needs it and that nobody read, since the tree parser checks the
-	// entities of all character data.
+	// for CDATA), and whether Text has decoded it. Next decodes a span
+	// with live entity references that nobody read, since the tree parser
+	// checks the entities of all character data.
 	textSpan     []byte
 	textClean    bool
 	textEntities bool
 	textRead     bool
-
-	memo memoStrings
 }
 
-// memoStrings is the cursor's string policy: a small direct-mapped cache
-// over recently seen clean byte spans (names, attribute values, short leaf
-// text), surviving pool cycles. RPC traffic re-sends the same vocabulary
-// every request — "xsd:string", the xsi namespace URI, parameter names,
-// scheduler names — and the cache turns those into collision-checked
-// string reuse without touching the locked global intern table. A full
-// comparison guards every hit, so collisions only cost the miss path: one
-// string allocation and a cache overwrite.
-type memoStrings [32]string
-
-// slot hashes every byte of span (FNV-1a; memoised spans are at most
-// maxInternLen bytes), so namespace URIs and attribute values that share a
-// length and their first and last bytes still spread over the slots.
-func (m *memoStrings) slot(span []byte) *string {
-	h := uint32(2166136261)
-	for _, c := range span {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return &m[h%uint32(len(m))]
-}
-
-// name memoises bounded vocabulary, element names and namespace prefixes,
-// through the global intern table: only these may feed it. High-cardinality
-// spans (leaf text and attribute values: registry keys, user data) go
-// through value instead, or the append-only intern table fills with
-// one-shot strings — evicting nothing, wasting the cap, and paying a
-// full-table copy per insert until full.
-func (m *memoStrings) name(span []byte) string {
-	if len(span) == 0 {
-		return ""
-	}
-	if len(span) > maxInternLen {
-		return string(span)
-	}
-	e := m.slot(span)
-	if *e == string(span) { // no alloc: compiler-recognised compare
-		return *e
-	}
-	*e = intern(span) // shared instance even when slots collide
-	return *e
-}
-
-// value is name without the global intern table: a miss allocates and
-// caches per cursor only. For spans whose value space is unbounded, the
-// recurring ones ("xsd:string", redeclared namespace URIs) still turn into
-// reuse via the memo — cursors are pooled, so the memo warms once per
-// cursor instance — while unique ones (freshly minted uuid keys in publish
-// responses) cost exactly their own allocation instead of a global table
-// insert.
-func (m *memoStrings) value(span []byte) string {
-	if len(span) == 0 {
-		return ""
-	}
-	if len(span) > maxInternLen {
-		return string(span)
-	}
-	e := m.slot(span)
-	if *e != string(span) {
-		*e = string(span)
-	}
-	return *e
-}
-
-// known probes the memo with a raw, not-yet-validated span. Every memo
-// entrant was validated by its producer (a name, a clean attribute value,
-// clean character data), so a hit proves the span clean and valid without
-// rescanning it — the basis of the attribute-value fast path.
-func (m *memoStrings) known(span []byte) (string, bool) {
-	if len(span) == 0 || len(span) > maxInternLen {
-		return "", false
-	}
-	if e := m.slot(span); *e == string(span) {
-		return *e, true
-	}
-	return "", false
-}
-
-var cursorPool = sync.Pool{New: func() interface{} {
-	c := new(Cursor)
-	c.str = &c.memo
-	return c
-}}
+var cursorPool = sync.Pool{New: func() interface{} { return new(Cursor) }}
 
 // AcquireCursor returns a pooled cursor positioned at the start of data. A
 // UTF-8 byte-order mark is tolerated, as in the tree parser.
@@ -252,7 +167,7 @@ func (c *Cursor) Attr(name string) (string, bool) {
 // returned string.
 func (c *Cursor) Text() (string, error) {
 	if c.textClean {
-		return c.memo.value(c.textSpan), nil
+		return c.str(c.textSpan), nil
 	}
 	s, err := c.unescape(c.textSpan, c.textEntities)
 	c.textRead = err == nil
@@ -267,8 +182,8 @@ func (c *Cursor) Next() (Tok, error) {
 		c.pop()
 		return TokEnd, nil
 	}
-	if c.textSpan != nil && !c.textClean && !c.textRead {
-		if _, err := c.unescape(c.textSpan, c.textEntities); err != nil {
+	if c.textSpan != nil && !c.textClean && c.textEntities && !c.textRead {
+		if _, err := c.unescape(c.textSpan, true); err != nil {
 			return TokEOF, err
 		}
 	}

@@ -1,6 +1,7 @@
 package xmlutil
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -252,35 +253,77 @@ func TestSkipPrologue(t *testing.T) {
 	c.Release()
 }
 
-// TestCursorAttrValueMemo drives the raw-span attribute fast path: the
-// same attribute value repeated across elements must come back correct,
-// and an entity-escaped value must never be confused with a clean memo
-// entry that happens to share its raw bytes' unescaped form.
+// attrValueMemoDocs drive the raw-span attribute fast path, which skips
+// the scan of a value the memo already holds. The same value repeated
+// across elements must come back correct; an entity-escaped value must
+// never be confused with a clean memo entry that shares its unescaped
+// form; an invalid byte after a memoised twin must still be rejected; and
+// a CDATA section, whose literal '&' and '<' make it no valid attribute
+// value, must not vouch for an attribute with the same bytes. want lists
+// the t attributes of the p elements; nil wants a parse error.
+var attrValueMemoDocs = []struct {
+	doc  string
+	want []string
+}{
+	{`<r><p t="urn:long-enough-to-memo">1</p><p t="urn:long-enough-to-memo">2</p>` +
+		`<p t="urn:long-enough-to&#45;memo">3</p></r>`,
+		[]string{"urn:long-enough-to-memo", "urn:long-enough-to-memo", "urn:long-enough-to-memo"}},
+	{"<r><p t=\"urn:long-enough-to-memo\"/><p t=\"urn:long-enough-to-memo\x01\"/></r>", nil},
+	{"<r><p t=\"urn:long-enough-to-memo\"/><p t=\"urn:long-enough-to-memo\xff\"/></r>", nil},
+	{`<r><c><![CDATA[&amp;]]></c><p t="&amp;"/></r>`, []string{"&"}},
+	{`<r><c><![CDATA[<x]]></c><p t="<x"/></r>`, nil},
+}
+
+// TestCursorAttrValueMemo runs attrValueMemoDocs through the cursor,
+// reading every text token so CDATA sections reach the memo, and through
+// ParseBytes, whose parser takes the same fast path.
 func TestCursorAttrValueMemo(t *testing.T) {
-	doc := `<r><p t="urn:long-enough-to-memo">1</p><p t="urn:long-enough-to-memo">2</p>` +
-		`<p t="urn:long-enough-to&#45;memo">3</p></r>`
-	c := AcquireCursor([]byte(doc))
-	defer c.Release()
-	want := []string{"urn:long-enough-to-memo", "urn:long-enough-to-memo", "urn:long-enough-to-memo"}
-	i := 0
-	for {
-		tok, err := c.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tok == TokEOF {
-			break
-		}
-		if tok == TokStart && c.Name() == "p" {
-			got, ok := c.Attr("t")
-			if !ok || got != want[i] {
-				t.Errorf("p[%d] attr = %q/%v, want %q", i, got, ok, want[i])
+	for _, tc := range attrValueMemoDocs {
+		var got []string
+		c := AcquireCursor([]byte(tc.doc))
+		var err error
+		for {
+			var tok Tok
+			if tok, err = c.Next(); err != nil || tok == TokEOF {
+				break
 			}
-			i++
+			if tok == TokText {
+				if _, err = c.Text(); err != nil {
+					break
+				}
+			}
+			if tok == TokStart && c.Name() == "p" {
+				v, _ := c.Attr("t")
+				got = append(got, v)
+			}
 		}
+		c.Release()
+		checkAttrValueMemo(t, "cursor", tc.doc, got, err, tc.want)
+
+		got = nil
+		root, err := ParseBytes([]byte(tc.doc))
+		if err == nil {
+			root.Walk(func(e *Element) bool {
+				if e.Name == "p" {
+					v, _ := e.Attr("t")
+					got = append(got, v)
+				}
+				return true
+			})
+		}
+		checkAttrValueMemo(t, "ParseBytes", tc.doc, got, err, tc.want)
 	}
-	if i != len(want) {
-		t.Errorf("saw %d p elements, want %d", i, len(want))
+}
+
+func checkAttrValueMemo(t *testing.T, who, doc string, got []string, err error, want []string) {
+	t.Helper()
+	switch {
+	case want == nil && err == nil:
+		t.Errorf("%s accepts %q, want a parse error", who, doc)
+	case want != nil && err != nil:
+		t.Errorf("%s rejects %q: %v", who, doc, err)
+	case want != nil && !slices.Equal(got, want):
+		t.Errorf("%s on %q: t attributes %q, want %q", who, doc, got, want)
 	}
 }
 
@@ -370,6 +413,9 @@ func FuzzCursorVsTree(f *testing.F) {
 		`<!DOCTYPE a><a/>`, `<a><!ELEMENT a ANY></a>`, "<a><!--\x01--></a>",
 	} {
 		f.Add([]byte(doc))
+	}
+	for _, tc := range attrValueMemoDocs {
+		f.Add([]byte(tc.doc))
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		tree, treeErr := ParseBytes(doc)

@@ -148,6 +148,9 @@ func FuzzParseRoundTrip(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	for _, tc := range attrValueMemoDocs {
+		f.Add([]byte(tc.doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			return // stay below the scanner's depth limit

@@ -9,14 +9,17 @@
 // closed, bounded depth). Its errors are the positioned parse errors the
 // tree parser returns, with the same text.
 //
-// The lexer hands back spans of the input. Turning a span into a string is
-// the one thing the consumers do differently, through a spanStrings
-// policy: the tree parser interns (internStrings), the cursor memoises per
-// instance (memoStrings).
+// The lexer hands back spans of the input, and it owns the one policy that
+// turns a clean span into a string: every name, unbound prefix, namespace
+// URI, clean attribute value and clean leaf text of up to maxMemoLen
+// bytes, whichever consumer asks, goes through the lexer's memo. The memo
+// belongs to one pooled instance, so no string state is shared between
+// goroutines.
 package xmlutil
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"unicode/utf8"
@@ -33,29 +36,80 @@ const (
 
 var bomPrefix = []byte{0xEF, 0xBB, 0xBF}
 
-// spanStrings turns validated spans of the input into strings. It is the
-// only thing that differs between the lexer's consumers.
-type spanStrings interface {
-	// name returns the string for an element local name or an unbound
-	// namespace prefix.
-	name(span []byte) string
-	// value returns the string for a clean attribute value: one with no
-	// entity reference and no '\r', already validated.
-	value(span []byte) string
-	// known returns a string equal to span when the policy remembers one
-	// it made from a validated clean value. A hit proves span clean and
-	// valid, so the lexer skips scanning it.
-	known(span []byte) (string, bool)
+// memoSlots (1<<memoBits) is the number of slots in each lexer's memo,
+// and maxMemoLen the longest span it keeps: a longer one is payload rather
+// than vocabulary, and is made into a string each time.
+const (
+	memoBits   = 12
+	memoSlots  = 1 << memoBits
+	maxMemoLen = 64
+)
+
+// memo is the lexer's string policy: a direct-mapped cache from recently
+// seen clean spans to the strings made from them. RPC traffic re-sends the
+// same vocabulary every request ("xsd:string", the xsi namespace URI,
+// parameter names, scheduler names), and the memo turns it into string
+// reuse. It belongs to its lexer and survives pool cycles, so it warms once
+// per pooled instance, and a miss costs one string and one slot overwrite
+// however many distinct spans a document holds. A full comparison guards
+// every hit, so a collision only costs a miss.
+//
+// Only validated clean spans enter it: names, unbound prefixes, attribute
+// values with no entity reference and no '\r', and clean character data.
+// Each of those is also a valid clean attribute value, so a hit in known
+// proves a raw span clean and valid without scanning it.
+type memo [memoSlots]string
+
+// memoSlot hashes every byte of span, eight at a time: each word is mixed
+// in by a multiplication, and a span whose length is not a multiple of
+// eight ends on a word that overlaps the one before it. Every byte counts,
+// so namespace URIs and attribute values that share a length and their
+// first and last bytes still spread over the slots.
+func memoSlot(span []byte) uint32 {
+	const k = 0x9E3779B97F4A7C15 // 2^64 / golden ratio, odd
+	n := len(span)
+	h := uint64(n) * k
+	switch {
+	case n >= 8:
+		for i := 0; i < n-8; i += 8 {
+			h = (h ^ binary.LittleEndian.Uint64(span[i:])) * k
+		}
+		h = (h ^ binary.LittleEndian.Uint64(span[n-8:])) * k
+	case n >= 4:
+		h = (h ^ uint64(binary.LittleEndian.Uint32(span)) ^ uint64(binary.LittleEndian.Uint32(span[n-4:]))<<32) * k
+	case n > 0:
+		h = (h ^ uint64(span[0]) ^ uint64(span[n/2])<<8 ^ uint64(span[n-1])<<16) * k
+	}
+	// A product's top bits are the ones that depend on every input bit.
+	return uint32(h >> (64 - memoBits))
 }
 
-// internStrings is the tree parser's policy: names, unbound prefixes and
-// clean attribute values of up to maxInternLen bytes go through the global
-// intern table, and every value is scanned.
-type internStrings struct{}
+// str returns the string for a validated clean span.
+func (m *memo) str(span []byte) string {
+	if len(span) == 0 {
+		return ""
+	}
+	if len(span) > maxMemoLen {
+		return string(span)
+	}
+	e := &m[memoSlot(span)]
+	if *e != string(span) { // no alloc: compiler-recognised compare
+		*e = string(span)
+	}
+	return *e
+}
 
-func (internStrings) name(span []byte) string     { return intern(span) }
-func (internStrings) value(span []byte) string    { return intern(span) }
-func (internStrings) known([]byte) (string, bool) { return "", false }
+// known returns the memo's string equal to a raw, not yet validated span,
+// if it holds one: the attribute-value fast path.
+func (m *memo) known(span []byte) (string, bool) {
+	if len(span) == 0 || len(span) > maxMemoLen {
+		return "", false
+	}
+	if e := &m[memoSlot(span)]; *e == string(span) {
+		return *e, true
+	}
+	return "", false
+}
 
 // nsBinding is one in-scope namespace declaration. prefix slices the input
 // (valid only during the parse); nil prefix is the default namespace.
@@ -86,7 +140,8 @@ type openTag struct {
 type lexer struct {
 	data []byte
 	pos  int
-	str  spanStrings
+	// memo outlives reset and release: its strings never alias the input.
+	memo
 
 	ns   []nsBinding
 	pend []pendingAttr
@@ -209,8 +264,10 @@ func (l *lexer) skipPI() error {
 
 // bang lexes a "<!" construct; pos is on the '!'. A comment is skipped. A
 // CDATA section is returned as its raw span, with clean reporting that it
-// holds no '\r' (its content is literal: only line endings need
-// normalising). DTDs and other directives are rejected outright: the portal
+// holds no '\r', '&' or '<'. Its content is literal, so only line endings
+// need normalising, but a span with '&' or '<' is no valid attribute value
+// and so must not enter the memo, whose hits the attribute fast path
+// trusts. DTDs and other directives are rejected outright: the portal
 // dialects never use them, and refusing them closes the classic
 // entity-expansion attack surface.
 func (l *lexer) bang() (span []byte, clean, cdata bool, err error) {
@@ -270,7 +327,7 @@ func (l *lexer) cdata() (span []byte, clean bool, err error) {
 		case c == ']' && i+2 < len(data) && data[i+1] == ']' && data[i+2] == '>':
 			l.pos = i + 3
 			return data[start:i], clean, nil
-		case c == '\r':
+		case c == '\r' || c == '&' || c == '<':
 			clean = false
 			i++
 		case c < 0x20 && c != '\t' && c != '\n':
@@ -382,7 +439,7 @@ func (l *lexer) resolve(prefix []byte, element bool) string {
 			return l.ns[i].uri
 		}
 	}
-	return l.str.name(prefix)
+	return l.str(prefix)
 }
 
 // --- tags ------------------------------------------------------------------
@@ -443,7 +500,7 @@ func (l *lexer) startTag() (space, name string, selfClose bool, err error) {
 		}
 	}
 	space = l.resolve(prefix, true)
-	name = l.str.name(local)
+	name = l.str(local)
 	if len(l.open) == 0 {
 		if l.rooted {
 			return "", "", false, errors.New("xmlutil: parse: multiple root elements")
@@ -458,8 +515,8 @@ func (l *lexer) startTag() (space, name string, selfClose bool, err error) {
 }
 
 // attrValue lexes one quoted attribute value, unescaping only when needed.
-// A value the policy already knows skips the scan; any other clean value
-// goes to the policy, and a value with entities or '\r' is decoded.
+// A value the memo already holds skips the scan; any other clean value
+// goes through the memo, and a value with entities or '\r' is decoded.
 func (l *lexer) attrValue() (string, error) {
 	data := l.data
 	if l.pos >= len(data) || (data[l.pos] != '"' && data[l.pos] != '\'') {
@@ -475,7 +532,7 @@ func (l *lexer) attrValue() (string, error) {
 	end := len(data)
 	if rel := bytes.IndexByte(data[start:], q); rel >= 0 {
 		end = start + rel
-		if s, ok := l.str.known(data[start:end]); ok {
+		if s, ok := l.known(data[start:end]); ok {
 			l.pos = end + 1
 			return s, nil
 		}
@@ -518,7 +575,7 @@ func (l *lexer) attrValue() (string, error) {
 	span := data[start:end]
 	l.pos = end + 1
 	if clean {
-		return l.str.value(span), nil
+		return l.str(span), nil
 	}
 	return l.unescape(span, true)
 }

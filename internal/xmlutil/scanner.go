@@ -8,10 +8,12 @@
 //
 // Performance model:
 //
-//   - Names, unbound prefixes and clean attribute values of up to
-//     maxInternLen bytes are materialised through a bounded global intern
-//     table (internStrings), so after warm-up the recurring vocabulary of a
-//     dialect costs zero allocations. Attributes are resolved eagerly.
+//   - Names, unbound prefixes, namespace URIs, clean attribute values and
+//     clean leaf text of up to maxMemoLen bytes are made through the
+//     lexer's per-instance memo, so once a pooled parser has seen the
+//     recurring vocabulary of a dialect it costs no allocation, and a
+//     document of fresh names costs one string per name. Attributes are
+//     resolved eagerly.
 //   - Element nodes are carved out of slabs. Plain ParseBytes hands the
 //     slabs to the caller inside the returned tree (forever-owned); an
 //     arena (AcquireArena, filled by Cursor.Carve) recycles slabs,
@@ -33,7 +35,6 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 )
 
@@ -47,68 +48,6 @@ const (
 	maxPooledAttrs = 2048
 	maxPooledText  = 64 << 10
 )
-
-// --- name/value interning --------------------------------------------------
-
-// The intern table maps the recurring vocabulary of the wire dialects
-// (element and attribute names, namespace URIs, short attribute values such
-// as "xsd:string") to shared string instances. It is append-only and capped:
-// once full, lookups still hit for the warm vocabulary and misses simply
-// allocate per parse, so an attacker streaming unique names cannot grow it
-// without bound.
-//
-// The table is read-mostly to an extreme degree — after the first few
-// requests every parse is all hits — so it is published as a copy-on-write
-// snapshot behind an atomic pointer: steady-state lookups take no lock at
-// all (and every parse on every core proceeds without touching a shared
-// cache line). A miss copies the current snapshot, adds the entry, and
-// publishes the copy under a mutex that serialises writers only. Total
-// copying work is bounded by the entry cap and paid once during warm-up.
-const (
-	maxInternLen     = 64
-	maxInternEntries = 8192
-)
-
-var (
-	internTab atomic.Pointer[map[string]string]
-	internWMu sync.Mutex
-)
-
-func init() {
-	tab := make(map[string]string)
-	internTab.Store(&tab)
-}
-
-func intern(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if len(b) > maxInternLen {
-		return string(b)
-	}
-	tab := *internTab.Load()
-	if s, ok := tab[string(b)]; ok { // no alloc: compiler-recognised map lookup
-		return s
-	}
-	s := string(b)
-	internWMu.Lock()
-	cur := *internTab.Load()
-	if dup, ok := cur[s]; ok {
-		// Another writer published it while we waited.
-		internWMu.Unlock()
-		return dup
-	}
-	if len(cur) < maxInternEntries {
-		next := make(map[string]string, len(cur)+1)
-		for k, v := range cur {
-			next[k] = v
-		}
-		next[s] = s
-		internTab.Store(&next)
-	}
-	internWMu.Unlock()
-	return s
-}
 
 // --- parser state ----------------------------------------------------------
 
@@ -153,7 +92,7 @@ type parser struct {
 	textBuf []byte
 }
 
-func newParser() interface{} { return &parser{lexer: lexer{str: internStrings{}}} }
+func newParser() interface{} { return new(parser) }
 
 var (
 	retainedPool = sync.Pool{New: newParser}
@@ -289,8 +228,8 @@ func (p *parser) addText(span []byte, clean, entities bool) error {
 		// Character data outside the root is discarded (the old decoder
 		// ignored it too) but must still be validated so malformed entities
 		// are rejected wherever they appear.
-		if !clean {
-			_, err := p.unescape(span, entities)
+		if !clean && entities {
+			_, err := p.unescape(span, true)
 			return err
 		}
 		return nil
@@ -530,8 +469,8 @@ func decodeEntity(dst, b []byte) ([]byte, int, string) {
 // --- tags ------------------------------------------------------------------
 
 // startTag builds the element of a start tag the lexer has lexed: its
-// name, every attribute resolved and interned now, and its place in the
-// tree.
+// name, every attribute resolved and its name memoised now, and its place
+// in the tree.
 func (p *parser) startTag() error {
 	space, name, selfClose, err := p.lexer.startTag()
 	if err != nil {
@@ -546,7 +485,7 @@ func (p *parser) startTag() error {
 			if pa.prefix != nil {
 				space = p.resolve(pa.prefix, false)
 			}
-			p.attrs = append(p.attrs, Attr{Space: space, Name: intern(pa.local), Value: pa.value})
+			p.attrs = append(p.attrs, Attr{Space: space, Name: p.str(pa.local), Value: pa.value})
 		}
 		el.Attrs = p.attrs[start:len(p.attrs):len(p.attrs)]
 	}
@@ -580,9 +519,7 @@ func (p *parser) endTag() error {
 			// output, file contents) carry significant whitespace.
 			rawText = bytes.TrimSpace(rawText)
 		}
-		if len(rawText) > 0 {
-			el.Text = string(rawText)
-		}
+		el.Text = p.str(rawText)
 	} else if f.joined {
 		text := p.textBuf[f.start:]
 		if len(el.Children) > 0 {

@@ -2,6 +2,7 @@ package xmlutil
 
 import (
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -399,4 +400,51 @@ func TestSplitTextIsLinear(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFreshVocabularyCostsFlat pins that a parse costs the same whether
+// its names and attribute values are new to the parser or not: 20,000
+// documents whose element names and attribute values are all fresh, and
+// the bytes allocated per document in the first thousand stay within 1.5
+// times those in the last thousand. A string table that grows with the
+// vocabulary it has seen, with a cost per insert that grows with it, fails
+// this.
+func TestFreshVocabularyCostsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops parsers at random under -race")
+	}
+	const docs, window = 20000, 1000
+	doc := make([]byte, 0, 128)
+	parse := func(i int) {
+		n := strconv.AppendInt(nil, int64(i), 10)
+		doc = append(doc[:0], "<e"...)
+		doc = append(append(doc, n...), ` k="v`...)
+		doc = append(append(doc, n...), `"><f`...)
+		doc = append(append(doc, n...), ` k="w`...)
+		doc = append(append(doc, n...), `">x</f`...)
+		doc = append(append(doc, n...), "></e"...)
+		doc = append(append(doc, n...), '>')
+		if _, err := ParseBytes(doc); err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+	}
+	allocated := func(from int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := from; i < from+window; i++ {
+			parse(i)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := allocated(0)
+	for i := window; i < docs-window; i++ {
+		parse(i)
+	}
+	last := allocated(docs - window)
+	if float64(first) > 1.5*float64(last) {
+		t.Errorf("first %d documents allocated %d B each, last %d %d B each: fresh names cost more than known ones",
+			window, first/window, window, last/window)
+	}
+	t.Logf("first %d documents: %d B each, last %d: %d B each", window, first/window, window, last/window)
 }
